@@ -252,7 +252,9 @@ pub struct MpckMethod {
     pub violation_weight: f64,
     /// Whether per-cluster diagonal metrics are learned.
     pub learn_metric: bool,
-    /// Maximum EM iterations per run.
+    /// Maximum EM iterations per run: 30 by default, the cap every
+    /// experiment and served selection uses (`MpckMeans::new` alone would
+    /// allow 50).
     pub max_iter: usize,
 }
 

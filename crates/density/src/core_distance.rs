@@ -33,8 +33,13 @@ impl KnnTable {
 
     /// The distance from object `i` to its `k`-th nearest *other* neighbour
     /// (1-based `k`).  Returns the largest available distance when `k`
-    /// exceeds `n − 1`.
+    /// exceeds `n − 1`, and `0` when `i` is the only object.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `k == 0` (there is no 0-th neighbour).
     pub fn kth_neighbor_distance(&self, i: usize, k: usize) -> f64 {
+        debug_assert!(k >= 1, "k is 1-based, got k = 0");
         let row = &self.sorted[i];
         if row.is_empty() {
             return 0.0;
@@ -58,21 +63,40 @@ impl KnnTable {
 ///
 /// With `min_pts = 1` every core distance is zero (each object is its own
 /// neighbourhood); with `min_pts = m` the core distance is the distance to
-/// the `(m − 1)`-th nearest *other* object.
+/// the `(m − 1)`-th nearest *other* object, saturating at the farthest one
+/// when `m − 1` exceeds `n − 1`.  Fewer than two objects have core
+/// distance zero.
+///
+/// Each row's order statistic is taken by selection
+/// (`select_nth_unstable_by`, O(n) on average) on one reused buffer rather
+/// than by sorting the row: the k-th smallest value of a row is the same
+/// value whichever algorithm finds it, so the result equals reading
+/// [`KnnTable::kth_neighbor_distance`] without building the sorted table.
+/// (The one value `partial_cmp` cannot tell apart is the sign of a zero:
+/// a row holding both `-0.0` and `0.0` at the selected rank may yield
+/// either.  The suite's metrics never produce `-0.0`.)
 ///
 /// # Panics
 ///
-/// Panics if `min_pts == 0`.
+/// Panics if `min_pts == 0`, or if a row compared during selection holds
+/// a NaN distance.
 pub fn core_distances(dist: &[Vec<f64>], min_pts: usize) -> Vec<f64> {
     assert!(min_pts >= 1, "MinPts must be at least 1");
-    let knn = KnnTable::from_pairwise(dist);
-    (0..dist.len())
-        .map(|i| {
-            if min_pts == 1 {
-                0.0
-            } else {
-                knn.kth_neighbor_distance(i, min_pts - 1)
-            }
+    let n = dist.len();
+    if min_pts == 1 || n < 2 {
+        return vec![0.0; n];
+    }
+    // 0-based rank among the n − 1 other objects.
+    let rank = (min_pts - 2).min(n - 2);
+    let mut others = Vec::with_capacity(n - 1);
+    dist.iter()
+        .enumerate()
+        .map(|(i, row)| {
+            others.clear();
+            others.extend((0..n).filter(|&j| j != i).map(|j| row[j]));
+            let (_, kth, _) = others
+                .select_nth_unstable_by(rank, |a, b| a.partial_cmp(b).expect("finite distances"));
+            *kth
         })
         .collect()
 }
@@ -124,6 +148,14 @@ mod tests {
         assert_eq!(knn.kth_neighbor_distance(0, 3), 10.0);
         // k beyond n-1 saturates
         assert_eq!(knn.kth_neighbor_distance(0, 99), 10.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "1-based")]
+    fn kth_neighbor_distance_rejects_k_zero_in_debug_builds() {
+        let knn = KnnTable::from_pairwise(&pairwise_matrix(&line_data(), &Euclidean));
+        let _ = knn.kth_neighbor_distance(0, 0);
     }
 
     #[test]

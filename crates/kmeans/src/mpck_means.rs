@@ -127,9 +127,15 @@ pub struct MpckMeansResult {
 }
 
 impl MpckMeans {
-    /// Creates an MPCKMeans configuration with the defaults used throughout
-    /// the suite's experiments: violation weights 1, at most 50 EM
-    /// iterations, metric learning enabled.
+    /// Creates an MPCKMeans configuration with this crate's defaults:
+    /// violation weights 1, at most 50 EM iterations, metric learning and
+    /// the must-link closure enabled, metric weights clamped to
+    /// `[1e-3, 1e3]`.
+    ///
+    /// The suite's experiments and served selections build MPCKMeans from
+    /// `cvcp_core::MpckMethod::default()` instead, which keeps the weights
+    /// and metric learning but caps EM at **30** iterations
+    /// ([`Self::with_max_iter`]).
     pub fn new(k: usize) -> Self {
         Self {
             k,
@@ -228,21 +234,8 @@ impl MpckMeans {
         let mut objective = f64::INFINITY;
         let mut iterations = 0;
 
-        // Maximum squared pairwise distance per metric is expensive to track
-        // exactly; we use the squared diameter of the data bounding box under
-        // the current metric as the f_CL offset, which preserves the "close
-        // violated cannot-links cost more" behaviour.
         let (mins, maxs) = data.column_min_max();
-        let diameter_sq = |weights: &[f64]| -> f64 {
-            mins.iter()
-                .zip(&maxs)
-                .zip(weights)
-                .map(|((lo, hi), w)| {
-                    let d = hi - lo;
-                    w * d * d
-                })
-                .sum()
-        };
+        let mut terms = MetricTerms::of(&metrics, &mins, &maxs);
 
         for it in 0..self.max_iter {
             iterations = it + 1;
@@ -257,7 +250,7 @@ impl MpckMeans {
                 let mut best_cost = f64::INFINITY;
                 for c in 0..self.k {
                     let w = &metrics[c];
-                    let mut cost = weighted_sq_dist(row, &centroids[c], w) - log_det(w);
+                    let mut cost = weighted_sq_dist(row, &centroids[c], w) - terms.log_det[c];
                     // must-link violations w.r.t. already-assigned neighbours
                     for &j in &ml_of[i] {
                         if let Some(cj) = assigned[j] {
@@ -272,7 +265,7 @@ impl MpckMeans {
                     for &j in &cl_of[i] {
                         if let Some(cj) = assigned[j] {
                             if cj == c {
-                                let f = diameter_sq(w) - weighted_sq_dist(row, data.row(j), w);
+                                let f = terms.cl_offset[c] - weighted_sq_dist(row, data.row(j), w);
                                 cost += self.cannot_link_weight * f.max(0.0);
                             }
                         }
@@ -323,6 +316,7 @@ impl MpckMeans {
                     &maxs,
                     &mut metrics,
                 );
+                terms = MetricTerms::of(&metrics, &mins, &maxs);
             }
 
             // ---------------- Objective & convergence ----------------
@@ -333,7 +327,7 @@ impl MpckMeans {
                 &metrics,
                 &ml_pairs,
                 &cl_pairs,
-                &diameter_sq,
+                &terms,
             );
             let converged = final_assignment == assignment
                 || (objective - new_objective).abs() <= 1e-9 * objective.abs().max(1.0);
@@ -431,9 +425,10 @@ impl MpckMeans {
         }
     }
 
-    /// Evaluates the full MPCKMeans objective for a given state.
+    /// Evaluates the full MPCKMeans objective for a given state; `terms`
+    /// must hold the per-cluster terms of `metrics`.
     #[allow(clippy::too_many_arguments)]
-    fn objective<F: Fn(&[f64]) -> f64>(
+    fn objective(
         &self,
         data: &DataMatrix,
         assignment: &[usize],
@@ -441,11 +436,11 @@ impl MpckMeans {
         metrics: &[Vec<f64>],
         ml_pairs: &[(usize, usize)],
         cl_pairs: &[(usize, usize)],
-        diameter_sq: &F,
+        terms: &MetricTerms,
     ) -> f64 {
         let mut obj = 0.0;
         for (i, &c) in assignment.iter().enumerate() {
-            obj += weighted_sq_dist(data.row(i), &centroids[c], &metrics[c]) - log_det(&metrics[c]);
+            obj += weighted_sq_dist(data.row(i), &centroids[c], &metrics[c]) - terms.log_det[c];
         }
         for &(a, b) in ml_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
@@ -459,8 +454,8 @@ impl MpckMeans {
         for &(a, b) in cl_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca == cb {
-                let f = diameter_sq(&metrics[ca])
-                    - weighted_sq_dist(data.row(a), data.row(b), &metrics[ca]);
+                let f =
+                    terms.cl_offset[ca] - weighted_sq_dist(data.row(a), data.row(b), &metrics[ca]);
                 obj += self.cannot_link_weight * f.max(0.0);
             }
         }
@@ -468,9 +463,44 @@ impl MpckMeans {
     }
 }
 
+/// The terms of the objective that depend on a cluster's metric alone.
+/// Metrics change only in the M-step, so `fit_seeded` computes these once
+/// per EM iteration rather than once per (object × cluster) pair.
+struct MetricTerms {
+    /// `log det A_h` per cluster.
+    log_det: Vec<f64>,
+    /// The f_CL offset `d_max²_{A_h}` per cluster.
+    cl_offset: Vec<f64>,
+}
+
+impl MetricTerms {
+    fn of(metrics: &[Vec<f64>], mins: &[f64], maxs: &[f64]) -> Self {
+        Self {
+            log_det: metrics.iter().map(|w| log_det(w)).collect(),
+            cl_offset: metrics.iter().map(|w| diameter_sq(w, mins, maxs)).collect(),
+        }
+    }
+}
+
 /// Sum of log weights (log-determinant of the diagonal metric).
 fn log_det(weights: &[f64]) -> f64 {
     weights.iter().map(|w| w.max(1e-12).ln()).sum()
+}
+
+/// The f_CL offset: the squared diameter of the data bounding box
+/// (`mins`, `maxs`) under the metric `weights`.  The maximum squared
+/// pairwise distance per metric is expensive to track exactly; the box
+/// diameter preserves the "close violated cannot-links cost more"
+/// behaviour.
+fn diameter_sq(weights: &[f64], mins: &[f64], maxs: &[f64]) -> f64 {
+    mins.iter()
+        .zip(maxs)
+        .zip(weights)
+        .map(|((lo, hi), w)| {
+            let d = hi - lo;
+            w * d * d
+        })
+        .sum()
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! receiver against a lock-class registry, tracks guard liveness through
 //! lexical scopes, and builds the static nesting graph. The build fails
 //! on: an unregistered lock site, an acquisition against the declared
-//! rank order, same-class nesting (two shards!), or any cycle among the
+//! rank order, same-class nesting (two pool deques!), or any cycle among the
 //! unranked leaf classes.
 //!
 //! This is a *lexical* approximation, and deliberately so: it sees
@@ -35,7 +35,7 @@ pub const LOCK_SCOPE_CRATES: &[&str] = &["cvcp-engine", "cvcp-server", "cvcp-obs
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LockClass {
     pub name: &'static str,
-    /// Declared global rank, for the four ranked hot-path classes; `None`
+    /// Declared global rank, for the ranked hot-path classes; `None`
     /// for leaf locks that must simply never participate in a cycle.
     pub rank: Option<u16>,
 }
@@ -60,16 +60,10 @@ pub fn registry() -> BTreeMap<(&'static str, &'static str), LockClass> {
         (("cvcp-engine", "locals"), ranked("pool-state", 20)),
         (("cvcp-engine", "injectors"), ranked("pool-state", 20)),
         (("cvcp-engine", "sleep"), ranked("pool-sleep", 25)),
-        // Cache economics (adaptive rebalancing, admission control,
-        // commit-time slice borrowing) added no lock classes: per-shard
-        // budget slices, demand signals and residency hints are atomics,
-        // and the borrower's donor evictions take shard `map` locks one
-        // at a time — same-class nesting stays a violation.
+        // The artifact cache's one map lock (innermost).
         (("cvcp-engine", "map"), ranked("cache-shard", 30)),
-        (("cvcp-engine", "profile"), ranked("cache-profile", 40)),
         // Leaf locks: completion plumbing and observability buffers.
         (("cvcp-engine", "done_tx"), leaf("engine-done-tx")),
-        (("cvcp-engine", "drop_hook"), leaf("engine-drop-hook")),
         // Per-job closure and outcome slots (one mutex per job; a slot is
         // locked only for a take/store, never across another acquisition).
         (("cvcp-engine", "jobs"), leaf("engine-job-slot")),
@@ -156,7 +150,7 @@ pub fn rule_c1(
                         file: site.file.clone(),
                         line: site.line,
                         message: format!(
-                            "acquires `{}` (rank {n}) while holding `{}` (rank {h}) — violates the declared order queue(10) < pool(20) < shard(30) < profile(40), and equal ranks never nest",
+                            "acquires `{}` (rank {n}) while holding `{}` (rank {h}) — violates the declared order server-queue(10) < pool-state(20) < pool-sleep(25) < cache-shard(30), and equal ranks never nest",
                             site.class.name, held.name
                         ),
                     });
@@ -582,11 +576,11 @@ mod tests {
 
     #[test]
     fn leaf_cycle_is_detected() {
-        // done_tx -> drop_hook in one function, drop_hook -> done_tx in
-        // another: no rank order violated, but the graph has a cycle.
+        // done_tx -> jobs in one function, jobs -> done_tx in another: no
+        // rank order violated, but the graph has a cycle.
         let out = run(
             "cvcp-engine",
-            "fn f(s: &S) {\n    let a = s.done_tx.lock().unwrap();\n    let b = s.drop_hook.lock().unwrap();\n}\nfn g(s: &S) {\n    let b = s.drop_hook.lock().unwrap();\n    let a = s.done_tx.lock().unwrap();\n}\n",
+            "fn f(s: &S) {\n    let a = s.done_tx.lock().unwrap();\n    let b = s.jobs.lock().unwrap();\n}\nfn g(s: &S) {\n    let b = s.jobs.lock().unwrap();\n    let a = s.done_tx.lock().unwrap();\n}\n",
         );
         assert!(
             out.iter()

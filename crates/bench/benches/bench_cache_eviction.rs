@@ -6,11 +6,7 @@
 //! * **bounded** — `max_bytes` set *below* the working set, so LRU eviction
 //!   is under constant pressure;
 //! * **entry-bounded** — `max_entries` small enough to force eviction by
-//!   count;
-//! * **sharded** — the same under-budget config split over 8 shards (one
-//!   lock and one budget slice each), plus a cost-benefit-policy run: the
-//!   sharded-contention section asserting that neither sharding nor the
-//!   eviction policy can change selection results.
+//!   count.
 //!
 //! Every measured run asserts the acceptance contract of the bounded cache:
 //! results are **bit-identical** to the unbounded run, the peak resident
@@ -24,7 +20,7 @@ use cvcp_bench::{aloi_dataset, bench_meta, write_bench_json};
 use cvcp_core::experiment::{run_experiment_on, ExperimentConfig, SideInfoSpec, TrialOutcome};
 use cvcp_core::json::{Json, ToJson};
 use cvcp_core::{CvcpConfig, Engine, FoscMethod, MpckMethod};
-use cvcp_engine::{AdmissionPolicy, CacheConfig, EvictionPolicy};
+use cvcp_engine::CacheConfig;
 use std::time::Instant;
 
 fn experiment_config() -> ExperimentConfig {
@@ -110,98 +106,11 @@ fn bench_cache_eviction(c: &mut Criterion) {
     assert!(entry_stats.evictions > 0);
     entry_bounded.cache().assert_accounting_consistent();
 
-    // Sharded contention: the same under-budget byte config split over 8
-    // shards.  Sharding only repartitions the store — selection results
-    // must be bit-identical to the unsharded reference, every shard stays
-    // within its (adaptively rebalanced) budget slice, and the live
-    // aggregate stays within the global budget at every instant.
-    let sharded = Engine::with_cache_config(
-        2,
-        CacheConfig::default().with_max_bytes(budget).with_shards(8),
-    );
-    let start = Instant::now();
-    let sharded_results = run_grid(&sharded);
-    let sharded_secs = start.elapsed().as_secs_f64();
-    assert_eq!(
-        reference, sharded_results,
-        "sharded cache changed the selection results"
-    );
-    let sharded_stats = sharded.cache_stats();
-    assert_eq!(sharded_stats.shards, 8);
-    // Summed per-shard peaks are reached at different instants under
-    // different slice assignments, so the budget bound that holds at every
-    // instant is on the live resident total (and on the slice sum, checked
-    // by `assert_accounting_consistent`), not on the peak sum.
-    assert!(
-        sharded_stats.resident_bytes <= budget,
-        "sharded residents summed to {} over the {budget}-byte budget",
-        sharded_stats.resident_bytes
-    );
-    sharded.cache().assert_accounting_consistent();
-    let per_shard = sharded.cache_shard_stats();
-    assert_eq!(per_shard.len(), 8);
-    let touched_shards = per_shard.iter().filter(|s| s.hits + s.misses > 0).count();
-    assert!(
-        touched_shards >= 2,
-        "the grid's keys must spread over several shards, touched {touched_shards}"
-    );
-    assert_eq!(
-        per_shard.iter().map(|s| s.misses).sum::<u64>(),
-        sharded_stats.misses,
-        "aggregate stats must equal the per-shard sum"
-    );
-    // The adaptive rebalancer (on by default) must close the static-slice
-    // starvation gap: the 8-shard bounded hit rate stays within 0.05 of
-    // the unsharded bounded hit rate.  This is the regression this bench
-    // exists to pin — with fixed even slices it collapsed to 0.37 vs 0.84.
-    assert!(
-        sharded_stats.rebalances > 0,
-        "the default config must rebalance under this grid's cache traffic"
-    );
-    let hit_rate_ratio = sharded_stats.hit_rate() / stats.hit_rate().max(f64::EPSILON);
-    assert!(
-        sharded_stats.hit_rate() + 0.05 >= stats.hit_rate(),
-        "sharded hit rate {:.3} fell more than 0.05 below bounded {:.3}",
-        sharded_stats.hit_rate(),
-        stats.hit_rate()
-    );
-
-    // Cost admission: artifacts cheaper to recompute than to store stay
-    // out of the cache.  Residency choices change, results cannot.
-    let admission = Engine::with_cache_config(
-        2,
-        CacheConfig::default()
-            .with_max_bytes(budget)
-            .with_shards(8)
-            .with_admission(AdmissionPolicy::Cost),
-    );
-    assert_eq!(
-        reference,
-        run_grid(&admission),
-        "cost admission changed the selection results"
-    );
-    let admission_stats = admission.cache_stats();
-    admission.cache().assert_accounting_consistent();
-
-    // Cost-benefit policy: victim choice may differ, values never do.
-    let cost_engine = Engine::with_cache_config(
-        2,
-        CacheConfig::default()
-            .with_max_bytes(budget)
-            .with_policy(EvictionPolicy::CostBenefit),
-    );
-    assert_eq!(
-        reference,
-        run_grid(&cost_engine),
-        "cost-benefit eviction changed the selection results"
-    );
-    cost_engine.cache().assert_accounting_consistent();
-
     println!(
         "engine/cache_eviction: working set {:.2} MiB | budget {:.2} MiB | \
          unbounded {:.1} ms (hit rate {:.1}%) | bounded {:.1} ms (hit rate {:.1}%, \
-         {} evictions, {:.2} MiB released, peak {:.2} MiB) | sharded×8 {:.1} ms \
-         (hit rate {:.1}%, {} evictions, {} shards touched)",
+         {} evictions, {:.2} MiB released, peak {:.2} MiB) | entry-bounded \
+         (hit rate {:.1}%, {} evictions)",
         full.resident_bytes as f64 / (1024.0 * 1024.0),
         budget as f64 / (1024.0 * 1024.0),
         unbounded_secs * 1e3,
@@ -211,19 +120,8 @@ fn bench_cache_eviction(c: &mut Criterion) {
         stats.evictions,
         stats.evicted_bytes as f64 / (1024.0 * 1024.0),
         stats.peak_resident_bytes as f64 / (1024.0 * 1024.0),
-        sharded_secs * 1e3,
-        sharded_stats.hit_rate() * 100.0,
-        sharded_stats.evictions,
-        touched_shards,
-    );
-    println!(
-        "engine/cache_eviction: sharded/bounded hit-rate ratio {:.3} \
-         ({} rebalance(s)) | cost admission hit rate {:.1}% \
-         ({} rejection(s))",
-        hit_rate_ratio,
-        sharded_stats.rebalances,
-        admission_stats.hit_rate() * 100.0,
-        admission_stats.admission_rejections,
+        entry_stats.hit_rate() * 100.0,
+        entry_stats.evictions,
     );
 
     // Machine-readable summary for the CI perf-trajectory artifact.
@@ -247,29 +145,7 @@ fn bench_cache_eviction(c: &mut Criterion) {
             ("bounded_evicted_bytes", stats.evicted_bytes.to_json()),
             ("bounded_peak_bytes", stats.peak_resident_bytes.to_json()),
             ("entry_bounded_evictions", entry_stats.evictions.to_json()),
-            ("sharded_shards", sharded_stats.shards.to_json()),
-            ("sharded_ms", (sharded_secs * 1e3).to_json()),
-            ("sharded_hit_rate", sharded_stats.hit_rate().to_json()),
-            ("sharded_evictions", sharded_stats.evictions.to_json()),
-            (
-                "sharded_peak_bytes",
-                sharded_stats.peak_resident_bytes.to_json(),
-            ),
-            ("sharded_touched_shards", touched_shards.to_json()),
-            ("sharded_rebalances", sharded_stats.rebalances.to_json()),
-            (
-                "hit_rate_ratio_sharded_vs_bounded",
-                hit_rate_ratio.to_json(),
-            ),
-            ("admission_hit_rate", admission_stats.hit_rate().to_json()),
-            (
-                "admission_rejections",
-                admission_stats.admission_rejections.to_json(),
-            ),
             ("results_bit_identical_under_budget", true.to_json()),
-            ("results_bit_identical_under_sharding", true.to_json()),
-            ("results_bit_identical_under_cost_policy", true.to_json()),
-            ("results_bit_identical_under_admission", true.to_json()),
         ]),
     );
 
@@ -281,14 +157,6 @@ fn bench_cache_eviction(c: &mut Criterion) {
             run_grid(&Engine::with_cache_config(
                 2,
                 CacheConfig::default().with_max_bytes(budget),
-            ))
-        })
-    });
-    group.bench_function("grid_bounded_quarter_8shards", |b| {
-        b.iter(|| {
-            run_grid(&Engine::with_cache_config(
-                2,
-                CacheConfig::default().with_max_bytes(budget).with_shards(8),
             ))
         })
     });

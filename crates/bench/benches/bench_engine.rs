@@ -22,8 +22,7 @@ use cvcp_core::crossval::evaluate_parameter_on_folds;
 use cvcp_core::experiment::{run_experiment_on, run_experiment_trialwise, ExperimentConfig};
 use cvcp_core::json::{Json, ToJson};
 use cvcp_core::{
-    select_model_with, select_model_with_granularity, CvcpConfig, CvcpSelection, Engine,
-    FoscMethod, Granularity, MpckMethod, SideInfoSpec,
+    select_model_with, CvcpConfig, CvcpSelection, Engine, FoscMethod, MpckMethod, SideInfoSpec,
 };
 use cvcp_data::rng::SeededRng;
 use cvcp_data::Dataset;
@@ -81,30 +80,6 @@ fn engine_grid(engine: &Engine, ds: &Dataset, side: &SideInformation) -> CvcpSel
         &MINPTS_GRID,
         &cfg,
         &mut SeededRng::new(1),
-    )
-}
-
-/// The engine path with the grid-lowering granularity pinned, for the
-/// fused-vs-per-fold comparison.
-fn engine_grid_with(
-    engine: &Engine,
-    ds: &Dataset,
-    side: &SideInformation,
-    granularity: Granularity,
-) -> CvcpSelection {
-    let cfg = CvcpConfig {
-        n_folds: N_FOLDS,
-        stratified: true,
-    };
-    select_model_with_granularity(
-        engine,
-        &FoscMethod::default(),
-        ds.matrix(),
-        &side.clone(),
-        &MINPTS_GRID,
-        &cfg,
-        &mut SeededRng::new(1),
-        granularity,
     )
 }
 
@@ -189,32 +164,6 @@ fn bench_engine(c: &mut Criterion) {
          {MIN_SPEEDUP_RATIO_4V1} (1 worker {:.1} ms, 4 workers {:.1} ms)",
         engine1 * 1e3,
         engine4 * 1e3,
-    );
-
-    // Fused vs per-fold lowering of the same grid on 4 workers: the fused
-    // chunk jobs amortize per-job overhead (the Auto cost model picks the
-    // winner at run time); results must be bit-identical.
-    let per_fold_secs = best_of(|| {
-        let engine = Engine::new(4);
-        let start = Instant::now();
-        let sel = engine_grid_with(&engine, &ds, &side, Granularity::PerFold);
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(sel, reference, "per-fold lowering diverged");
-        secs
-    });
-    let fused_secs = best_of(|| {
-        let engine = Engine::new(4);
-        let start = Instant::now();
-        let sel = engine_grid_with(&engine, &ds, &side, Granularity::Fused);
-        let secs = start.elapsed().as_secs_f64();
-        assert_eq!(sel, reference, "fused lowering diverged");
-        secs
-    });
-    println!(
-        "engine/fosc_grid granularity (4 workers): per-fold {:.1} ms | fused {:.1} ms ({:.2}x)",
-        per_fold_secs * 1e3,
-        fused_secs * 1e3,
-        per_fold_secs / fused_secs,
     );
 
     // Warm-cache behaviour: a second identical request on a live engine is
@@ -443,14 +392,6 @@ fn bench_engine(c: &mut Criterion) {
                     ("min_speedup_ratio_gate", MIN_SPEEDUP_RATIO_4V1.to_json()),
                     ("cache_hit_rate", hit_rate.to_json()),
                     ("min_hit_rate_gate", MIN_FOSC_HIT_RATE.to_json()),
-                ]),
-            ),
-            (
-                "granularity",
-                Json::obj([
-                    ("per_fold_4workers_ms", (per_fold_secs * 1e3).to_json()),
-                    ("fused_4workers_ms", (fused_secs * 1e3).to_json()),
-                    ("fused_speedup", (per_fold_secs / fused_secs).to_json()),
                 ]),
             ),
             (

@@ -71,16 +71,14 @@ pub use experiment::{
     ExperimentSummary, SideInfoSpec, TrialOutcome,
 };
 pub use json::{Json, JsonParseError, ToJson};
-pub use plan::{
-    ExecutionPlan, ExternalStage, Granularity, PlanOptions, PlanTrial, TrialEvaluation,
-};
+pub use plan::{ExecutionPlan, ExternalStage, PlanOptions, PlanTrial, TrialEvaluation};
 pub use request::{
     run_selection_request, run_selection_request_traced, Algorithm, RealizedSelection,
     RequestError, RunRequestError, SelectionRequest,
 };
 pub use selection::{
     select_model, select_model_streaming, select_model_streaming_traced, select_model_with,
-    select_model_with_granularity, CvcpSelection, SelectionCancelled, SelectionProgress,
+    CvcpSelection, SelectionCancelled, SelectionProgress,
 };
 pub use trace_export::{chrome_trace_json, graph_profile_json, write_chrome_trace};
 pub use warmup::{CacheWarmup, WarmupEntry, WarmupReport};

@@ -112,45 +112,12 @@ pub struct TrialEvaluation {
     pub outcome: Option<TrialOutcome>,
 }
 
-/// Job granularity of the grid lowering: how many grid cells one
-/// engine job evaluates.
-///
-/// Cheap cells (small data sets, warm caches) are dominated by per-job
-/// overhead — queueing, dependency bookkeeping, a pool wake-up — so
-/// lowering each (trial × parameter × fold) cell as its own job makes
-/// 4 workers *slower* than 1.  Fusing a trial's folds into one job per
-/// (trial × parameter) chunk amortizes that overhead while keeping the
-/// parameter sweep parallel.  Granularity is pure scheduling: every
-/// fused cell still forks its RNG stream from the trial's frozen base
-/// and its structural coordinates, so fused and per-fold lowerings are
-/// **bit-identical** (pinned by the suite's granularity-identity
-/// regression at 1/2/8 threads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Granularity {
-    /// Decide per plan from the cost model: fuse when the estimated
-    /// per-cell work (a static fold-size heuristic refined by the
-    /// cache's [`CostProfile`](cvcp_engine::CostProfile) EWMAs) is
-    /// below the per-job overhead threshold.  Overridable at run time
-    /// via `CVCP_GRANULARITY` / `CVCP_FUSE_THRESHOLD` (see
-    /// EXPERIMENTS.md).
-    #[default]
-    Auto,
-    /// Always one job per (trial × parameter × fold) cell — the
-    /// finest-grained lowering, best when single cells are expensive.
-    PerFold,
-    /// Always one job per (trial × parameter) chunk of fold cells.
-    Fused,
-}
-
 /// Execution knobs of [`ExecutionPlan::run`].
 #[derive(Default)]
 pub struct PlanOptions {
     /// The scheduling lane the plan's jobs are queued on (pure
     /// scheduling — results are bit-identical across lanes).
     pub priority: Priority,
-    /// Job granularity of the grid lowering (pure scheduling — results
-    /// are bit-identical across granularities).
-    pub granularity: Granularity,
     /// Optional cancellation token: jobs that have not started are
     /// skipped and [`ExecutionPlan::run`] returns
     /// `Err(`[`SelectionCancelled`]`)`.
@@ -172,63 +139,6 @@ impl PlanOptions {
             ..Self::default()
         }
     }
-}
-
-/// Default per-job overhead threshold in **microseconds**: cells whose
-/// estimated work falls below it are fused.  The PR 6 profiler put the
-/// engine's per-job overhead (queue push, dependency bookkeeping, pool
-/// wake-up) in the tens of microseconds; 2 ms leaves two orders of
-/// magnitude of headroom, so only genuinely cheap grids fuse.
-const DEFAULT_FUSE_THRESHOLD_MICROS: u64 = 2_000;
-
-/// The fuse threshold in nanoseconds, honouring `CVCP_FUSE_THRESHOLD`
-/// (microseconds; malformed values fall back to the default).
-fn fuse_threshold_nanos() -> u64 {
-    std::env::var("CVCP_FUSE_THRESHOLD")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_FUSE_THRESHOLD_MICROS)
-        .saturating_mul(1_000)
-}
-
-/// The `CVCP_GRANULARITY` override, when set to a recognised value
-/// (`fold`/`per-fold` or `fused`; `auto` and anything else defer to the
-/// cost model).
-fn env_granularity() -> Option<Granularity> {
-    let raw = std::env::var("CVCP_GRANULARITY").ok()?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "fold" | "per-fold" | "per_fold" => Some(Granularity::PerFold),
-        "fused" => Some(Granularity::Fused),
-        _ => None,
-    }
-}
-
-/// Cost-model estimate of one grid cell's marginal work, in
-/// nanoseconds.  Two ingredients:
-///
-/// * a **static fold-size heuristic** — with warm artifact caches a
-///   cell is dominated by O(rows²) passes over shared structures
-///   (hierarchy walks, assignment scoring), calibrated here at
-///   rows²/4 ns — plus
-/// * the **amortized share of the most expensive artifact build** seen
-///   by the cache's cost profile (EWMA per artifact kind): artifacts
-///   are computed once and shared by the whole grid, so each cell
-///   carries `max_ewma / n_cells` of that cost.
-///
-/// Deliberately clock-free: the estimate is a pure function of plan
-/// shape and previously recorded profile state, so lowering decisions
-/// never read timers on the result path.
-fn estimated_cell_nanos(rows: usize, n_cells: usize, cache: &ArtifactCache) -> u64 {
-    let rows = rows as u64;
-    let static_est = rows.saturating_mul(rows) / 4;
-    let max_ewma = cache
-        .cost_profile()
-        .entries
-        .iter()
-        .map(|e| e.ewma_nanos.max(0.0) as u64)
-        .max()
-        .unwrap_or(0);
-    static_est.saturating_add(max_ewma / n_cells.max(1) as u64)
 }
 
 /// A full (trial × parameter × fold) evaluation grid plus its reduce
@@ -275,37 +185,6 @@ impl ExecutionPlan {
     /// Number of trials in the plan.
     pub fn n_trials(&self) -> usize {
         self.trials.len()
-    }
-
-    /// Whether the lowering fuses each trial's fold cells into one job
-    /// per (trial × parameter) chunk.
-    ///
-    /// Precedence: an explicit caller request ([`Granularity::PerFold`]
-    /// / [`Granularity::Fused`]) wins outright; under
-    /// [`Granularity::Auto`] a recognised `CVCP_GRANULARITY` value wins
-    /// over the cost model, which fuses when the estimated per-cell
-    /// work is below the per-job overhead threshold
-    /// (`CVCP_FUSE_THRESHOLD` µs).
-    fn should_fuse(&self, requested: Granularity, cache: &ArtifactCache) -> bool {
-        match requested {
-            Granularity::PerFold => false,
-            Granularity::Fused => true,
-            Granularity::Auto => match env_granularity() {
-                Some(Granularity::PerFold) => false,
-                Some(Granularity::Fused) => true,
-                _ => {
-                    let folds = self
-                        .trials
-                        .iter()
-                        .map(|t| t.splits.len())
-                        .max()
-                        .unwrap_or(1);
-                    let n_cells = (self.trials.len() * self.params.len() * folds).max(1);
-                    estimated_cell_nanos(self.data.n_rows(), n_cells, cache)
-                        < fuse_threshold_nanos()
-                }
-            },
-        }
     }
 
     /// Runs the plan on `engine` and returns one [`TrialEvaluation`] per
@@ -372,18 +251,22 @@ impl ExecutionPlan {
     ///
     /// Per candidate parameter one plan-level artifact job (densities /
     /// hierarchies are trial-invariant); per (trial, fold) one fold
-    /// artifact job; per (trial, parameter, fold) one evaluation job —
-    /// or, when the [`Granularity`] cost model says per-job overhead
-    /// dominates, one **fused** evaluation job per (trial, parameter)
-    /// chunk of folds; per (trial, parameter) one external job when the
-    /// trial has an [`ExternalStage`]; per trial one reduce job; one
-    /// final report job.
+    /// artifact job; per (trial, parameter) one evaluation job over that
+    /// parameter's folds (labelled `fused` in traces) and, when the trial
+    /// has an [`ExternalStage`], one external job; per trial one reduce
+    /// job; one final report job.
+    ///
+    /// One job per (trial × parameter) rather than per grid cell keeps
+    /// per-job overhead (queueing, dependency bookkeeping, a pool
+    /// wake-up) off cheap cells while the parameter sweep stays
+    /// parallel.  It decides only how jobs are cut: each cell still forks
+    /// its stream from the trial's frozen base and its (parameter, fold)
+    /// coordinates, exactly as the inline executor does.
     fn run_on_graph(
         self,
         engine: &Engine,
         options: PlanOptions,
     ) -> Result<(Vec<TrialEvaluation>, Option<GraphTrace>), SelectionCancelled> {
-        let fuse = self.should_fuse(options.granularity, engine.cache());
         let ExecutionPlan {
             data,
             clusterers,
@@ -395,7 +278,6 @@ impl ExecutionPlan {
             cancel,
             sink,
             trace,
-            granularity: _,
         } = options;
         let n_trials = trials.len();
         let n_params = params.len();
@@ -474,76 +356,33 @@ impl ExecutionPlan {
             let grid: Arc<Mutex<Vec<Vec<Option<FoldScore>>>>> = Arc::new(Mutex::new(
                 (0..n_params).map(|_| vec![None; splits.len()]).collect(),
             ));
-            let mut eval_ids = Vec::new();
-            let mut per_param_eval_ids: Vec<Vec<JobId>> = vec![Vec::new(); n_params];
-            if fuse {
-                // Fused granularity: one chunk job per (trial,
-                // parameter) evaluates that parameter's folds in fold
-                // order.  Each cell still forks its stream from the
-                // trial's frozen base and its (parameter, fold)
-                // coordinates, so fused and per-fold lowerings are
-                // bit-identical by construction.
-                for pi in 0..n_params {
-                    let clusterer = Arc::clone(&clusterers[pi]);
-                    let data = Arc::clone(&data);
-                    let splits = Arc::clone(&splits);
-                    let grid = Arc::clone(&grid);
-                    let trial = Arc::clone(&trial);
-                    let deps: Vec<JobId> = std::iter::once(artifact_ids[pi])
-                        .chain(fold_artifact_ids.iter().copied().flatten())
-                        .collect();
-                    let id = graph.add_job(&deps, move |ctx| {
-                        let cache = ctx.cache_arc();
-                        for (si, split) in splits.iter().enumerate() {
-                            if split.test_constraints.is_empty() {
-                                continue;
-                            }
-                            let mut rng = trial.grid_base.fork_stream(grid_salt(pi, split.fold));
-                            let score =
-                                score_fold(&*clusterer, &data, &splits[si], &mut rng, Some(&cache));
-                            grid.lock().expect("grid lock")[pi][si] = Some(score);
-                        }
-                        None
-                    });
-                    if tracing {
-                        graph.set_job_label(id, format!("t{t}/p{}/fused", params[pi]));
-                    }
-                    eval_ids.push(id);
-                    per_param_eval_ids[pi].push(id);
-                }
-            } else {
-                for pi in 0..n_params {
+            let mut eval_ids = Vec::with_capacity(n_params);
+            for pi in 0..n_params {
+                let clusterer = Arc::clone(&clusterers[pi]);
+                let data = Arc::clone(&data);
+                let splits = Arc::clone(&splits);
+                let grid = Arc::clone(&grid);
+                let trial = Arc::clone(&trial);
+                let deps: Vec<JobId> = std::iter::once(artifact_ids[pi])
+                    .chain(fold_artifact_ids.iter().copied().flatten())
+                    .collect();
+                let id = graph.add_job(&deps, move |ctx| {
+                    let cache = ctx.cache_arc();
                     for (si, split) in splits.iter().enumerate() {
                         if split.test_constraints.is_empty() {
                             continue;
                         }
-                        let clusterer = Arc::clone(&clusterers[pi]);
-                        let data = Arc::clone(&data);
-                        let splits = Arc::clone(&splits);
-                        let grid = Arc::clone(&grid);
-                        let trial = Arc::clone(&trial);
-                        let deps: Vec<JobId> = std::iter::once(artifact_ids[pi])
-                            .chain(fold_artifact_ids[si])
-                            .collect();
-                        let fold = split.fold;
-                        let id = graph.add_job(&deps, move |ctx| {
-                            // The cell's stream is a pure function of the
-                            // trial's frozen base and its (parameter, fold)
-                            // coordinates — identical to the inline executor.
-                            let mut rng = trial.grid_base.fork_stream(grid_salt(pi, fold));
-                            let cache = ctx.cache_arc();
-                            let score =
-                                score_fold(&*clusterer, &data, &splits[si], &mut rng, Some(&cache));
-                            grid.lock().expect("grid lock")[pi][si] = Some(score);
-                            None
-                        });
-                        if tracing {
-                            graph.set_job_label(id, format!("t{t}/p{}/f{fold}", params[pi]));
-                        }
-                        eval_ids.push(id);
-                        per_param_eval_ids[pi].push(id);
+                        let mut rng = trial.grid_base.fork_stream(grid_salt(pi, split.fold));
+                        let score =
+                            score_fold(&*clusterer, &data, &splits[si], &mut rng, Some(&cache));
+                        grid.lock().expect("grid lock")[pi][si] = Some(score);
                     }
+                    None
+                });
+                if tracing {
+                    graph.set_job_label(id, format!("t{t}/p{}/fused", params[pi]));
                 }
+                eval_ids.push(id);
             }
 
             // Streaming: one progress job per candidate, chained on its
@@ -556,7 +395,7 @@ impl ExecutionPlan {
                     let sink = Arc::clone(sink);
                     let grid = Arc::clone(&grid);
                     let param = params[pi];
-                    let mut deps = per_param_eval_ids[pi].clone();
+                    let mut deps = vec![eval_ids[pi]];
                     deps.extend(prev_progress);
                     let id = graph.add_job(&deps, move |_ctx| {
                         let folds: Vec<FoldScore> = grid.lock().expect("grid lock")[pi]

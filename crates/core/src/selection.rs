@@ -7,7 +7,7 @@
 
 use crate::algorithm::{ParameterizedMethod, SemiSupervisedClusterer};
 use crate::crossval::{build_folds, CvcpConfig, ParameterEvaluation};
-use crate::plan::{ExecutionPlan, Granularity, PlanOptions, PlanTrial};
+use crate::plan::{ExecutionPlan, PlanOptions, PlanTrial};
 use cvcp_constraints::folds::FoldSplit;
 use cvcp_constraints::SideInformation;
 use cvcp_data::rng::SeededRng;
@@ -186,57 +186,6 @@ pub fn select_model_with(
         splits,
         base,
         Priority::Interactive,
-        Granularity::Auto,
-        None,
-        None,
-        None,
-    )
-    .expect("selection without a cancel token cannot be cancelled")
-    .0
-}
-
-/// Like [`select_model_with`], but pins the job [`Granularity`] of the
-/// grid lowering instead of deferring to the cost model.
-///
-/// Granularity is pure scheduling: the returned [`CvcpSelection`] is
-/// **bit-identical** to [`select_model_with`] for the same inputs at any
-/// thread count — fused chunk jobs fork exactly the per-cell salted
-/// streams the per-fold lowering does.  Benchmarks and regression tests
-/// use this to compare lowerings without racing on `CVCP_GRANULARITY`.
-///
-/// # Panics
-///
-/// Panics if `params` is empty, or if an evaluation job panics.
-#[allow(clippy::too_many_arguments)]
-pub fn select_model_with_granularity(
-    engine: &Engine,
-    method: &dyn ParameterizedMethod,
-    data: &DataMatrix,
-    side: &SideInformation,
-    params: &[usize],
-    config: &CvcpConfig,
-    rng: &mut SeededRng,
-    granularity: Granularity,
-) -> CvcpSelection {
-    assert!(
-        !params.is_empty(),
-        "at least one candidate parameter is required"
-    );
-    let splits = build_folds(side, config, rng);
-    let base = rng.fork(SELECTION_STREAM_SALT);
-    let clusterers: Vec<Arc<dyn SemiSupervisedClusterer>> = params
-        .iter()
-        .map(|&p| Arc::from(method.instantiate(p)))
-        .collect();
-    select_model_prepared(
-        engine,
-        &clusterers,
-        params,
-        data,
-        splits,
-        base,
-        Priority::Interactive,
-        granularity,
         None,
         None,
         None,
@@ -349,7 +298,6 @@ where
         splits,
         base,
         priority,
-        Granularity::Auto,
         cancel,
         Some(sink),
         trace_name,
@@ -369,7 +317,6 @@ pub(crate) fn select_model_prepared(
     splits: Vec<FoldSplit>,
     base: SeededRng,
     priority: Priority,
-    granularity: Granularity,
     cancel: Option<CancelToken>,
     sink: Option<Arc<ProgressSink>>,
     trace: Option<String>,
@@ -409,7 +356,6 @@ pub(crate) fn select_model_prepared(
         engine,
         PlanOptions {
             priority,
-            granularity,
             cancel,
             sink,
             trace,

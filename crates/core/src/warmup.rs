@@ -1,17 +1,14 @@
-//! Startup cache warmup: precompute the highest-benefit artifacts before a
-//! serving engine accepts traffic.
+//! Startup cache warmup: precompute the shared artifacts of the expected
+//! data sets before a serving engine accepts traffic.
 //!
 //! A freshly started server begins with an empty [`ArtifactCache`], so its
 //! first requests pay the full recompute cost of every shared artifact
 //! (pairwise matrices, density hierarchies) even when the operator knows
 //! exactly which data sets the fleet serves.  [`CacheWarmup`] closes that
-//! gap: given the expected data sets and method families, it ranks each
-//! (data set × family) cell by *expected benefit* — the number of
-//! parameters the family's default sweep evaluates times the learned
-//! per-kind recompute cost (the [`CostProfile`] EWMAs, preloaded from a
-//! persisted profile via `CVCP_CACHE_COST_PROFILE`) — and runs the
-//! families' [`SemiSupervisedClusterer::prepare_artifacts`] jobs on the
-//! engine's batch lane, highest benefit first.
+//! gap: given the expected data sets and method families, it runs the
+//! families' [`SemiSupervisedClusterer::prepare_artifacts`] jobs for each
+//! (data set × family) cell on the engine's batch lane, in the order the
+//! data sets and families were added.
 //!
 //! Warmup is a pure cache population pass: it computes exactly the
 //! artifacts normal selections would compute on first touch, through the
@@ -22,10 +19,9 @@
 //! [`ParameterizedMethod::artifact_kinds`], e.g. MPCKMeans) are skipped:
 //! there is nothing to compute for them before a request arrives.
 //!
-//! Ranking and job order are deterministic functions of the targets,
-//! families and the cost profile — no clocks, no randomness — so a given
-//! configuration always warms the same artifacts in the same order (ties
-//! rank by data-set then family name).
+//! The plan is a deterministic function of the targets and families — no
+//! clocks, no randomness — so a given configuration always warms the same
+//! artifacts in the same order.
 
 use crate::algorithm::ParameterizedMethod;
 #[cfg(doc)]
@@ -33,7 +29,7 @@ use crate::algorithm::SemiSupervisedClusterer;
 use cvcp_data::{DataMatrix, Dataset};
 #[cfg(doc)]
 use cvcp_engine::ArtifactCache;
-use cvcp_engine::{CostProfile, Engine, JobGraph, Priority};
+use cvcp_engine::{Engine, JobGraph, Priority};
 use std::sync::Arc;
 
 /// One data set a warmup pass should prepare artifacts for.
@@ -44,7 +40,7 @@ struct WarmupTarget {
     n_classes_hint: usize,
 }
 
-/// One ranked (data set × method family) cell of a warmup plan.
+/// One (data set × method family) cell of a warmup plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmupEntry {
     /// Data-set name.
@@ -54,16 +50,12 @@ pub struct WarmupEntry {
     /// The parameter values whose artifacts the cell precomputes (the
     /// family's default sweep for the data set).
     pub params: Vec<usize>,
-    /// Expected benefit in EWMA-nanoseconds: `params.len() ×` the summed
-    /// learned recompute cost of the family's artifact kinds.  Zero on a
-    /// cold profile — cells are still warmed, in name order.
-    pub benefit_nanos: f64,
 }
 
 /// What a [`CacheWarmup::run`] pass did, for startup logging.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarmupReport {
-    /// The executed plan, in rank order (after any job-budget truncation).
+    /// The executed plan, in plan order.
     pub entries: Vec<WarmupEntry>,
     /// Total `prepare_artifacts` jobs run (one per entry parameter).
     pub jobs: usize,
@@ -73,8 +65,8 @@ pub struct WarmupReport {
     pub resident_bytes: usize,
 }
 
-/// A startup cache-warmup plan: data sets × method families, ranked by
-/// expected recompute-cost benefit and executed on the batch lane.
+/// A startup cache-warmup plan: data sets × method families, executed on
+/// the batch lane.
 ///
 /// ```
 /// use cvcp_core::prelude::*;
@@ -96,7 +88,6 @@ pub struct WarmupReport {
 pub struct CacheWarmup {
     targets: Vec<WarmupTarget>,
     methods: Vec<Arc<dyn ParameterizedMethod>>,
-    max_jobs: Option<usize>,
 }
 
 impl CacheWarmup {
@@ -137,95 +128,42 @@ impl CacheWarmup {
         self
     }
 
-    /// Caps the total number of `prepare_artifacts` jobs; the lowest-ranked
-    /// cells lose their tail parameters first.
-    pub fn with_max_jobs(mut self, max_jobs: usize) -> Self {
-        self.max_jobs = Some(max_jobs);
-        self
-    }
-
-    /// The ranked plan under a given cost profile: every (data set ×
-    /// family) cell with at least one data-only artifact kind, highest
-    /// [`WarmupEntry::benefit_nanos`] first, name order on ties.
-    pub fn plan(&self, profile: &CostProfile) -> Vec<WarmupEntry> {
-        let kind_cost = |kind: &str| -> f64 {
-            profile
-                .entries
-                .iter()
-                .find(|e| e.kind == kind)
-                .map_or(0.0, |e| e.ewma_nanos)
-        };
-        let mut entries: Vec<WarmupEntry> = Vec::new();
+    /// Runs the plan on the batch lane — every (data set × family) cell
+    /// with at least one data-only artifact kind, data sets outer and
+    /// families inner, each in the order added — and returns what was
+    /// warmed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `prepare_artifacts` implementation panics.
+    pub fn run(&self, engine: &Engine) -> WarmupReport {
+        let mut graph: JobGraph<()> = JobGraph::new(0);
+        graph.set_priority(Priority::Batch);
+        let mut entries = Vec::new();
         for target in &self.targets {
             for method in &self.methods {
-                let kinds = method.artifact_kinds();
-                if kinds.is_empty() {
+                if method.artifact_kinds().is_empty() {
                     continue;
                 }
                 let params = method.default_parameter_range(target.n_classes_hint);
                 if params.is_empty() {
                     continue;
                 }
-                let per_sweep: f64 = kinds.iter().map(|k| kind_cost(k)).sum();
+                for &param in &params {
+                    let clusterer = method.instantiate(param);
+                    let data = Arc::clone(&target.data);
+                    graph.add_job(&[], move |ctx| {
+                        clusterer.prepare_artifacts(&data, ctx.cache());
+                    });
+                }
                 entries.push(WarmupEntry {
                     dataset: target.name.clone(),
                     method: method.name(),
-                    benefit_nanos: per_sweep * params.len() as f64,
                     params,
                 });
             }
         }
-        entries.sort_by(|a, b| {
-            b.benefit_nanos
-                .total_cmp(&a.benefit_nanos)
-                .then_with(|| a.dataset.cmp(&b.dataset))
-                .then_with(|| a.method.cmp(&b.method))
-        });
-        entries
-    }
-
-    /// Ranks the plan against the engine cache's current cost profile and
-    /// runs it on the batch lane, returning what was warmed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a `prepare_artifacts` implementation panics.
-    pub fn run(&self, engine: &Engine) -> WarmupReport {
-        let mut entries = self.plan(&engine.cache().cost_profile());
-
-        // Apply the job budget: rank order is benefit order, so the cap
-        // drops the cheapest-to-skip work first (tail parameters of the
-        // lowest-ranked cells).
-        let mut remaining = self.max_jobs.unwrap_or(usize::MAX);
-        for entry in &mut entries {
-            entry.params.truncate(remaining);
-            remaining -= entry.params.len();
-        }
-        entries.retain(|e| !e.params.is_empty());
-
-        let mut graph: JobGraph<()> = JobGraph::new(0);
-        graph.set_priority(Priority::Batch);
-        let mut jobs = 0usize;
-        for entry in &entries {
-            let target = self
-                .targets
-                .iter()
-                .find(|t| t.name == entry.dataset)
-                .expect("plan entries come from targets");
-            let method = self
-                .methods
-                .iter()
-                .find(|m| m.name() == entry.method)
-                .expect("plan entries come from methods");
-            for &param in &entry.params {
-                let clusterer = method.instantiate(param);
-                let data = Arc::clone(&target.data);
-                graph.add_job(&[], move |ctx| {
-                    clusterer.prepare_artifacts(&data, ctx.cache());
-                });
-                jobs += 1;
-            }
-        }
+        let jobs = graph.len();
         if jobs > 0 {
             engine.run_graph(graph).expect_all("cache warmup");
         }
@@ -249,7 +187,6 @@ mod tests {
     use cvcp_constraints::SideInformation;
     use cvcp_data::rng::SeededRng;
     use cvcp_data::synthetic::separated_blobs;
-    use cvcp_engine::CostProfileEntry;
 
     fn blobs(seed: u64) -> Dataset {
         separated_blobs(3, 20, 4, 10.0, &mut SeededRng::new(seed))
@@ -296,49 +233,24 @@ mod tests {
     }
 
     #[test]
-    fn plan_ranks_by_learned_benefit_with_name_order_ties() {
-        let warmup = CacheWarmup::new()
-            .add_target("b_set", Arc::new(blobs(1).matrix().clone()), 3)
-            .add_target("a_set", Arc::new(blobs(2).matrix().clone()), 3)
-            .add_method(Arc::new(FoscMethod::default()));
-
-        // Cold profile: equal (zero) benefit, name order decides.
-        let cold = warmup.plan(&CostProfile::default());
-        assert_eq!(cold.len(), 2);
-        assert_eq!(cold[0].dataset, "a_set");
-        assert!(cold.iter().all(|e| e.benefit_nanos == 0.0));
-
-        // A learned profile prices the sweep: benefit = |params| × Σ kinds.
-        let profile = CostProfile {
-            entries: vec![
-                CostProfileEntry {
-                    kind: "pairwise_distances",
-                    ewma_nanos: 1_000.0,
-                    samples: 4,
-                },
-                CostProfileEntry {
-                    kind: "density_hierarchy",
-                    ewma_nanos: 500.0,
-                    samples: 4,
-                },
-            ],
-        };
-        let priced = warmup.plan(&profile);
-        let expected = priced[0].params.len() as f64 * 1_500.0;
-        assert_eq!(priced[0].benefit_nanos, expected);
-    }
-
-    #[test]
-    fn max_jobs_truncates_the_lowest_ranked_tail() {
-        let ds = blobs(9);
+    fn warmup_runs_cells_in_the_order_added() {
+        let ds_b = blobs(1);
+        let ds_a = blobs(2);
         let engine = Engine::new(1);
         let report = CacheWarmup::new()
-            .add_dataset(&ds)
+            .add_target("b_set", Arc::new(ds_b.matrix().clone()), 3)
+            .add_target("a_set", Arc::new(ds_a.matrix().clone()), 3)
+            .add_method(Arc::new(MpckMethod::default()))
             .add_method(Arc::new(FoscMethod::default()))
-            .with_max_jobs(3)
             .run(&engine);
-        assert_eq!(report.jobs, 3);
-        assert_eq!(report.entries[0].params.len(), 3);
+        let cells: Vec<(&str, &str)> = report
+            .entries
+            .iter()
+            .map(|e| (e.dataset.as_str(), e.method.as_str()))
+            .collect();
+        let fosc = FoscMethod::default().name();
+        assert_eq!(cells, [("b_set", fosc.as_str()), ("a_set", fosc.as_str())]);
+        assert_eq!(report.jobs, 2 * report.entries[0].params.len());
     }
 
     #[test]

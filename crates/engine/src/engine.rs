@@ -1,7 +1,7 @@
 //! The engine proper: graph submission, batch multiplexing and the
 //! sequential (one-thread) execution path.
 
-use crate::cache::{ArtifactCache, CacheConfig, CacheStats, ShardStats};
+use crate::cache::{ArtifactCache, CacheConfig, CacheStats};
 use crate::graph::{CancelToken, GraphResult, JobCtx, JobGraph, JobOutcome, N_LANES};
 use crate::pool::{PoolHandle, Task, ThreadPool};
 use cvcp_obs::{EngineMetrics, MetricsSnapshot, SpanRecorder};
@@ -10,11 +10,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
-
-/// A callback run exactly once when the engine is dropped, with access to
-/// its artifact cache (the seam the cost-profile persistence uses to dump
-/// learned per-kind compute-time EWMAs on shutdown).
-type DropHook = Box<dyn FnOnce(&ArtifactCache) + Send>;
 
 struct Prepared<T> {
     f: crate::graph::JobFn<T>,
@@ -246,7 +241,6 @@ pub struct Engine {
     pool: Option<ThreadPool>,
     cache: Arc<ArtifactCache>,
     n_threads: usize,
-    drop_hook: Mutex<Option<DropHook>>,
     metrics: Arc<EngineMetrics>,
 }
 
@@ -332,7 +326,6 @@ impl Engine {
             pool: (n > 1).then(|| ThreadPool::new(n, Arc::clone(&metrics))),
             cache,
             n_threads: n,
-            drop_hook: Mutex::new(None),
             metrics,
         }
     }
@@ -347,15 +340,6 @@ impl Engine {
     /// serving front-end's `metrics` endpoint.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
-    }
-
-    /// Installs a callback that runs exactly once when the engine is
-    /// dropped, with access to its artifact cache.  The serving front-end
-    /// uses this to persist the cache's learned cost profile on shutdown
-    /// (see [`ArtifactCache::cost_profile`]).  A later call replaces an
-    /// earlier hook.
-    pub fn set_drop_hook(&self, hook: impl FnOnce(&ArtifactCache) + Send + 'static) {
-        *self.drop_hook.lock().expect("drop hook lock") = Some(Box::new(hook));
     }
 
     /// The sequential engine: one thread, inline execution.
@@ -386,11 +370,6 @@ impl Engine {
     /// serving front-end's `stats` endpoint reports).
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
-    }
-
-    /// Per-shard statistics of the engine's artifact cache.
-    pub fn cache_shard_stats(&self) -> Vec<ShardStats> {
-        self.cache.shard_stats()
     }
 
     /// Submits a graph for execution and returns a handle.
@@ -515,14 +494,6 @@ impl Engine {
             graph.add_job(&[], f);
         }
         self.run_graph(graph).expect_all("run_jobs")
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        if let Some(hook) = self.drop_hook.lock().expect("drop hook lock").take() {
-            hook(&self.cache);
-        }
     }
 }
 
@@ -766,12 +737,12 @@ mod tests {
 
     #[test]
     fn cache_policies_preserve_bit_identity_across_thread_counts() {
-        use crate::cache::{AdmissionPolicy, ArtifactKey};
+        use crate::cache::ArtifactKey;
 
-        // Admission, rebalancing, and eviction change *which* computes run
-        // and what stays resident — never the values jobs observe.  The
-        // same workload must therefore produce identical results under
-        // every cache policy at 1/2/8 threads.
+        // Budgets and eviction change *which* computes run and what stays
+        // resident — never the values jobs observe.  The same workload
+        // must therefore produce identical results under every budget at
+        // 1/2/8 threads.
         let run = |n_threads: usize, config: CacheConfig| -> Vec<u64> {
             let engine = Engine::with_cache_config_exact(n_threads, config);
             let jobs: Vec<_> = (0..48u64)
@@ -798,21 +769,13 @@ mod tests {
             engine.run_jobs(5, jobs)
         };
 
-        let bounded = || {
-            CacheConfig::default()
-                .with_max_bytes(4 << 10)
-                .with_shards(8)
-        };
         let configs = [
-            CacheConfig::default(),
-            bounded(),
-            bounded().with_admission(AdmissionPolicy::Cost),
-            bounded().with_rebalance_interval(8),
-            bounded().with_rebalance_interval(0),
-            bounded()
-                .with_admission(AdmissionPolicy::Cost)
-                .with_rebalance_interval(8)
-                .with_rebalance_floor_percent(10),
+            CacheConfig::unbounded(),
+            CacheConfig::unbounded().with_max_bytes(4 << 10),
+            CacheConfig::unbounded().with_max_entries(4),
+            CacheConfig::unbounded()
+                .with_max_bytes(4 << 10)
+                .with_max_entries(4),
         ];
         let baseline = run(1, CacheConfig::default());
         for config in configs {
@@ -897,24 +860,6 @@ mod tests {
             engine.run_graph(graph).expect_all("lane draws")
         };
         assert_eq!(draws(Priority::Interactive), draws(Priority::Batch));
-    }
-
-    #[test]
-    fn drop_hook_runs_once_with_the_cache() {
-        use crate::cache::ArtifactKey;
-        let ran = Arc::new(AtomicUsize::new(0));
-        {
-            let engine = Engine::with_exact_threads(1);
-            let _: Arc<u64> = engine
-                .cache()
-                .get_or_compute(ArtifactKey::Custom { domain: 3, key: 3 }, || 9);
-            let ran = Arc::clone(&ran);
-            engine.set_drop_hook(move |cache| {
-                assert_eq!(cache.stats().resident_entries, 1);
-                ran.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -21,12 +21,10 @@
 //!   dependents without poisoning the pool; graphs can be cancelled.
 //! * [`ArtifactCache`] — a content-keyed, concurrency-deduplicated store so
 //!   each artifact is computed once and shared (`Arc`) across folds,
-//!   trials and concurrent requests.  The store is *sharded* (deterministic
-//!   key-hash routing, one lock and one budget slice per shard) and a
-//!   [`CacheConfig`] bounds the resident bytes/entries with ordered,
-//!   O(1)-per-victim eviction ([`EvictionPolicy`]: LRU or cost-benefit), so
-//!   long-lived serving engines run within a fixed memory budget without
-//!   ever changing results.
+//!   trials and concurrent requests.  One lock guards an O(1) slab LRU,
+//!   and a [`CacheConfig`] bounds the resident bytes/entries, so long-lived
+//!   serving engines run within a fixed memory budget without ever
+//!   changing results.
 //!
 //! Batch submission ([`Engine::submit`] / [`Engine::run_batch`])
 //! multiplexes many selection requests over one pool — the seam for a
@@ -58,10 +56,8 @@ pub mod graph;
 mod pool;
 
 pub use cache::{
-    fingerprint_indices, fingerprint_matrix, AdmissionPolicy, ArtifactCache, ArtifactKey,
-    ArtifactSize, CacheConfig, CacheStats, CostProfile, CostProfileEntry, EvictionPolicy,
-    Fingerprint, FingerprintBuilder, KindLatencySnapshot, ShardStats, DEFAULT_REBALANCE_INTERVAL,
-    MAX_SHARDS,
+    fingerprint_indices, fingerprint_matrix, ArtifactCache, ArtifactKey, ArtifactSize, CacheConfig,
+    CacheStats, Fingerprint, FingerprintBuilder, KindLatencySnapshot,
 };
 pub use engine::{Engine, GraphHandle};
 pub use graph::{CancelToken, GraphResult, JobCtx, JobGraph, JobId, JobOutcome, Priority, N_LANES};
@@ -77,7 +73,7 @@ pub use cvcp_obs::{
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::cache::{ArtifactCache, ArtifactKey, ArtifactSize, CacheConfig, EvictionPolicy};
+    pub use crate::cache::{ArtifactCache, ArtifactKey, ArtifactSize, CacheConfig};
     pub use crate::engine::Engine;
     pub use crate::graph::{CancelToken, JobCtx, JobGraph, Priority};
 }

@@ -9,7 +9,7 @@
 //!    run clean under the guard, i.e. the declared order matches reality.
 
 use cvcp_engine::obs::lock_rank::{
-    checking_enabled, RankedMutex, CACHE_PROFILE, CACHE_SHARD, POOL_SLEEP, POOL_STATE, SERVER_QUEUE,
+    checking_enabled, RankedMutex, CACHE_SHARD, POOL_SLEEP, POOL_STATE, SERVER_QUEUE,
 };
 use cvcp_engine::{ArtifactKey, CacheConfig, Engine, JobGraph};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -66,15 +66,13 @@ fn nesting_two_pool_deque_locks_panics_in_debug_builds() {
 }
 
 #[test]
-fn declared_order_is_queue_pool_shard_profile() {
+fn declared_order_is_queue_pool_sleep_shard() {
     assert!(SERVER_QUEUE.rank < POOL_STATE.rank);
     assert!(POOL_STATE.rank < POOL_SLEEP.rank);
     assert!(POOL_SLEEP.rank < CACHE_SHARD.rank);
-    assert!(CACHE_SHARD.rank < CACHE_PROFILE.rank);
 }
 
-/// A real multi-worker engine run over a bounded, sharded, eviction-active
-/// cache: every ranked lock in the engine fires many times.  If any actual
+/// A real multi-worker engine run over a bounded, eviction-active cache: every ranked lock in the engine fires many times.  If any actual
 /// code path acquired them against the declared order, the guard would
 /// panic here (debug profile) instead of this test passing.
 #[test]
@@ -84,8 +82,6 @@ fn engine_paths_run_clean_under_the_guard() {
         CacheConfig {
             max_bytes: Some(1 << 14),
             max_entries: Some(8),
-            shards: 4,
-            ..CacheConfig::default()
         },
     );
     let mut graph: JobGraph<u64> = JobGraph::new(17);

@@ -8,15 +8,9 @@
 //! * `CVCP_THREADS` — engine worker threads (default: hardware);
 //! * `CVCP_CACHE_MAX_MB` / `CVCP_CACHE_MAX_ENTRIES` — artifact-cache
 //!   budget (default: unbounded);
-//! * `CVCP_CACHE_COST_PROFILE` — path for persisting the per-artifact-kind
-//!   compute-time EWMAs across restarts (reloaded at startup, dumped on
-//!   shutdown), so a cold serve starts with learned cost-benefit weights;
-//! * `CVCP_CACHE_ADMISSION` — cache admission policy: `always` (default)
-//!   or `cost` (artifacts cheaper to recompute than to store are not
-//!   cached);
 //! * `CVCP_CACHE_WARMUP` — comma-separated data-set replica names (e.g.
-//!   `iris_like,aloi:0`) whose highest-benefit artifacts are precomputed
-//!   into the cache before the server accepts traffic;
+//!   `iris_like,aloi:0`) whose data-only artifacts are precomputed into
+//!   the cache, in list order, before the server accepts traffic;
 //! * `CVCP_ADDR` — listen address;
 //! * `CVCP_QUEUE_DEPTH` — request queue capacity (default 32);
 //! * `CVCP_SERVER_WORKERS` — concurrent selection workers (default 2);
@@ -45,10 +39,7 @@
 //!
 //! The process runs until a client sends `{"type":"shutdown"}`.
 
-use cvcp_experiments::{
-    cost_profile_path_from_env, engine_from_env, run_cache_warmup, save_cost_profile,
-    warmup_replicas_from_env,
-};
+use cvcp_experiments::{engine_from_env, run_cache_warmup, warmup_replicas_from_env};
 use cvcp_server::{Server, ServerConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -101,9 +92,6 @@ fn main() -> ExitCode {
             entries.map_or("-".to_string(), |e| e.to_string()),
         ),
     }
-    if let Some(path) = cost_profile_path_from_env() {
-        println!("cost profile: persisted at {}", path.display());
-    }
     if let Some(dir) = &config.trace_dir {
         println!(
             "tracing: every selection traced, files under {}",
@@ -111,14 +99,6 @@ fn main() -> ExitCode {
         );
     }
     server.wait();
-    // Persist the learned cost profile eagerly: the engine's drop hook
-    // (installed by `engine_from_env`) covers the normal teardown, but
-    // detached connection threads may still hold an engine reference at
-    // process exit — the explicit save makes shutdown persistence
-    // unconditional (writing the same profile twice is harmless).
-    if let Some(path) = cost_profile_path_from_env() {
-        save_cost_profile(engine.cache(), &path);
-    }
     println!("cvcp-server shut down");
     ExitCode::SUCCESS
 }

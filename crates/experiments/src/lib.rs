@@ -18,12 +18,9 @@ use cvcp_core::{
     CacheWarmup, CvcpConfig, FoscMethod, MpckMethod, ParameterizedMethod, WarmupReport,
 };
 use cvcp_data::Dataset;
-use cvcp_engine::{
-    AdmissionPolicy, ArtifactCache, CacheConfig, CostProfile, CostProfileEntry, Engine,
-    EvictionPolicy,
-};
+use cvcp_engine::{CacheConfig, Engine};
 use cvcp_metrics::stats::{mean, std_dev};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 
 pub use cvcp_core::json;
@@ -104,25 +101,11 @@ impl Mode {
 /// environment:
 ///
 /// * `CVCP_CACHE_MAX_MB` — cap on resident artifact bytes, in MiB;
-/// * `CVCP_CACHE_MAX_ENTRIES` — cap on resident artifact count;
-/// * `CVCP_CACHE_SHARDS` — independent cache shards (rounded up to a power
-///   of two; default 1).  Each shard takes its own lock and its own even
-///   slice of the byte/entry budgets;
-/// * `CVCP_CACHE_POLICY` — eviction policy: `lru` (default) or `cost`
-///   (cost-benefit: victims weighed by recompute cost per byte);
-/// * `CVCP_CACHE_ADMISSION` — admission policy: `always` (default) or
-///   `cost` (skip storing artifacts whose learned recompute cost is below
-///   the store-cost threshold derived from their size and shard pressure);
-/// * `CVCP_CACHE_REBALANCE_INTERVAL` — cache operations between adaptive
-///   shard-budget rebalances (default 32; `0` disables rebalancing —
-///   and with it commit-time slice borrowing — pinning the even
-///   per-shard slices).
+/// * `CVCP_CACHE_MAX_ENTRIES` — cap on resident artifact count.
 ///
-/// Unset (or unparsable) variables keep their defaults (budgets stay
-/// unbounded).  None of these knobs can change results — sharding only
-/// repartitions the store, budgets/policies only trade recompute time
-/// for memory, and admission/rebalancing only decide *what stays
-/// resident*; selections are bit-identical under any setting.
+/// Unset (or unparsable) variables leave their budget unbounded.  Neither
+/// knob can change results — budgets only trade recompute time for
+/// memory; selections are bit-identical under any setting.
 pub fn cache_config_from_env() -> CacheConfig {
     // cvcp: allow(D3, reason = "generic reader closure; the literal CVCP_CACHE_* names are passed in below and checked there")
     cache_config_from(|var| std::env::var(var).ok())
@@ -138,17 +121,6 @@ fn cache_config_from(lookup: impl Fn(&str) -> Option<String>) -> CacheConfig {
         // unbounded", not an overflow panic (or silent wrap) at startup.
         max_bytes: read("CVCP_CACHE_MAX_MB").map(|mb| mb.saturating_mul(1024 * 1024)),
         max_entries: read("CVCP_CACHE_MAX_ENTRIES"),
-        shards: read("CVCP_CACHE_SHARDS").unwrap_or(1),
-        policy: lookup("CVCP_CACHE_POLICY")
-            .and_then(|name| EvictionPolicy::parse(&name))
-            .unwrap_or_default(),
-        admission: lookup("CVCP_CACHE_ADMISSION")
-            .and_then(|name| AdmissionPolicy::parse(&name))
-            .unwrap_or_default(),
-        rebalance_interval: lookup("CVCP_CACHE_REBALANCE_INTERVAL")
-            .and_then(|v| v.trim().parse().ok())
-            .unwrap_or(cvcp_engine::DEFAULT_REBALANCE_INTERVAL),
-        ..CacheConfig::default()
     }
 }
 
@@ -169,33 +141,8 @@ pub fn threads_from_env() -> usize {
 /// Builds an engine from the environment knobs ([`threads_from_env`] +
 /// [`cache_config_from_env`]) — the one configuration path shared by the
 /// experiment binaries ([`shared_engine`]) and the `serve` front-end.
-///
-/// When `CVCP_CACHE_COST_PROFILE=<path>` is set, the per-artifact-kind
-/// compute-time EWMAs are reloaded from that file (when it exists and
-/// parses) so a cold engine starts with learned
-/// [`EvictionPolicy::CostBenefit`] weights, and a drop hook is installed
-/// that dumps the updated profile back to the same path when the engine
-/// shuts down.  Profiles are pure scheduling/eviction hints — they can
-/// never change results.
 pub fn engine_from_env() -> Engine {
-    let engine = Engine::with_cache_config(threads_from_env(), cache_config_from_env());
-    if let Some(path) = cost_profile_path_from_env() {
-        if let Some(profile) = load_cost_profile(&path) {
-            engine.cache().preload_cost_profile(&profile);
-        }
-        engine.set_drop_hook(move |cache| save_cost_profile(cache, &path));
-    }
-    engine
-}
-
-/// The cost-profile persistence path, from `CVCP_CACHE_COST_PROFILE`
-/// (unset or empty: no persistence).
-pub fn cost_profile_path_from_env() -> Option<PathBuf> {
-    std::env::var("CVCP_CACHE_COST_PROFILE")
-        .ok()
-        .map(|v| v.trim().to_string())
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
+    Engine::with_cache_config(threads_from_env(), cache_config_from_env())
 }
 
 /// The startup cache-warmup replica list from `CVCP_CACHE_WARMUP`: a
@@ -244,73 +191,6 @@ pub fn run_cache_warmup(engine: &Engine, replicas: &[String]) -> Option<WarmupRe
     any.then(|| warmup.run(engine))
 }
 
-/// Serialises a [`CostProfile`] to its JSON document:
-/// `{"cost_profile":[{"kind":…,"ewma_nanos":…,"samples":…},…]}`.
-pub fn cost_profile_to_json(profile: &CostProfile) -> Json {
-    Json::obj([(
-        "cost_profile",
-        Json::Arr(
-            profile
-                .entries
-                .iter()
-                .map(|e| {
-                    Json::obj([
-                        ("kind", e.kind.to_json()),
-                        ("ewma_nanos", e.ewma_nanos.to_json()),
-                        ("samples", e.samples.to_json()),
-                    ])
-                })
-                .collect(),
-        ),
-    )])
-}
-
-/// Parses a [`CostProfile`] from its JSON document.  Entries with unknown
-/// kind names are dropped (they could come from a newer build);
-/// structurally broken entries make the whole parse fail.
-pub fn cost_profile_from_json(doc: &Json) -> Option<CostProfile> {
-    let entries = doc.get("cost_profile")?.as_arr()?;
-    let mut profile = CostProfile::default();
-    for entry in entries {
-        let kind_name = entry.get("kind")?.as_str()?;
-        let ewma_nanos = entry.get("ewma_nanos")?.as_f64()?;
-        let samples = entry.get("samples")?.as_u64()?;
-        // Kind names are interned against the engine's canonical list;
-        // names this build does not know are skipped, not fatal.
-        if let Some(&kind) = cvcp_engine::ArtifactKey::KIND_NAMES
-            .iter()
-            .find(|&&k| k == kind_name)
-        {
-            profile.entries.push(CostProfileEntry {
-                kind,
-                ewma_nanos,
-                samples,
-            });
-        }
-    }
-    Some(profile)
-}
-
-/// Loads a persisted cost profile; `None` when the file is missing or
-/// unparsable (a cold start simply begins with an empty profile).
-pub fn load_cost_profile(path: &Path) -> Option<CostProfile> {
-    let text = std::fs::read_to_string(path).ok()?;
-    cost_profile_from_json(&Json::parse(&text).ok()?)
-}
-
-/// Dumps the cache's current cost profile to `path` (pretty JSON).
-/// Failures are reported on stderr but never fatal — profile persistence
-/// is an optimisation, not a correctness requirement.
-pub fn save_cost_profile(cache: &ArtifactCache, path: &Path) {
-    let json = cost_profile_to_json(&cache.cost_profile()).pretty();
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!(
-            "warning: could not persist the cache cost profile to {}: {e}",
-            path.display()
-        );
-    }
-}
-
 /// The process-wide execution engine: every experiment binary multiplexes
 /// all of its trials over this one pool and shares one artifact cache
 /// (distance matrices, density hierarchies and MPCKMeans seedings are
@@ -326,9 +206,8 @@ pub fn shared_engine() -> &'static Engine {
 pub fn print_cache_stats() {
     let stats = shared_engine().cache_stats();
     println!(
-        "\n[artifact cache] {} shard(s) | hit rate {:.1}% ({} hits / {} misses) | \
+        "\n[artifact cache] hit rate {:.1}% ({} hits / {} misses) | \
          resident {} artifacts, {:.1} MiB (peak {:.1} MiB) | evicted {} artifacts, {:.1} MiB",
-        stats.shards,
         stats.hit_rate() * 100.0,
         stats.hits,
         stats.misses,
@@ -347,16 +226,7 @@ pub fn run_experiment(
     spec: SideInfoSpec,
     config: &ExperimentConfig,
 ) -> Vec<cvcp_core::experiment::TrialOutcome> {
-    let outcomes = run_experiment_on(shared_engine(), method, dataset, spec, config);
-    // The shared engine is a never-dropped static, so the drop hook
-    // installed by `engine_from_env` cannot fire for the experiment
-    // binaries — persist the learned cost profile after every experiment
-    // cell instead (a tiny JSON write next to seconds of evaluation, and
-    // crash-safe for long table runs).
-    if let Some(path) = cost_profile_path_from_env() {
-        save_cost_profile(shared_engine().cache(), &path);
-    }
-    outcomes
+    run_experiment_on(shared_engine(), method, dataset, spec, config)
 }
 
 /// The evaluation corpus: the five UCI-style replicas (the ALOI collection is
@@ -813,47 +683,22 @@ mod tests {
             }
         };
         let cfg = cache_config_from(env(&[
-            ("CVCP_CACHE_SHARDS", "6"),
-            ("CVCP_CACHE_POLICY", "cost"),
-            ("CVCP_CACHE_ADMISSION", "cost"),
-            ("CVCP_CACHE_REBALANCE_INTERVAL", "128"),
+            ("CVCP_CACHE_MAX_MB", "16"),
+            ("CVCP_CACHE_MAX_ENTRIES", "64"),
         ]));
-        assert_eq!(cfg.shards, 6);
-        assert_eq!(
-            cfg.normalized_shards(),
-            8,
-            "shard count rounds up to a power of two"
-        );
-        assert_eq!(cfg.policy, cvcp_engine::EvictionPolicy::CostBenefit);
-        assert_eq!(cfg.admission, AdmissionPolicy::Cost);
-        assert_eq!(cfg.rebalance_interval, 128);
-        // Defaults when unset: one shard, LRU, always-admit, unbounded.
-        let cfg = cache_config_from(env(&[]));
-        assert_eq!(cfg.shards, 1);
-        assert_eq!(cfg.policy, cvcp_engine::EvictionPolicy::Lru);
-        assert_eq!(cfg.admission, AdmissionPolicy::Always);
-        assert_eq!(
-            cfg.rebalance_interval,
-            cvcp_engine::DEFAULT_REBALANCE_INTERVAL
-        );
-        assert!(cfg.is_unbounded());
-        // Unparsable values keep their defaults.
+        assert_eq!(cfg.max_bytes, Some(16 << 20));
+        assert_eq!(cfg.max_entries, Some(64));
+        // Unset: unbounded.
+        assert!(cache_config_from(env(&[])).is_unbounded());
+        // Unparsable values leave their budget unbounded.
         let cfg = cache_config_from(env(&[
-            ("CVCP_CACHE_SHARDS", "many"),
-            ("CVCP_CACHE_POLICY", "clock"),
-            ("CVCP_CACHE_ADMISSION", "sometimes"),
-            ("CVCP_CACHE_REBALANCE_INTERVAL", "often"),
+            ("CVCP_CACHE_MAX_MB", "lots"),
+            ("CVCP_CACHE_MAX_ENTRIES", "-1"),
         ]));
-        assert_eq!(cfg.shards, 1);
-        assert_eq!(cfg.policy, cvcp_engine::EvictionPolicy::Lru);
-        assert_eq!(cfg.admission, AdmissionPolicy::Always);
-        assert_eq!(
-            cfg.rebalance_interval,
-            cvcp_engine::DEFAULT_REBALANCE_INTERVAL
-        );
-        // `0` is a meaningful setting: rebalancing disabled.
-        let cfg = cache_config_from(env(&[("CVCP_CACHE_REBALANCE_INTERVAL", "0")]));
-        assert_eq!(cfg.rebalance_interval, 0);
+        assert!(cfg.is_unbounded());
+        // An absurd MiB count saturates instead of overflowing.
+        let cfg = cache_config_from(env(&[("CVCP_CACHE_MAX_MB", "18446744073709551615")]));
+        assert_eq!(cfg.max_bytes, Some(usize::MAX));
     }
 
     #[test]
@@ -874,74 +719,6 @@ mod tests {
         assert!(report.jobs > 0);
         assert!(report.resident_entries > 0);
         assert!(run_cache_warmup(&engine, &["no_such_replica".to_string()]).is_none());
-    }
-
-    #[test]
-    fn cost_profile_json_round_trips() {
-        let profile = CostProfile {
-            entries: vec![
-                CostProfileEntry {
-                    kind: "pairwise_distances",
-                    ewma_nanos: 1.5e6,
-                    samples: 12,
-                },
-                CostProfileEntry {
-                    kind: "mpck_seeding",
-                    ewma_nanos: 42.0,
-                    samples: 1,
-                },
-            ],
-        };
-        let doc = cost_profile_to_json(&profile);
-        assert_eq!(cost_profile_from_json(&doc), Some(profile.clone()));
-        // …through the actual emit/parse cycle too.
-        let reparsed = Json::parse(&doc.pretty()).expect("profile JSON parses");
-        assert_eq!(cost_profile_from_json(&reparsed), Some(profile));
-        // Unknown kinds are skipped, not fatal.
-        let foreign = Json::parse(
-            r#"{"cost_profile":[{"kind":"quantum_oracle","ewma_nanos":1,"samples":1}]}"#,
-        )
-        .unwrap();
-        assert_eq!(
-            cost_profile_from_json(&foreign),
-            Some(CostProfile::default())
-        );
-        // Structurally broken documents fail as a whole.
-        let broken = Json::parse(r#"{"cost_profile":[{"kind":"custom"}]}"#).unwrap();
-        assert_eq!(cost_profile_from_json(&broken), None);
-    }
-
-    #[test]
-    fn cost_profile_survives_a_save_load_cycle() {
-        let cache = ArtifactCache::new();
-        let _: std::sync::Arc<u64> = cache.get_or_compute(
-            cvcp_engine::ArtifactKey::Custom { domain: 5, key: 5 },
-            || {
-                std::thread::sleep(std::time::Duration::from_millis(3));
-                7
-            },
-        );
-        let exported = cache.cost_profile();
-        assert_eq!(exported.entries.len(), 1);
-
-        let path = output_dir().join("cost_profile_roundtrip_test.json");
-        save_cost_profile(&cache, &path);
-        let loaded = load_cost_profile(&path).expect("saved profile loads");
-        assert_eq!(loaded, exported);
-
-        // A cold cache preloaded from the file reports the same profile.
-        let cold = ArtifactCache::new();
-        cold.preload_cost_profile(&loaded);
-        assert_eq!(cold.cost_profile(), exported);
-        let _ = std::fs::remove_file(&path);
-
-        // Missing files are a clean cold start.
-        assert_eq!(
-            load_cost_profile(std::path::Path::new(
-                "target/experiments/definitely_absent.json"
-            )),
-            None
-        );
     }
 
     #[test]

@@ -20,11 +20,10 @@
 //! | 10 | [`SERVER_QUEUE`] | `cvcp-server` `BoundedQueue` state |
 //! | 20 | [`POOL_STATE`] | one `cvcp-engine` thread-pool deque (per worker per lane) |
 //! | 25 | [`POOL_SLEEP`] | the pool's wake-up epoch behind its park condvar |
-//! | 30 | [`CACHE_SHARD`] | one `ArtifactCache` shard map |
-//! | 40 | [`CACHE_PROFILE`] | the cache's cost-profile EWMAs |
+//! | 30 | [`CACHE_SHARD`] | the `ArtifactCache` map (innermost) |
 //!
 //! Equal ranks never nest either (the order is *strictly* increasing), so
-//! holding two cache shards at once — the classic sharded-store deadlock —
+//! holding two pool deques at once — the classic work-stealing deadlock —
 //! is also a violation.
 //!
 //! Cost model: in release builds the rank bookkeeping compiles away
@@ -33,7 +32,8 @@
 //! overhead is two thread-local `Vec` operations per acquisition.  The
 //! guard is *checking only* — it never changes locking behaviour, so
 //! results are bit-identical with the guard on or off (pinned by
-//! `guard_on_off_bit_identity` in the suite tests).
+//! `lock_rank_identity::selection_is_bit_identical_with_the_guard_on_and_off`
+//! in the suite tests).
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -76,17 +76,11 @@ pub static POOL_SLEEP: LockRank = LockRank {
     name: "pool-sleep",
 };
 
-/// One shard of the engine's `ArtifactCache` (shards never nest: the rank
-/// order is strict, so two shards held at once is a violation too).
+/// The engine's `ArtifactCache` map (innermost: no lock is taken while
+/// it is held).
 pub static CACHE_SHARD: LockRank = LockRank {
     rank: 30,
     name: "cache-shard",
-};
-
-/// The artifact cache's per-kind compute-cost EWMA map (innermost).
-pub static CACHE_PROFILE: LockRank = LockRank {
-    rank: 40,
-    name: "cache-profile",
 };
 
 /// Master switch for the debug-build assertions.  The stack bookkeeping
@@ -125,7 +119,7 @@ fn push_rank(rank: &'static LockRank) {
                     top < rank.rank,
                     "lock-rank violation: acquiring `{}` (rank {}) while holding `{}` (rank {}); \
                      the global order is server-queue(10) < pool-state(20) < pool-sleep(25) < \
-                     cache-shard(30) < cache-profile(40), strictly increasing",
+                     cache-shard(30), strictly increasing",
                     rank.name,
                     rank.rank,
                     top_name,

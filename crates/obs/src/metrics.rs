@@ -62,35 +62,6 @@ impl Gauge {
     }
 }
 
-/// A wait-free monotonic event counter for "how many ever happened"
-/// metrics — cache admission rejections, shard-budget rebalances.  All
-/// operations are single relaxed atomics; unlike [`Gauge`] it never goes
-/// down, so readers can difference two snapshots to get a rate.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A counter starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Counts one event and returns the new total.
-    pub fn inc(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Counts `n` events and returns the new total.
-    pub fn add(&self, n: u64) -> u64 {
-        self.0.fetch_add(n, Ordering::Relaxed) + n
-    }
-
-    /// The current total.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
 /// Wait-free per-worker activity counters, recorded by the pool's worker
 /// loop.
 #[derive(Debug, Default)]
@@ -301,16 +272,6 @@ mod tests {
         assert_eq!(g.dec(), 0);
         assert_eq!(g.dec(), 0, "dec saturates instead of wrapping");
         assert_eq!(g.get(), 0);
-    }
-
-    #[test]
-    fn counter_accumulates_monotonically() {
-        let c = Counter::new();
-        assert_eq!(c.get(), 0);
-        assert_eq!(c.inc(), 1);
-        assert_eq!(c.add(4), 5);
-        assert_eq!(c.inc(), 6);
-        assert_eq!(c.get(), 6);
     }
 
     #[test]

@@ -572,11 +572,14 @@ fn main() -> ExitCode {
                 Response::Stats(ref stats) => {
                     println!("{}", r.to_json().pretty());
                     println!(
-                        "cache: {} shard(s), hit rate {:.1}%, {} resident entries / {} bytes",
-                        stats.cache.shards,
+                        "cache: hit rate {:.1}%, {} resident entries / {} bytes (peak {} bytes) | \
+                         {} evictions ({} bytes)",
                         stats.cache.hit_rate() * 100.0,
                         stats.cache.resident_entries,
                         stats.cache.resident_bytes,
+                        stats.cache.peak_resident_bytes,
+                        stats.cache.evictions,
+                        stats.cache.evicted_bytes,
                     );
                     println!(
                         "queue: {}/{} queued (interactive {}, batch {}) | {} worker(s)",
@@ -593,25 +596,6 @@ fn main() -> ExitCode {
                         stats.connections.active,
                         stats.connections.in_flight_requests,
                     );
-                    for (i, s) in stats.cache_shards.iter().enumerate() {
-                        let slice =
-                            |v: Option<usize>| v.map_or("unbounded".to_string(), |n| n.to_string());
-                        println!(
-                            "  shard {i}: {} hits / {} misses | {} evictions ({} B) | \
-                             resident {} entries / {} B (peak {} B) | \
-                             budget slice {} B / {} entries | {} admission rejection(s)",
-                            s.hits,
-                            s.misses,
-                            s.evictions,
-                            s.evicted_bytes,
-                            s.resident_entries,
-                            s.resident_bytes,
-                            s.peak_resident_bytes,
-                            slice(s.byte_slice),
-                            slice(s.entry_slice),
-                            s.admission_rejections,
-                        );
-                    }
                 }
                 other => println!("{other:?}"),
             }),

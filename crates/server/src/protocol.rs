@@ -41,7 +41,7 @@
 use cvcp_core::json::{Json, ToJson};
 use cvcp_core::{Algorithm, CvcpSelection, SelectionRequest, SideInfoSpec};
 use cvcp_engine::obs::HistogramSnapshot;
-use cvcp_engine::{CacheStats, Priority, ShardStats};
+use cvcp_engine::{CacheStats, Priority};
 
 /// A structured protocol-level failure, sent to clients as an `error`
 /// response.
@@ -549,13 +549,14 @@ pub struct ConnectionGauges {
 }
 
 /// The payload of a `stats` response.
+///
+/// On the wire its `cache` object carries the engine's [`CacheStats`]
+/// (`hits`, `misses`, `evictions`, `evicted_bytes`, `resident_entries`,
+/// `resident_bytes`, `peak_resident_bytes`) plus the derived `hit_rate`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StatsSnapshot {
-    /// The engine's artifact-cache counters, aggregated over all shards.
+    /// The engine's artifact-cache counters.
     pub cache: CacheStats,
-    /// Per-shard breakdown of the cache counters (one entry per shard, in
-    /// shard order; `cache.shards` long).
-    pub cache_shards: Vec<ShardStats>,
     /// Currently queued (pending) requests, across both priority lanes.
     pub queue_depth: usize,
     /// Currently queued requests on the interactive lane.
@@ -692,13 +693,6 @@ impl Response {
                             "peak_resident_bytes",
                             stats.cache.peak_resident_bytes.to_json(),
                         ),
-                        ("shards", stats.cache.shards.to_json()),
-                        (
-                            "admission_rejections",
-                            stats.cache.admission_rejections.to_json(),
-                        ),
-                        ("rebalances", stats.cache.rebalances.to_json()),
-                        ("per_shard", shard_stats_to_json(&stats.cache_shards)),
                     ]),
                 ),
                 (
@@ -877,11 +871,7 @@ impl Response {
                         resident_entries: require_usize(cache, "resident_entries")?,
                         resident_bytes: require_usize(cache, "resident_bytes")?,
                         peak_resident_bytes: require_usize(cache, "peak_resident_bytes")?,
-                        shards: require_usize(cache, "shards")?,
-                        admission_rejections: require_u64(cache, "admission_rejections")?,
-                        rebalances: require_u64(cache, "rebalances")?,
                     },
-                    cache_shards: shard_stats_from_json(require(cache, "per_shard")?)?,
                     queue_depth: require_usize(queue, "depth")?,
                     queue_interactive: require_usize(queue, "interactive_depth")?,
                     queue_batch: require_usize(queue, "batch_depth")?,
@@ -1014,67 +1004,6 @@ fn require_u64(doc: &Json, field: &str) -> Result<u64, WireError> {
             format!("field {field:?} must be a non-negative integer"),
         )
     })
-}
-
-/// A field that is a non-negative integer, `null`, or absent (the latter
-/// two both mean `None` — "unbounded" for cache budget slices).
-fn nullable_usize(doc: &Json, field: &str) -> Result<Option<usize>, WireError> {
-    match doc.get(field) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v.as_usize().map(Some).ok_or_else(|| {
-            WireError::new(
-                "invalid_request",
-                format!("field {field:?} must be a non-negative integer or null"),
-            )
-        }),
-    }
-}
-
-fn shard_stats_to_json(shards: &[ShardStats]) -> Json {
-    Json::Arr(
-        shards
-            .iter()
-            .map(|s| {
-                Json::obj([
-                    ("hits", s.hits.to_json()),
-                    ("misses", s.misses.to_json()),
-                    ("evictions", s.evictions.to_json()),
-                    ("evicted_bytes", s.evicted_bytes.to_json()),
-                    ("resident_entries", s.resident_entries.to_json()),
-                    ("resident_bytes", s.resident_bytes.to_json()),
-                    ("peak_resident_bytes", s.peak_resident_bytes.to_json()),
-                    ("admission_rejections", s.admission_rejections.to_json()),
-                    // `null` = unbounded: the rebalancer's *current* budget
-                    // slices, so adaptive shifts are visible over the wire.
-                    ("byte_slice", s.byte_slice.to_json()),
-                    ("entry_slice", s.entry_slice.to_json()),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn shard_stats_from_json(doc: &Json) -> Result<Vec<ShardStats>, WireError> {
-    let items = doc
-        .as_arr()
-        .ok_or_else(|| WireError::new("invalid_request", "field \"per_shard\" must be an array"))?;
-    items
-        .iter()
-        .map(|item| {
-            Ok(ShardStats {
-                hits: require_u64(item, "hits")?,
-                misses: require_u64(item, "misses")?,
-                evictions: require_u64(item, "evictions")?,
-                evicted_bytes: require_u64(item, "evicted_bytes")?,
-                resident_entries: require_usize(item, "resident_entries")?,
-                resident_bytes: require_usize(item, "resident_bytes")?,
-                peak_resident_bytes: require_usize(item, "peak_resident_bytes")?,
-                admission_rejections: require_u64(item, "admission_rejections")?,
-                byte_slice: nullable_usize(item, "byte_slice")?,
-                entry_slice: nullable_usize(item, "entry_slice")?,
-            })
-        })
-        .collect()
 }
 
 fn entries_to_json(entries: &[RankedEntry]) -> Json {
@@ -1339,37 +1268,7 @@ mod tests {
                     resident_entries: 2,
                     resident_bytes: 1234,
                     peak_resident_bytes: 5000,
-                    shards: 2,
-                    admission_rejections: 4,
-                    rebalances: 2,
                 },
-                cache_shards: vec![
-                    ShardStats {
-                        hits: 6,
-                        misses: 2,
-                        evictions: 1,
-                        evicted_bytes: 4096,
-                        resident_entries: 1,
-                        resident_bytes: 1000,
-                        peak_resident_bytes: 3000,
-                        admission_rejections: 4,
-                        // A rebalanced slice: hotter shard holds more budget.
-                        byte_slice: Some(6144),
-                        entry_slice: None,
-                    },
-                    ShardStats {
-                        hits: 4,
-                        misses: 1,
-                        evictions: 0,
-                        evicted_bytes: 0,
-                        resident_entries: 1,
-                        resident_bytes: 234,
-                        peak_resident_bytes: 2000,
-                        admission_rejections: 0,
-                        byte_slice: Some(2048),
-                        entry_slice: None,
-                    },
-                ],
                 queue_depth: 1,
                 queue_interactive: 1,
                 queue_batch: 0,

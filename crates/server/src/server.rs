@@ -196,7 +196,6 @@ impl Shared {
         let active = self.gauges.active.get();
         StatsSnapshot {
             cache: self.engine.cache_stats(),
-            cache_shards: self.engine.cache_shard_stats(),
             queue_depth: queue_interactive + queue_batch,
             queue_interactive,
             queue_batch,

@@ -8,9 +8,7 @@
 //! 3. a failed or cancelled job never poisons the pool — subsequent
 //!    requests on the same engine still succeed.
 
-use cvcp_engine::{
-    fingerprint_matrix, ArtifactCache, ArtifactKey, CacheConfig, Engine, JobGraph, JobOutcome,
-};
+use cvcp_engine::{fingerprint_matrix, ArtifactKey, Engine, JobGraph, JobOutcome};
 use cvcp_suite::constraints::generate::{
     constraint_pool, sample_constraints, sample_labeled_subset,
 };
@@ -173,57 +171,6 @@ fn unified_experiment_plan_is_bit_identical_to_the_trialwise_reference() {
             unified, reference,
             "unified plan diverged from the trialwise reference at {threads} threads"
         );
-    }
-}
-
-#[test]
-fn selection_is_bit_identical_under_cache_sharding() {
-    // `CVCP_CACHE_SHARDS` (fed into `CacheConfig::shards`) only
-    // repartitions the artifact cache across independent locks; the
-    // selection result must be bit-identical at every (thread count ×
-    // shard count) combination.
-    let ds = blobs(90);
-    let side = label_side(&ds, 91);
-    let cfg = CvcpConfig {
-        n_folds: 4,
-        stratified: true,
-    };
-    let params = [2usize, 3, 4, 5];
-    let run = |n_threads: usize, shards: usize| {
-        let engine =
-            Engine::with_cache_config_exact(n_threads, CacheConfig::default().with_shards(shards));
-        let mut rng = SeededRng::new(13);
-        select_model_with(
-            &engine,
-            &MpckMethod::default(),
-            ds.matrix(),
-            &side,
-            &params,
-            &cfg,
-            &mut rng,
-        )
-    };
-    let baseline = run(1, 1);
-    for threads in [1usize, 2, 8] {
-        for shards in [1usize, 8] {
-            assert_eq!(
-                baseline,
-                run(threads, shards),
-                "selection diverged at {threads} threads × {shards} shards"
-            );
-        }
-    }
-
-    // The shard assignment itself is a pure function of key content and
-    // shard count — identical across cache instances (and, because it is
-    // built on the content fingerprints rather than `std::hash`'s
-    // per-process random state, across runs and processes too).
-    let a = ArtifactCache::with_config(CacheConfig::default().with_shards(8));
-    let b = ArtifactCache::with_config(CacheConfig::default().with_shards(8));
-    let data = fingerprint_matrix(ds.matrix());
-    for min_pts in 1..=32 {
-        let key = ArtifactKey::CoreDistances { data, min_pts };
-        assert_eq!(a.shard_of(&key), b.shard_of(&key));
     }
 }
 

@@ -1,6 +1,7 @@
-//! Frozen result digests for the hot kernels and one reduced experiment.
+//! Frozen result digests for the hot kernels, one reduced experiment and
+//! the cache and serving paths.
 //!
-//! The bit-identity suites (`engine_determinism`, `granularity_identity`,
+//! The bit-identity suites (`engine_determinism`, `lock_rank_identity`,
 //! …) compare configurations with each other, so a change that moves every
 //! configuration the same way passes them unnoticed.  These tests compare
 //! against *committed* values instead:
@@ -11,7 +12,13 @@
 //! * `core_distances` for MinPts {1, 2, 3, 6, …, 24, n − 1, n, n + 5} on
 //!   the same replicas;
 //! * one reduced `run_experiment_on` (iris_like and aloi:0, FOSC and
-//!   MPCKMeans, 2 trials × 3 folds): every field of every trial outcome.
+//!   MPCKMeans, 2 trials × 3 folds): every field of every trial outcome;
+//! * two selections through `select_model_with` on a two-worker engine
+//!   whose cache byte budget is below the working set (FOSC on aloi:0
+//!   over MinPts 3..24, MPCKMeans on iris_like over its default `k`
+//!   grid), so the graph lowering and the LRU eviction both run;
+//! * one selection served over the wire (`Server::start` plus a v2
+//!   `client::Connection`): the returned `RankedSelection`.
 //!
 //! Each digest is FNV-1a 64 over the little-endian bytes of the result's
 //! words (`f64::to_bits` for floats), one line per case in
@@ -22,21 +29,27 @@
 
 use cvcp_suite::constraints::generate::constraint_pool;
 use cvcp_suite::core::{
-    run_experiment_on, Algorithm, CvcpConfig, Engine, ExperimentConfig, SideInfoSpec, TrialOutcome,
+    run_experiment_on, select_model_with, Algorithm, CvcpConfig, CvcpSelection, Engine,
+    ExperimentConfig, SelectionRequest, SideInfoSpec, TrialOutcome,
 };
 use cvcp_suite::data::distance::{pairwise_matrix, Euclidean};
 use cvcp_suite::data::replicas::{replica_by_name, uci_corpus};
 use cvcp_suite::data::rng::SeededRng;
 use cvcp_suite::data::{Assignment, Dataset};
 use cvcp_suite::density::core_distances;
+use cvcp_suite::engine::CacheConfig;
 use cvcp_suite::kmeans::{MpckMeans, MpckMeansResult, MpckSeeding};
+use cvcp_suite::server::client::Connection;
+use cvcp_suite::server::{RankedSelection, Response, Server, ServerConfig};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The replica seed of the paper binaries and of `grid_batch`.
 const REPLICA_SEED: u64 = 20_140_324;
 const CONSTRAINT_SEED: u64 = 0x60_1D;
 const FIT_SEEDS: [u64; 2] = [1, 2];
 const EXPERIMENT_SEED: u64 = 0xC5C9;
+const SELECTION_SEED: u64 = 0x5E1EC7;
 const GOLDEN: &str = include_str!("golden/kernels.txt");
 
 /// FNV-1a 64 over the little-endian bytes of a word stream.
@@ -114,6 +127,38 @@ fn outcome_digest(outcomes: &[TrialOutcome]) -> u64 {
         h.word(o.silhouette_param.map_or(u64::MAX, |p| p as u64));
         h.word(o.silhouette_external.map_or(u64::MAX, f64::to_bits));
         h.float(o.correlation);
+    }
+    h.0
+}
+
+fn selection_digest(selection: &CvcpSelection) -> u64 {
+    let mut h = Fnv::new();
+    h.word(selection.best_param as u64);
+    h.float(selection.best_score);
+    h.word(selection.evaluations.len() as u64);
+    for e in &selection.evaluations {
+        h.word(e.param as u64);
+        h.float(e.score);
+        h.word(e.folds.len() as u64);
+        for f in &e.folds {
+            h.word(f.fold as u64);
+            h.float(f.f_measure);
+            h.word(f.n_test_constraints as u64);
+        }
+    }
+    h.0
+}
+
+fn ranked_digest(selection: &RankedSelection) -> u64 {
+    let mut h = Fnv::new();
+    h.word(selection.best_param as u64);
+    h.float(selection.best_score);
+    for entries in [&selection.ranking, &selection.evaluations] {
+        h.word(entries.len() as u64);
+        for e in entries.iter() {
+            h.word(e.param as u64);
+            h.float(e.score);
+        }
     }
     h.0
 }
@@ -230,4 +275,106 @@ fn reduced_experiment_matches_the_frozen_digests() {
         }
     }
     check_section("run_experiment_on ", computed);
+}
+
+#[test]
+fn bounded_cache_selections_match_the_frozen_digests() {
+    // Each byte budget is below its selection's working set (about 151 KiB
+    // over 9 artifacts for aloi:0, 6 KiB over 4 for iris_like), so the LRU
+    // evicts while the grid runs.
+    let cases = [
+        (
+            "aloi:0",
+            144 << 10,
+            Algorithm::Fosc,
+            SideInfoSpec::LabelFraction(0.1),
+        ),
+        (
+            "iris_like",
+            4 << 10,
+            Algorithm::MpckMeans,
+            SideInfoSpec::ConstraintSample {
+                pool_fraction: 0.1,
+                sample_fraction: 0.5,
+            },
+        ),
+    ];
+    let config = CvcpConfig {
+        n_folds: 4,
+        stratified: true,
+    };
+    let mut computed = Vec::new();
+    for (name, budget, algorithm, spec) in cases {
+        let engine =
+            Engine::with_cache_config_exact(2, CacheConfig::unbounded().with_max_bytes(budget));
+        let ds = replica_by_name(name, REPLICA_SEED).expect("registered replica");
+        let method = algorithm.method();
+        let params = method.default_parameter_range(ds.n_classes());
+        let mut rng = SeededRng::new(SELECTION_SEED);
+        let side = spec.generate(&ds, &mut rng);
+        let selection = select_model_with(
+            &engine,
+            &*method,
+            ds.matrix(),
+            &side,
+            &params,
+            &config,
+            &mut rng,
+        );
+        let stats = engine.cache_stats();
+        assert!(
+            stats.evictions > 0,
+            "the {budget}-byte budget must evict during the {name} selection: {stats:?}"
+        );
+        assert!(stats.peak_resident_bytes <= budget);
+        engine.cache().assert_accounting_consistent();
+        computed.push((
+            format!("select_model_with bounded {name} {}", algorithm.name()),
+            selection_digest(&selection),
+        ));
+    }
+    check_section("select_model_with bounded ", computed);
+}
+
+#[test]
+fn served_selection_matches_the_frozen_digest() {
+    let server = Server::start(
+        &ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            ..ServerConfig::default()
+        },
+        Arc::new(Engine::new(2)),
+    )
+    .expect("bind loopback");
+    let request = SelectionRequest {
+        id: "golden".to_string(),
+        dataset: "iris_like".to_string(),
+        algorithm: Algorithm::Fosc,
+        params: vec![3, 6, 9],
+        side_info: SideInfoSpec::LabelFraction(0.2),
+        n_folds: 4,
+        stratified: true,
+        seed: 47,
+        priority: None,
+        trace: false,
+    };
+    let mut conn = Connection::connect(server.local_addr()).expect("v2 handshake");
+    assert_eq!(conn.version(), 2);
+    conn.send(&request).expect("send request");
+    let selection = loop {
+        match conn.next_event().expect("read event") {
+            Response::Result { id, selection, .. } if id == request.id => break selection,
+            Response::Progress { .. } => {}
+            other => panic!("unexpected response: {other:?}"),
+        }
+    };
+    drop(conn);
+    server.shutdown();
+    check_section(
+        "served ",
+        vec![(
+            "served iris_like fosc params=3,6,9 labels=0.2 folds=4 seed=47".to_string(),
+            ranked_digest(&selection),
+        )],
+    );
 }

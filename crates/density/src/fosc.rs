@@ -25,6 +25,16 @@
 //! tie-breaker (scaled so it never overrides a constraint-credit difference),
 //! which resolves the selection in subtrees not touched by any constraint —
 //! the behaviour used by FOSC-OPTICSDend in this suite.
+//!
+//! Every node's quality is computed in one pass before the DP.  The
+//! tiebreak's maximum stability is taken once per extraction, and a node's
+//! members are marked in one reused `Vec<bool>` mask, which the constraint
+//! scan reads and which is cleared again before the next node.  Both are
+//! bit-identical to re-taking the maximum and building a set of members for
+//! each node: the maximum is the same fold over the same nodes, the mask
+//! answers every membership query as the set would, and the scan adds each
+//! node's credits in constraint order as before.  The credits are multiples
+//! of ½, so their sum would be exact in any order anyway.
 
 use crate::condensed::CondensedTree;
 use cvcp_constraints::{ConstraintKind, ConstraintSet};
@@ -64,9 +74,7 @@ pub struct FoscSelection {
 /// non-trivial answer.
 pub fn extract_clusters(tree: &CondensedTree, objective: &ExtractionObjective) -> FoscSelection {
     let n_nodes = tree.nodes().len();
-    let qualities: Vec<f64> = (0..n_nodes)
-        .map(|id| node_quality(tree, id, objective))
-        .collect();
+    let qualities = node_qualities(tree, objective);
 
     // Bottom-up DP.  Nodes are indexed so that parents have smaller ids than
     // children (the builder pushes children after parents), so iterating in
@@ -123,48 +131,56 @@ pub fn extract_clusters(tree: &CondensedTree, objective: &ExtractionObjective) -
     }
 }
 
-/// Quality of a single candidate cluster under the chosen objective.
-fn node_quality(tree: &CondensedTree, id: usize, objective: &ExtractionObjective) -> f64 {
-    match objective {
-        ExtractionObjective::Stability => tree.node(id).stability,
+/// The quality of every candidate cluster under the chosen objective,
+/// indexed by node id, in one pass over the nodes.
+fn node_qualities(tree: &CondensedTree, objective: &ExtractionObjective) -> Vec<f64> {
+    let nodes = tree.nodes();
+    let (constraints, stability_tiebreak) = match objective {
+        ExtractionObjective::Stability => return nodes.iter().map(|n| n.stability).collect(),
         ExtractionObjective::ConstraintSatisfaction {
             constraints,
             stability_tiebreak,
-        } => {
-            let credit = constraint_credit(tree, id, constraints);
-            if *stability_tiebreak {
-                // Normalise stability into [0, ε) with ε strictly below the
-                // smallest possible credit difference (½), so it only breaks
-                // exact ties in constraint credit.
-                let max_stab: f64 = tree
-                    .nodes()
-                    .iter()
-                    .map(|n| n.stability)
-                    .fold(0.0, f64::max)
-                    .max(1e-12);
-                credit + 0.2499 * (tree.node(id).stability / max_stab)
+        } => (constraints, *stability_tiebreak),
+    };
+    // Normalise stability into [0, ε) with ε strictly below the smallest
+    // possible credit difference (½), so it only breaks exact ties in
+    // constraint credit.
+    let max_stab = nodes
+        .iter()
+        .map(|n| n.stability)
+        .fold(0.0, f64::max)
+        .max(1e-12);
+    // Sized for both index spaces: a constraint endpoint the tree does not
+    // hold reads as outside every cluster.
+    let mut member = vec![false; tree.n_objects().max(constraints.n_objects())];
+    nodes
+        .iter()
+        .map(|node| {
+            let credit = constraint_credit(&node.members, constraints, &mut member);
+            if stability_tiebreak {
+                credit + 0.2499 * (node.stability / max_stab)
             } else {
                 credit
             }
-        }
-    }
+        })
+        .collect()
 }
 
-/// The constraint-satisfaction credit of cluster `id`: ½ per constraint
-/// endpoint inside the cluster whose constraint is satisfied when the cluster
-/// is part of the solution.
-fn constraint_credit(tree: &CondensedTree, id: usize, constraints: &ConstraintSet) -> f64 {
+/// The constraint-satisfaction credit of the cluster with these `members`:
+/// ½ per constraint endpoint inside the cluster whose constraint is
+/// satisfied when the cluster is part of the solution.  `member` is an
+/// all-`false` mask over the objects, returned all-`false`.
+fn constraint_credit(members: &[usize], constraints: &ConstraintSet, member: &mut [bool]) -> f64 {
     if constraints.is_empty() {
         return 0.0;
     }
-    // BTreeSet, not HashSet: membership tests only, but rule D1 keeps hash
-    // collections out of result-path crates entirely.
-    let members: std::collections::BTreeSet<usize> =
-        tree.node(id).members.iter().copied().collect();
+    for &m in members {
+        member[m] = true;
+    }
     let mut credit = 0.0;
     for c in constraints.iter() {
-        let a_in = members.contains(&c.a);
-        let b_in = members.contains(&c.b);
+        let a_in = member[c.a];
+        let b_in = member[c.b];
         match c.kind {
             ConstraintKind::MustLink => {
                 // satisfied only when both endpoints are in the cluster
@@ -183,6 +199,9 @@ fn constraint_credit(tree: &CondensedTree, id: usize, constraints: &ConstraintSe
                 }
             }
         }
+    }
+    for &m in members {
+        member[m] = false;
     }
     credit
 }
@@ -341,6 +360,18 @@ mod tests {
         assert!(sel.partition.n_clusters() >= 2);
     }
 
+    /// Pure constraint credit (no stability tiebreak) of every node, through
+    /// the production quality pass.
+    fn credits(tree: &CondensedTree, constraints: &ConstraintSet) -> Vec<f64> {
+        node_qualities(
+            tree,
+            &ExtractionObjective::ConstraintSatisfaction {
+                constraints: constraints.clone(),
+                stability_tiebreak: false,
+            },
+        )
+    }
+
     #[test]
     fn constraint_credit_counts_half_per_endpoint() {
         let mut rng = SeededRng::new(8);
@@ -360,15 +391,16 @@ mod tests {
         let mut cs = ConstraintSet::new(ds.len());
         cs.add_must_link(inside, inside2); // satisfied -> 1.0
         cs.add_cannot_link(inside, outside); // half credit -> 0.5
-        let q = super::constraint_credit(&tree, leaf.id, &cs);
+        let q = credits(&tree, &cs)[leaf.id];
         assert!((q - 1.5).abs() < 1e-12, "credit = {q}");
     }
 
-    /// Regression pin for the D1 fix: `constraint_credit` used to collect
+    /// Regression pin for the D1 fix: the constraint credit used to collect
     /// cluster members into a `HashSet`.  Membership tests are order-free,
-    /// so the `BTreeSet` swap must be bit-identical — this checks the
-    /// production credit against an order-insensitive `HashSet` reference
-    /// for every candidate cluster, requiring exact `f64` bit equality.
+    /// so any other membership structure must be bit-identical — this
+    /// checks the production credit against an order-insensitive `HashSet`
+    /// reference for every candidate cluster, requiring exact `f64` bit
+    /// equality.
     #[test]
     fn constraint_credit_matches_a_hash_set_reference_bit_for_bit() {
         use std::collections::HashSet;
@@ -410,14 +442,144 @@ mod tests {
             }
             credit
         };
+        let got = credits(&tree, &cs);
         for node in tree.nodes() {
-            let got = super::constraint_credit(&tree, node.id, &cs);
             assert_eq!(
-                got.to_bits(),
+                got[node.id].to_bits(),
                 reference(node.id).to_bits(),
                 "credit bits differ for cluster {}",
                 node.id
             );
+        }
+    }
+
+    /// The per-node quality as it was computed before the quality pass:
+    /// the maximum stability re-taken for every node and a `BTreeSet` of the
+    /// node's members built for every credit.  Kept as the reference the
+    /// production pass must match bit for bit.
+    fn reference_quality(tree: &CondensedTree, id: usize, objective: &ExtractionObjective) -> f64 {
+        match objective {
+            ExtractionObjective::Stability => tree.node(id).stability,
+            ExtractionObjective::ConstraintSatisfaction {
+                constraints,
+                stability_tiebreak,
+            } => {
+                let credit = reference_credit(tree, id, constraints);
+                if *stability_tiebreak {
+                    let max_stab: f64 = tree
+                        .nodes()
+                        .iter()
+                        .map(|n| n.stability)
+                        .fold(0.0, f64::max)
+                        .max(1e-12);
+                    credit + 0.2499 * (tree.node(id).stability / max_stab)
+                } else {
+                    credit
+                }
+            }
+        }
+    }
+
+    fn reference_credit(tree: &CondensedTree, id: usize, constraints: &ConstraintSet) -> f64 {
+        if constraints.is_empty() {
+            return 0.0;
+        }
+        let members: std::collections::BTreeSet<usize> =
+            tree.node(id).members.iter().copied().collect();
+        let mut credit = 0.0;
+        for c in constraints.iter() {
+            let a_in = members.contains(&c.a);
+            let b_in = members.contains(&c.b);
+            match c.kind {
+                ConstraintKind::MustLink => {
+                    if a_in && b_in {
+                        credit += 1.0;
+                    }
+                }
+                ConstraintKind::CannotLink => {
+                    if a_in && !b_in {
+                        credit += 0.5;
+                    }
+                    if b_in && !a_in {
+                        credit += 0.5;
+                    }
+                }
+            }
+        }
+        credit
+    }
+
+    /// Random constraints over `0..n_objects`: about `per_object` per object,
+    /// must-link with probability one half.
+    fn random_constraints(
+        n_objects: usize,
+        per_object: usize,
+        rng: &mut SeededRng,
+    ) -> ConstraintSet {
+        let mut cs = ConstraintSet::new(n_objects);
+        for _ in 0..n_objects * per_object {
+            let (a, b) = (rng.index(n_objects), rng.index(n_objects));
+            if a == b {
+                continue;
+            }
+            if rng.bernoulli(0.5) {
+                cs.add_must_link(a, b);
+            } else {
+                cs.add_cannot_link(a, b);
+            }
+        }
+        cs
+    }
+
+    #[test]
+    fn qualities_match_the_per_node_reference_bit_for_bit() {
+        let mut rng = SeededRng::new(21);
+        for case in 0..40 {
+            // Points on a coarse grid: ties and duplicates are common.
+            let n = 4 + rng.index(40);
+            let dims = 1 + rng.index(3);
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dims).map(|_| rng.index(6) as f64).collect())
+                .collect();
+            let ds = Dataset::new("grid", cvcp_data::DataMatrix::from_rows(&rows), vec![0; n]);
+            let tree = tree_for(&ds, 2 + rng.index(4));
+            // Every fourth set spans more objects than the tree holds, with
+            // endpoints beyond the tree: they read as outside every node.
+            let n_objects = if case % 4 == 3 {
+                n + 1 + rng.index(8)
+            } else {
+                n
+            };
+            let cs = random_constraints(n_objects, 1 + rng.index(4), &mut rng);
+            let objectives = [
+                ExtractionObjective::Stability,
+                ExtractionObjective::ConstraintSatisfaction {
+                    constraints: cs.clone(),
+                    stability_tiebreak: false,
+                },
+                ExtractionObjective::ConstraintSatisfaction {
+                    constraints: cs,
+                    stability_tiebreak: true,
+                },
+                ExtractionObjective::ConstraintSatisfaction {
+                    constraints: ConstraintSet::new(n_objects),
+                    stability_tiebreak: true,
+                },
+            ];
+            for objective in &objectives {
+                let got = node_qualities(&tree, objective);
+                assert_eq!(got.len(), tree.nodes().len());
+                for node in tree.nodes() {
+                    let expected = reference_quality(&tree, node.id, objective);
+                    assert_eq!(
+                        got[node.id].to_bits(),
+                        expected.to_bits(),
+                        "case {case}, node {}: {} vs reference {expected} under {objective:?}",
+                        node.id,
+                        got[node.id]
+                    );
+                }
+            }
         }
     }
 }

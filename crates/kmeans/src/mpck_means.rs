@@ -28,6 +28,18 @@
 //! with `f_ML(i,j) = ‖x_i − x_j‖²_A` and
 //! `f_CL(i,j) = d_max²_A − ‖x_i − x_j‖²_A` (violating a cannot-link between
 //! close objects is penalised more).
+//!
+//! The E-step produces an object's k costs neighbour by neighbour rather
+//! than cluster by cluster.  It first takes every cluster's centroid term.
+//! Then one walk over the object's already-assigned must-link partners
+//! computes `f_there` once per partner and adds the must-link term to
+//! every cluster but the partner's.  Finally one walk over its
+//! already-assigned cannot-link partners adds the cannot-link term to the
+//! partner's cluster alone.  Each cluster's cost therefore receives the
+//! same terms in the same order as a rescan of every partner for each
+//! cluster in turn, so every cost, and with the strict-`<`, first-wins
+//! argmin every assignment, is bit-identical to that loop.  The partners
+//! come from a flat per-fit index that lists them in constraint order.
 
 use crate::init::{centroids_from_candidates, neighborhood_candidates};
 use crate::objective::{recompute_centroids, weighted_sq_dist};
@@ -206,26 +218,9 @@ impl MpckMeans {
             self.k
         );
 
-        let working = &seeding.working;
-        // Index constraints per object for the greedy assignment step.
-        let mut ml_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut cl_of: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut ml_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut cl_pairs: Vec<(usize, usize)> = Vec::new();
-        for c in working.iter() {
-            match c.kind {
-                ConstraintKind::MustLink => {
-                    ml_of[c.a].push(c.b);
-                    ml_of[c.b].push(c.a);
-                    ml_pairs.push((c.a, c.b));
-                }
-                ConstraintKind::CannotLink => {
-                    cl_of[c.a].push(c.b);
-                    cl_of[c.b].push(c.a);
-                    cl_pairs.push((c.a, c.b));
-                }
-            }
-        }
+        let (ml_pairs, cl_pairs) = constraint_pairs(&seeding.working);
+        let ml_of = Neighbours::from_pairs(n, &ml_pairs);
+        let cl_of = Neighbours::from_pairs(n, &cl_pairs);
 
         let mut centroids =
             centroids_from_candidates(data, seeding.candidates.clone(), self.k, rng);
@@ -237,78 +232,70 @@ impl MpckMeans {
         let (mins, maxs) = data.column_min_max();
         let mut terms = MetricTerms::of(&metrics, &mins, &maxs);
 
+        // Buffers reused across EM iterations: the visiting order, the
+        // E-step's partial and complete assignments, its k-length costs and
+        // the cluster sizes.
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let mut assigned: Vec<Option<usize>> = vec![None; n];
+        let mut costs = vec![0.0f64; self.k];
+        let mut next: Vec<usize> = vec![0; n];
+        let mut counts = vec![0usize; self.k];
+
         for it in 0..self.max_iter {
             iterations = it + 1;
 
             // ---------------- E-step: greedy ordered assignment ----------------
-            let mut order: Vec<usize> = (0..n).collect();
+            order.clear();
+            order.extend(0..n);
             rng.shuffle(&mut order);
-            let mut assigned: Vec<Option<usize>> = vec![None; n];
-            for &i in &order {
-                let row = data.row(i);
-                let mut best_c = 0usize;
-                let mut best_cost = f64::INFINITY;
-                for c in 0..self.k {
-                    let w = &metrics[c];
-                    let mut cost = weighted_sq_dist(row, &centroids[c], w) - terms.log_det[c];
-                    // must-link violations w.r.t. already-assigned neighbours
-                    for &j in &ml_of[i] {
-                        if let Some(cj) = assigned[j] {
-                            if cj != c {
-                                let f_here = weighted_sq_dist(row, data.row(j), w);
-                                let f_there = weighted_sq_dist(row, data.row(j), &metrics[cj]);
-                                cost += self.must_link_weight * 0.5 * (f_here + f_there);
-                            }
-                        }
-                    }
-                    // cannot-link violations
-                    for &j in &cl_of[i] {
-                        if let Some(cj) = assigned[j] {
-                            if cj == c {
-                                let f = terms.cl_offset[c] - weighted_sq_dist(row, data.row(j), w);
-                                cost += self.cannot_link_weight * f.max(0.0);
-                            }
-                        }
-                    }
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best_c = c;
-                    }
-                }
-                assigned[i] = Some(best_c);
+            EStep {
+                data,
+                centroids: &centroids,
+                metrics: &metrics,
+                terms: &terms,
+                ml_of: &ml_of,
+                cl_of: &cl_of,
+                must_link_weight: self.must_link_weight,
+                cannot_link_weight: self.cannot_link_weight,
             }
-            let new_assignment: Vec<usize> =
-                assigned.into_iter().map(|a| a.expect("assigned")).collect();
+            .assign(&order, &mut assigned, &mut costs);
+            counts.fill(0);
+            for (slot, a) in next.iter_mut().zip(&assigned) {
+                let c = a.expect("assigned");
+                counts[c] += 1;
+                *slot = c;
+            }
 
             // Re-seed empty clusters with the point farthest from its centroid.
-            let mut final_assignment = new_assignment;
             for c in 0..self.k {
-                if !final_assignment.contains(&c) {
+                if counts[c] == 0 {
                     let (far, _) = (0..n)
                         .map(|i| {
                             (
                                 i,
                                 weighted_sq_dist(
                                     data.row(i),
-                                    &centroids[final_assignment[i]],
-                                    &metrics[final_assignment[i]],
+                                    &centroids[next[i]],
+                                    &metrics[next[i]],
                                 ),
                             )
                         })
                         .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
                         .expect("non-empty data");
-                    final_assignment[far] = c;
+                    counts[next[far]] -= 1;
+                    counts[c] += 1;
+                    next[far] = c;
                 }
             }
 
             // ---------------- M-step: centroids ----------------
-            recompute_centroids(data, &final_assignment, &mut centroids);
+            recompute_centroids(data, &next, &mut centroids);
 
             // ---------------- M-step: metrics ----------------
             if self.learn_metric {
                 self.update_metrics(
                     data,
-                    &final_assignment,
+                    &next,
                     &centroids,
                     &ml_pairs,
                     &cl_pairs,
@@ -321,17 +308,11 @@ impl MpckMeans {
 
             // ---------------- Objective & convergence ----------------
             let new_objective = self.objective(
-                data,
-                &final_assignment,
-                &centroids,
-                &metrics,
-                &ml_pairs,
-                &cl_pairs,
-                &terms,
+                data, &next, &centroids, &metrics, &ml_pairs, &cl_pairs, &terms,
             );
-            let converged = final_assignment == assignment
+            let converged = next == assignment
                 || (objective - new_objective).abs() <= 1e-9 * objective.abs().max(1.0);
-            assignment = final_assignment;
+            std::mem::swap(&mut assignment, &mut next);
             objective = new_objective;
             if converged && it > 0 {
                 break;
@@ -393,8 +374,9 @@ impl MpckMeans {
         for &(a, b) in ml_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca != cb {
+                let (ra, rb) = (data.row(a), data.row(b));
                 for d in 0..dims {
-                    let diff = data.get(a, d) - data.get(b, d);
+                    let diff = ra[d] - rb[d];
                     let v = 0.5 * self.must_link_weight * diff * diff;
                     scatter[ca][d] += v;
                     scatter[cb][d] += v;
@@ -405,8 +387,9 @@ impl MpckMeans {
         for &(a, b) in cl_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca == cb {
+                let (ra, rb) = (data.row(a), data.row(b));
                 for d in 0..dims {
-                    let diff = data.get(a, d) - data.get(b, d);
+                    let diff = ra[d] - rb[d];
                     let range = maxs[d] - mins[d];
                     let v = self.cannot_link_weight * (range * range - diff * diff).max(0.0);
                     scatter[ca][d] += v;
@@ -463,6 +446,132 @@ impl MpckMeans {
     }
 }
 
+/// What one greedy E-step reads besides the assignment it builds: the data,
+/// the current centroids and metrics with their per-cluster terms, each
+/// object's constraint neighbours and the violation weights.
+struct EStep<'a> {
+    data: &'a DataMatrix,
+    centroids: &'a [Vec<f64>],
+    metrics: &'a [Vec<f64>],
+    terms: &'a MetricTerms,
+    ml_of: &'a Neighbours,
+    cl_of: &'a Neighbours,
+    must_link_weight: f64,
+    cannot_link_weight: f64,
+}
+
+impl EStep<'_> {
+    /// The greedy ordered assignment: each object of `order` goes to the
+    /// cluster of least cost given the objects assigned before it, the
+    /// lowest cluster index winning exact ties.  `costs` is a k-length
+    /// work buffer.
+    fn assign(&self, order: &[usize], assigned: &mut [Option<usize>], costs: &mut [f64]) {
+        assigned.fill(None);
+        for &i in order {
+            self.costs(i, assigned, costs);
+            let mut best_c = 0usize;
+            let mut best_cost = f64::INFINITY;
+            for (c, &cost) in costs.iter().enumerate() {
+                if cost < best_cost {
+                    best_cost = cost;
+                    best_c = c;
+                }
+            }
+            assigned[i] = Some(best_c);
+        }
+    }
+
+    /// Object `i`'s cost for each cluster `c`: the metric distance to the
+    /// centroid minus the log-determinant, plus the penalties of the
+    /// must-links and cannot-links that assigning `i` to `c` would violate
+    /// against the objects already `assigned`.
+    ///
+    /// The terms are produced neighbour by neighbour: one walk over `i`'s
+    /// assigned must-link partners adds a term to every cluster but the
+    /// partner's, and one walk over its assigned cannot-link partners adds
+    /// a term to the partner's cluster alone.  Each cluster's cost still
+    /// receives its terms in the order a cluster-by-cluster rescan would
+    /// add them, so the costs are bit-identical to it.
+    fn costs(&self, i: usize, assigned: &[Option<usize>], costs: &mut [f64]) {
+        let row = self.data.row(i);
+        for (c, cost) in costs.iter_mut().enumerate() {
+            *cost =
+                weighted_sq_dist(row, &self.centroids[c], &self.metrics[c]) - self.terms.log_det[c];
+        }
+        for &j in self.ml_of.of(i) {
+            if let Some(cj) = assigned[j] {
+                let other = self.data.row(j);
+                let f_there = weighted_sq_dist(row, other, &self.metrics[cj]);
+                for (c, cost) in costs.iter_mut().enumerate() {
+                    if c != cj {
+                        let f_here = weighted_sq_dist(row, other, &self.metrics[c]);
+                        *cost += self.must_link_weight * 0.5 * (f_here + f_there);
+                    }
+                }
+            }
+        }
+        for &j in self.cl_of.of(i) {
+            if let Some(cj) = assigned[j] {
+                let f = self.terms.cl_offset[cj]
+                    - weighted_sq_dist(row, self.data.row(j), &self.metrics[cj]);
+                costs[cj] += self.cannot_link_weight * f.max(0.0);
+            }
+        }
+    }
+}
+
+/// Constraint pairs `(a, b)`, `a < b`.
+type Pairs = Vec<(usize, usize)>;
+
+/// The must-link and cannot-link pairs of `working`, in constraint order.
+fn constraint_pairs(working: &ConstraintSet) -> (Pairs, Pairs) {
+    let mut ml_pairs = Vec::new();
+    let mut cl_pairs = Vec::new();
+    for c in working.iter() {
+        match c.kind {
+            ConstraintKind::MustLink => ml_pairs.push((c.a, c.b)),
+            ConstraintKind::CannotLink => cl_pairs.push((c.a, c.b)),
+        }
+    }
+    (ml_pairs, cl_pairs)
+}
+
+/// Each object's partners under one kind of constraint, flat: object `i`'s
+/// partners are `partners[start[i]..start[i + 1]]`, in the order of the
+/// pairs they come from.
+struct Neighbours {
+    start: Vec<usize>,
+    partners: Vec<usize>,
+}
+
+impl Neighbours {
+    /// Indexes `pairs` over objects `0..n`.
+    fn from_pairs(n: usize, pairs: &[(usize, usize)]) -> Self {
+        let mut start = vec![0usize; n + 1];
+        for &(a, b) in pairs {
+            start[a + 1] += 1;
+            start[b + 1] += 1;
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut fill = start.clone();
+        let mut partners = vec![0usize; 2 * pairs.len()];
+        for &(a, b) in pairs {
+            partners[fill[a]] = b;
+            fill[a] += 1;
+            partners[fill[b]] = a;
+            fill[b] += 1;
+        }
+        Self { start, partners }
+    }
+
+    /// Object `i`'s partners.
+    fn of(&self, i: usize) -> &[usize] {
+        &self.partners[self.start[i]..self.start[i + 1]]
+    }
+}
+
 /// The terms of the objective that depend on a cluster's metric alone.
 /// Metrics change only in the M-step, so `fit_seeded` computes these once
 /// per EM iteration rather than once per (object × cluster) pair.
@@ -509,6 +618,219 @@ mod tests {
     use cvcp_constraints::generate::constraint_pool;
     use cvcp_data::synthetic::{gaussian_mixture, separated_blobs, ClusterSpec};
     use cvcp_metrics::{adjusted_rand_index, constraint_fmeasure};
+
+    /// The E-step cost loop as `fit_seeded` ran it before the
+    /// neighbour-major rewrite: cluster by cluster, each rescanning every
+    /// constraint neighbour of the object.  Kept as the reference the
+    /// production costs must match bit for bit.
+    fn reference_costs(
+        step: &EStep<'_>,
+        ml_of: &[Vec<usize>],
+        cl_of: &[Vec<usize>],
+        i: usize,
+        assigned: &[Option<usize>],
+    ) -> Vec<f64> {
+        let row = step.data.row(i);
+        (0..step.centroids.len())
+            .map(|c| {
+                let w = &step.metrics[c];
+                let mut cost = weighted_sq_dist(row, &step.centroids[c], w) - step.terms.log_det[c];
+                for &j in &ml_of[i] {
+                    if let Some(cj) = assigned[j] {
+                        if cj != c {
+                            let f_here = weighted_sq_dist(row, step.data.row(j), w);
+                            let f_there =
+                                weighted_sq_dist(row, step.data.row(j), &step.metrics[cj]);
+                            cost += step.must_link_weight * 0.5 * (f_here + f_there);
+                        }
+                    }
+                }
+                for &j in &cl_of[i] {
+                    if let Some(cj) = assigned[j] {
+                        if cj == c {
+                            let f = step.terms.cl_offset[c]
+                                - weighted_sq_dist(row, step.data.row(j), w);
+                            cost += step.cannot_link_weight * f.max(0.0);
+                        }
+                    }
+                }
+                cost
+            })
+            .collect()
+    }
+
+    /// The reference greedy pass: reference costs, strict `<`, first wins.
+    /// Also returns how many objects met an exact tie for the least cost.
+    fn reference_assign(
+        step: &EStep<'_>,
+        ml_of: &[Vec<usize>],
+        cl_of: &[Vec<usize>],
+        order: &[usize],
+    ) -> (Vec<Option<usize>>, usize) {
+        let mut assigned = vec![None; step.data.n_rows()];
+        let mut ties = 0;
+        for &i in order {
+            let costs = reference_costs(step, ml_of, cl_of, i, &assigned);
+            let mut best_c = 0usize;
+            let mut best_cost = f64::INFINITY;
+            for (c, &cost) in costs.iter().enumerate() {
+                if cost < best_cost {
+                    best_cost = cost;
+                    best_c = c;
+                }
+            }
+            if costs.iter().filter(|&&cost| cost == best_cost).count() > 1 {
+                ties += 1;
+            }
+            assigned[i] = Some(best_c);
+        }
+        (assigned, ties)
+    }
+
+    /// Each object's must-link and cannot-link partners, one `Vec` per
+    /// object in constraint order, as `fit_seeded` indexed them before the
+    /// flat index.
+    fn neighbour_lists(n: usize, working: &ConstraintSet) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+        let mut ml_of = vec![Vec::new(); n];
+        let mut cl_of = vec![Vec::new(); n];
+        for c in working.iter() {
+            let lists = match c.kind {
+                ConstraintKind::MustLink => &mut ml_of,
+                ConstraintKind::CannotLink => &mut cl_of,
+            };
+            lists[c.a].push(c.b);
+            lists[c.b].push(c.a);
+        }
+        (ml_of, cl_of)
+    }
+
+    /// A random E-step input: rows on a coarse grid with an exact duplicate,
+    /// a dense transitively closed constraint set, random centroids and
+    /// metrics of which two clusters are exact copies (so that exact cost
+    /// ties exercise the first-wins argmin) and random violation weights.
+    struct Instance {
+        data: DataMatrix,
+        working: ConstraintSet,
+        centroids: Vec<Vec<f64>>,
+        metrics: Vec<Vec<f64>>,
+        terms: MetricTerms,
+        weights: (f64, f64),
+    }
+
+    impl Instance {
+        fn random(rng: &mut SeededRng) -> Self {
+            let n = 6 + rng.index(30);
+            let dims = 1 + rng.index(4);
+            let k = 1 + rng.index(6);
+            let mut rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| (0..dims).map(|_| rng.index(4) as f64 * 0.5).collect())
+                .collect();
+            rows[n - 1] = rows[0].clone();
+            let data = DataMatrix::from_rows(&rows);
+            let classes: Vec<usize> = (0..n).map(|_| rng.index(3)).collect();
+            let pool = constraint_pool(&classes, rng.uniform_in(0.3, 1.0), 1, rng);
+            let working = MpckSeeding::compute(&data, &pool, true).working;
+            let mut centroids: Vec<Vec<f64>> = (0..k)
+                .map(|_| (0..dims).map(|_| rng.uniform_in(0.0, 1.5)).collect())
+                .collect();
+            let mut metrics: Vec<Vec<f64>> = (0..k)
+                .map(|_| (0..dims).map(|_| rng.uniform_in(0.1, 3.0)).collect())
+                .collect();
+            if k >= 2 {
+                let (a, b) = (rng.index(k), rng.index(k));
+                centroids[b] = centroids[a].clone();
+                metrics[b] = metrics[a].clone();
+            }
+            let (mins, maxs) = data.column_min_max();
+            let terms = MetricTerms::of(&metrics, &mins, &maxs);
+            let weights = (rng.uniform_in(0.25, 4.0), rng.uniform_in(0.25, 4.0));
+            Self {
+                data,
+                working,
+                centroids,
+                metrics,
+                terms,
+                weights,
+            }
+        }
+
+        /// The production neighbour index of the working set.
+        fn neighbours(&self) -> (Neighbours, Neighbours) {
+            let (ml_pairs, cl_pairs) = constraint_pairs(&self.working);
+            let n = self.data.n_rows();
+            (
+                Neighbours::from_pairs(n, &ml_pairs),
+                Neighbours::from_pairs(n, &cl_pairs),
+            )
+        }
+
+        fn step<'a>(&'a self, ml_of: &'a Neighbours, cl_of: &'a Neighbours) -> EStep<'a> {
+            EStep {
+                data: &self.data,
+                centroids: &self.centroids,
+                metrics: &self.metrics,
+                terms: &self.terms,
+                ml_of,
+                cl_of,
+                must_link_weight: self.weights.0,
+                cannot_link_weight: self.weights.1,
+            }
+        }
+    }
+
+    #[test]
+    fn e_step_costs_match_the_cluster_major_reference_bit_for_bit() {
+        let mut rng = SeededRng::new(31);
+        for case in 0..150 {
+            let inst = Instance::random(&mut rng);
+            let n = inst.data.n_rows();
+            let (ml_of, cl_of) = neighbour_lists(n, &inst.working);
+            let index = inst.neighbours();
+            let step = inst.step(&index.0, &index.1);
+            let mut costs = vec![f64::NAN; inst.centroids.len()];
+            for _ in 0..4 {
+                let share = rng.uniform();
+                let assigned: Vec<Option<usize>> = (0..n)
+                    .map(|_| {
+                        rng.bernoulli(share)
+                            .then(|| rng.index(inst.centroids.len()))
+                    })
+                    .collect();
+                for i in 0..n {
+                    step.costs(i, &assigned, &mut costs);
+                    let expected = reference_costs(&step, &ml_of, &cl_of, i, &assigned);
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&costs),
+                        bits(&expected),
+                        "case {case}, object {i}: {costs:?} vs reference {expected:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_pass_matches_the_cluster_major_reference() {
+        let mut rng = SeededRng::new(32);
+        let mut ties = 0usize;
+        for case in 0..150 {
+            let inst = Instance::random(&mut rng);
+            let n = inst.data.n_rows();
+            let (ml_of, cl_of) = neighbour_lists(n, &inst.working);
+            let index = inst.neighbours();
+            let step = inst.step(&index.0, &index.1);
+            let mut order: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut order);
+            let mut assigned = vec![Some(usize::MAX); n];
+            let mut costs = vec![f64::NAN; inst.centroids.len()];
+            step.assign(&order, &mut assigned, &mut costs);
+            let (expected, tied) = reference_assign(&step, &ml_of, &cl_of, &order);
+            assert_eq!(assigned, expected, "case {case}");
+            ties += tied;
+        }
+        assert!(ties > 0, "no exact cost tie was exercised");
+    }
 
     #[test]
     fn recovers_separated_blobs_without_constraints() {

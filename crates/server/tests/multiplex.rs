@@ -236,6 +236,13 @@ fn oversized_frame_is_rejected_and_v2_pipeline_survives() {
     stream.write_all(&junk).expect("send oversized frame");
     stream.flush().expect("flush");
 
+    // The selection runs on the engine while the event loop is still
+    // reading the oversized frame, so its result and the frame_too_large
+    // error may arrive in either order: read until both have.  A response
+    // that never comes fails on the read timeout instead of hanging.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
     let reader = BufReader::new(stream.try_clone().expect("clone"));
     let mut saw_ack = false;
     let mut saw_too_large = false;
@@ -251,9 +258,11 @@ fn oversized_frame_is_rejected_and_v2_pipeline_survives() {
             Response::Result { id, .. } => {
                 assert_eq!(id, "survivor");
                 saw_result = true;
-                break;
             }
             _ => {}
+        }
+        if saw_too_large && saw_result {
+            break;
         }
     }
     assert!(saw_ack, "hello_ack arrived");

@@ -1,24 +1,36 @@
-//! Brute-force oracles for the core-distance and MPCKMeans-objective
-//! kernels at small n, compared bit-for-bit (`f64::to_bits`).
+//! Brute-force oracles for the kernels of the CVCP grid at small n:
 //!
 //! * `core_distances` against a full sort of every row, on grid points
 //!   with many ties and exact duplicates (zero distances), for every
 //!   MinPts from 1 to n + 3 — which covers 1, n − 1, n and n + 3 — and
-//!   for n ∈ {0, 1, 2};
+//!   for n ∈ {0, 1, 2}, bit for bit;
 //! * `MpckMeansResult::objective` against the objective recomputed from
 //!   the definition in the `mpck_means` module docs, with the metric's
 //!   log-determinant taken per object and the cannot-link offset per
-//!   violated cannot-link.
+//!   violated cannot-link, bit for bit;
+//! * `extract_clusters` against exhaustive enumeration of the condensed
+//!   tree's antichains, under stability and under constraint
+//!   satisfaction with and without the stability tiebreak;
+//! * Prim's `minimum_spanning_tree` against Kruskal over all edges: the
+//!   sorted edge weights of every minimum spanning tree are the same, so
+//!   they are compared bit for bit;
+//! * `transitive_closure` against a naive fixpoint of the two closure
+//!   rules.
 //!
 //! Cases come from the vendored proptest shim (`PROPTEST_CASES` bounds
 //! their number).
 
+use cvcp_suite::constraints::closure::transitive_closure;
 use cvcp_suite::constraints::generate::constraint_pool;
-use cvcp_suite::constraints::ConstraintKind;
+use cvcp_suite::constraints::{ConstraintKind, ConstraintSet, UnionFind};
 use cvcp_suite::data::distance::{pairwise_matrix, Euclidean};
 use cvcp_suite::data::rng::SeededRng;
 use cvcp_suite::data::{Assignment, DataMatrix};
-use cvcp_suite::density::{core_distances, KnnTable};
+use cvcp_suite::density::core_distance::mutual_reachability_from_pairwise;
+use cvcp_suite::density::mst::minimum_spanning_tree;
+use cvcp_suite::density::{
+    core_distances, extract_clusters, CondensedTree, Dendrogram, ExtractionObjective, KnnTable,
+};
 use cvcp_suite::kmeans::{MpckMeans, MpckMeansResult, MpckSeeding};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -207,5 +219,330 @@ proptest! {
             k,
             seed
         );
+    }
+}
+
+/// Random points on a 3-per-axis grid (ties and exact duplicates are the
+/// common case) or, with probability one half, uniform in a box.
+fn random_points(n: usize, dims: usize, rng: &mut SeededRng) -> Vec<Vec<f64>> {
+    let on_grid = rng.bernoulli(0.5);
+    (0..n)
+        .map(|_| {
+            (0..dims)
+                .map(|_| {
+                    if on_grid {
+                        rng.index(3) as f64
+                    } else {
+                        rng.uniform_in(0.0, 4.0)
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Random constraints over `0..n_objects`, must-link with probability one
+/// half; self-pairs are skipped.
+fn random_constraints(n_objects: usize, draws: usize, rng: &mut SeededRng) -> ConstraintSet {
+    let mut cs = ConstraintSet::new(n_objects);
+    for _ in 0..draws {
+        let (a, b) = (rng.index(n_objects), rng.index(n_objects));
+        if a == b {
+            continue;
+        }
+        if rng.bernoulli(0.5) {
+            cs.add_must_link(a, b);
+        } else {
+            cs.add_cannot_link(a, b);
+        }
+    }
+    cs
+}
+
+/// Up to 16 distinct points on a grid (distance ties without zero
+/// distances, which would make a stability infinite) or, with probability
+/// one half, uniform in a box.
+fn distinct_points(n: usize, dims: usize, rng: &mut SeededRng) -> Vec<Vec<f64>> {
+    if rng.bernoulli(0.5) {
+        return (0..n)
+            .map(|_| (0..dims).map(|_| rng.uniform_in(0.0, 4.0)).collect())
+            .collect();
+    }
+    let side: usize = if dims == 1 { 16 } else { 4 };
+    rng.sample_indices(side.pow(dims as u32), n)
+        .into_iter()
+        .map(|cell| {
+            (0..dims)
+                .map(|d| (cell / side.pow(d as u32) % side) as f64)
+                .collect()
+        })
+        .collect()
+}
+
+/// The condensed tree the density pipeline builds for `points` at `min_pts`.
+fn condensed_tree(points: &[Vec<f64>], min_pts: usize) -> CondensedTree {
+    let dist = pairwise_matrix(&DataMatrix::from_rows(points), &Euclidean);
+    let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, min_pts));
+    CondensedTree::build(&Dendrogram::from_mst(points.len(), &mst), min_pts)
+}
+
+/// A cluster's FOSC quality from its definition: under constraint
+/// satisfaction, each endpoint `x ∈ C` of a constraint `(x, y)` earns ½
+/// when the constraint holds with `C` selected (must-link: `y ∈ C`;
+/// cannot-link: `y ∉ C`), plus, with the tiebreak, `0.2499 · s(C) / s_max`.
+fn quality_by_definition(tree: &CondensedTree, id: usize, objective: &ExtractionObjective) -> f64 {
+    let node = tree.node(id);
+    match objective {
+        ExtractionObjective::Stability => node.stability,
+        ExtractionObjective::ConstraintSatisfaction {
+            constraints,
+            stability_tiebreak,
+        } => {
+            let inside = |x: usize| node.members.contains(&x);
+            let mut credit = 0.0;
+            for c in constraints.iter() {
+                for (x, y) in [(c.a, c.b), (c.b, c.a)] {
+                    let satisfied = match c.kind {
+                        ConstraintKind::MustLink => inside(y),
+                        ConstraintKind::CannotLink => !inside(y),
+                    };
+                    if inside(x) && satisfied {
+                        credit += 0.5;
+                    }
+                }
+            }
+            if *stability_tiebreak {
+                let s_max = tree
+                    .nodes()
+                    .iter()
+                    .map(|n| n.stability)
+                    .fold(1e-12, f64::max);
+                credit + 0.2499 * node.stability / s_max
+            } else {
+                credit
+            }
+        }
+    }
+}
+
+/// `true` when `a` is a proper ancestor of `b`.
+fn is_ancestor(tree: &CondensedTree, a: usize, b: usize) -> bool {
+    let mut cur = tree.node(b).parent;
+    while let Some(p) = cur {
+        if p == a {
+            return true;
+        }
+        cur = tree.node(p).parent;
+    }
+    false
+}
+
+/// The best total quality over every antichain of the tree's non-root
+/// nodes, by enumerating all subsets; a tree whose root has no children
+/// offers the root alone.
+fn best_antichain_value(tree: &CondensedTree, quality: &[f64]) -> f64 {
+    if tree.root().children.is_empty() {
+        return quality[0];
+    }
+    let candidates: Vec<usize> = (1..tree.nodes().len()).collect();
+    assert!(candidates.len() < 24, "tree too large to enumerate");
+    let mut best = 0.0f64;
+    for subset in 0u32..1 << candidates.len() {
+        let chosen: Vec<usize> = candidates
+            .iter()
+            .enumerate()
+            .filter(|&(bit, _)| subset >> bit & 1 == 1)
+            .map(|(_, &id)| id)
+            .collect();
+        let antichain = chosen
+            .iter()
+            .all(|&a| chosen.iter().all(|&b| !is_ancestor(tree, a, b)));
+        if antichain {
+            best = best.max(chosen.iter().map(|&id| quality[id]).sum());
+        }
+    }
+    best
+}
+
+proptest! {
+    #[test]
+    fn fosc_extraction_matches_exhaustive_antichain_enumeration(
+        n in 2usize..13,
+        dims in 1usize..3,
+        min_pts in 2usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let points = distinct_points(n, dims, &mut rng);
+        let tree = condensed_tree(&points, min_pts);
+        let constraints = random_constraints(n, rng.index(3 * n + 1), &mut rng);
+        let objectives = [
+            ExtractionObjective::Stability,
+            ExtractionObjective::ConstraintSatisfaction {
+                constraints: constraints.clone(),
+                stability_tiebreak: false,
+            },
+            ExtractionObjective::ConstraintSatisfaction {
+                constraints,
+                stability_tiebreak: true,
+            },
+        ];
+        for objective in &objectives {
+            let quality: Vec<f64> = (0..tree.nodes().len())
+                .map(|id| quality_by_definition(&tree, id, objective))
+                .collect();
+            let best = best_antichain_value(&tree, &quality);
+            let sel = extract_clusters(&tree, objective);
+            let pure_credit = matches!(
+                objective,
+                ExtractionObjective::ConstraintSatisfaction { stability_tiebreak: false, .. }
+            );
+            // Credits are multiples of ½ and add exactly in any order;
+            // stability sums are compared to 1e-9 relative.
+            let close = |x: f64| {
+                if pure_credit {
+                    x == best
+                } else {
+                    (x - best).abs() <= 1e-9 * best.abs().max(1.0)
+                }
+            };
+            prop_assert!(
+                close(sel.total_value),
+                "total_value {} vs exhaustive optimum {} under {:?} (n {}, min_pts {}, seed {})",
+                sel.total_value,
+                best,
+                objective,
+                n,
+                min_pts,
+                seed
+            );
+            // The selection itself is an antichain worth its total value.
+            for &a in &sel.selected {
+                for &b in &sel.selected {
+                    prop_assert!(!is_ancestor(&tree, a, b), "{} is an ancestor of {}", a, b);
+                }
+            }
+            let own: f64 = sel.selected.iter().map(|&id| quality[id]).sum();
+            prop_assert!(close(own), "selection worth {} vs optimum {}", own, best);
+        }
+    }
+}
+
+/// The total weight of a minimum spanning tree by Kruskal's algorithm over
+/// all edges, returned as the sorted edge weights.
+fn kruskal_weights(weights: &[Vec<f64>]) -> Vec<f64> {
+    let n = weights.len();
+    let mut edges: Vec<(f64, usize, usize)> = (0..n)
+        .flat_map(|a| ((a + 1)..n).map(move |b| (a, b)))
+        .map(|(a, b)| (weights[a][b], a, b))
+        .collect();
+    edges.sort_by(|x, y| x.0.total_cmp(&y.0));
+    let mut uf = UnionFind::new(n);
+    let mut tree = Vec::new();
+    for (w, a, b) in edges {
+        if uf.find(a) != uf.find(b) {
+            uf.union(a, b);
+            tree.push(w);
+        }
+    }
+    tree
+}
+
+proptest! {
+    #[test]
+    fn prim_mst_matches_kruskal_over_all_edges(
+        n in 0usize..13,
+        dims in 1usize..3,
+        min_pts in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let points = random_points(n, dims, &mut rng);
+        let dist = pairwise_matrix(&DataMatrix::from_rows(&points), &Euclidean);
+        for weights in [dist.clone(), mutual_reachability_from_pairwise(&dist, min_pts)] {
+            let prim = minimum_spanning_tree(&weights);
+            prop_assert_eq!(prim.len(), n.saturating_sub(1));
+            // Prim's edges span every vertex and carry their matrix weight.
+            let mut uf = UnionFind::new(n);
+            for e in &prim {
+                prop_assert_eq!(e.weight.to_bits(), weights[e.a][e.b].to_bits());
+                prop_assert!(uf.find(e.a) != uf.find(e.b), "edge {:?} closes a cycle", e);
+                uf.union(e.a, e.b);
+            }
+            let mut got: Vec<f64> = prim.iter().map(|e| e.weight).collect();
+            got.sort_by(f64::total_cmp);
+            let expected = kruskal_weights(&weights);
+            prop_assert_eq!(
+                bits(&got),
+                bits(&expected),
+                "Prim {:?} vs Kruskal {:?} on {:?}",
+                got,
+                expected,
+                points
+            );
+        }
+    }
+}
+
+/// The closure by its two rules, applied until nothing changes:
+/// `ML(a,b) ∧ ML(b,c) ⇒ ML(a,c)` and `ML(a,b) ∧ CL(b,c) ⇒ CL(a,c)`, over
+/// unordered pairs.
+fn closure_by_fixpoint(set: &ConstraintSet) -> ConstraintSet {
+    let mut out = set.clone();
+    loop {
+        let current: Vec<_> = out.iter().copied().collect();
+        let mut grew = false;
+        for ml in current
+            .iter()
+            .filter(|c| c.kind == ConstraintKind::MustLink)
+        {
+            for other in &current {
+                for (shared, a) in [(ml.a, ml.b), (ml.b, ml.a)] {
+                    if !other.involves(shared) {
+                        continue;
+                    }
+                    let c = other.other(shared);
+                    if c != a {
+                        grew |= match other.kind {
+                            ConstraintKind::MustLink => out.add_must_link(a, c),
+                            ConstraintKind::CannotLink => out.add_cannot_link(a, c),
+                        };
+                    }
+                }
+            }
+        }
+        if !grew {
+            return out;
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn transitive_closure_matches_a_naive_fixpoint(
+        n in 2usize..13,
+        classes in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        // Constraints drawn from a hidden labelling are consistent, the
+        // closure's precondition.
+        let mut rng = SeededRng::new(seed);
+        let label: Vec<usize> = (0..n).map(|_| rng.index(classes)).collect();
+        let mut set = ConstraintSet::new(n);
+        for _ in 0..rng.index(2 * n + 1) {
+            let (a, b) = (rng.index(n), rng.index(n));
+            if a == b {
+                continue;
+            }
+            if label[a] == label[b] {
+                set.add_must_link(a, b);
+            } else {
+                set.add_cannot_link(a, b);
+            }
+        }
+        let closed = transitive_closure(&set);
+        let expected = closure_by_fixpoint(&set);
+        prop_assert_eq!(&closed, &expected, "closure of {:?}", set);
+        prop_assert!(closed.is_consistent());
     }
 }

@@ -334,7 +334,10 @@ fn bench_engine(c: &mut Criterion) {
     // halves of a pair alike; the gate reads the median of the per-pair
     // time ratios.  The overhead budget is 2% of grid wall time — beyond
     // that the always-on counters are no longer "free" and the gate fails.
-    const METRICS_OVERHEAD_PAIRS: usize = 41;
+    // A grid takes a few milliseconds, so a single pair's ratio is noisy:
+    // the pair count keeps the median's spread well inside the budget
+    // (EXPERIMENTS.md, "Hashing each data matrix once").
+    const METRICS_OVERHEAD_PAIRS: usize = 161;
     const MAX_METRICS_OVERHEAD: f64 = 0.02;
     fn median(values: &mut [f64]) -> f64 {
         values.sort_by(f64::total_cmp);

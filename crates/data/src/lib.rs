@@ -32,6 +32,7 @@
 pub mod aloi;
 pub mod dataset;
 pub mod distance;
+mod fingerprint;
 pub mod matrix;
 pub mod normalize;
 pub mod partition;
@@ -44,6 +45,7 @@ pub use distance::{
     Chebyshev, Cosine, DiagonalMahalanobis, Distance, Euclidean, Manhattan, Minkowski,
     SquaredEuclidean,
 };
+pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use matrix::DataMatrix;
 pub use partition::{Assignment, Partition};
 

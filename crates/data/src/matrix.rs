@@ -6,10 +6,20 @@
 //! heavyweight linear-algebra dependency.
 
 use std::fmt;
+use std::sync::OnceLock;
+
+use crate::fingerprint::{Fingerprint, FingerprintBuilder};
 
 /// A dense, row-major matrix of `f64` values.
 ///
 /// Rows are observations (objects), columns are features (attributes).
+///
+/// The content [`fingerprint`](DataMatrix::fingerprint) is memoised per
+/// instance: the first call hashes every value, later calls read the
+/// stored key.  The three `&mut self` methods, [`set`](DataMatrix::set),
+/// [`row_mut`](DataMatrix::row_mut) and [`push_row`](DataMatrix::push_row),
+/// reset it.  A clone carries it, and equality ignores it: two matrices
+/// are equal when their shapes and values are.
 ///
 /// ```
 /// use cvcp_data::DataMatrix;
@@ -20,11 +30,20 @@ use std::fmt;
 /// assert_eq!(m.get(1, 0), 3.0);
 /// assert_eq!(m.row(0), &[1.0, 2.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct DataMatrix {
     values: Vec<f64>,
     n_rows: usize,
     n_cols: usize,
+    /// The memoised [`DataMatrix::fingerprint`]; empty until first read.
+    fingerprint: OnceLock<Fingerprint>,
+}
+
+impl PartialEq for DataMatrix {
+    /// Shape and values; the fingerprint memo is not content.
+    fn eq(&self, other: &Self) -> bool {
+        self.n_rows == other.n_rows && self.n_cols == other.n_cols && self.values == other.values
+    }
 }
 
 impl DataMatrix {
@@ -46,6 +65,7 @@ impl DataMatrix {
             values,
             n_rows,
             n_cols,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -74,6 +94,7 @@ impl DataMatrix {
             values,
             n_rows: rows.len(),
             n_cols,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -83,6 +104,7 @@ impl DataMatrix {
             values: vec![0.0; n_rows * n_cols],
             n_rows,
             n_cols,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -126,6 +148,7 @@ impl DataMatrix {
             row < self.n_rows && col < self.n_cols,
             "index out of bounds"
         );
+        self.fingerprint.take();
         self.values[row * self.n_cols + col] = value;
     }
 
@@ -152,6 +175,7 @@ impl DataMatrix {
             "row index {i} out of bounds ({})",
             self.n_rows
         );
+        self.fingerprint.take();
         &mut self.values[i * self.n_cols..(i + 1) * self.n_cols]
     }
 
@@ -188,6 +212,7 @@ impl DataMatrix {
             self.n_cols = row.len();
         }
         assert_eq!(row.len(), self.n_cols, "row length mismatch");
+        self.fingerprint.take();
         self.values.extend_from_slice(row);
         self.n_rows += 1;
     }
@@ -258,6 +283,21 @@ impl DataMatrix {
     pub fn all_finite(&self) -> bool {
         self.values.iter().all(|v| v.is_finite())
     }
+
+    /// Content fingerprint: FNV-1a over the shape and every value's bit
+    /// pattern, the artifact cache's key for this matrix.  Memoised per
+    /// instance, as the type-level docs describe.
+    pub fn fingerprint(&self) -> Fingerprint {
+        *self.fingerprint.get_or_init(|| {
+            let mut h = FingerprintBuilder::new();
+            h.write_u64(self.n_rows as u64);
+            h.write_u64(self.n_cols as u64);
+            for &v in &self.values {
+                h.write_f64(v);
+            }
+            h.finish()
+        })
+    }
 }
 
 impl fmt::Display for DataMatrix {
@@ -288,6 +328,10 @@ impl fmt::Display for DataMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aloi::aloi_k5_dataset;
+    use crate::replicas::{ecoli_like, ionosphere_like, iris_like, wine_like, zyeast_like};
+    use crate::rng::SeededRng;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn from_rows_roundtrip() {
@@ -378,5 +422,132 @@ mod tests {
         let m = DataMatrix::from_rows(&vec![vec![1.0; 12]; 10]);
         let s = format!("{m}");
         assert!(s.contains("DataMatrix 10x12"));
+    }
+
+    /// The per-call loop the cache keys were computed with before the
+    /// fingerprint was memoised: the shape, then every value's bit
+    /// pattern, hashed afresh on every call.
+    fn fingerprint_by_rehashing(m: &DataMatrix) -> Fingerprint {
+        let mut h = FingerprintBuilder::new();
+        h.write_u64(m.n_rows() as u64);
+        h.write_u64(m.n_cols() as u64);
+        for &v in m.as_slice() {
+            h.write_f64(v);
+        }
+        h.finish()
+    }
+
+    /// A random matrix of up to 5 x 5 (either side may be 0) whose values
+    /// include signed zeros, infinities and NaN.
+    fn random_matrix(rng: &mut SeededRng) -> DataMatrix {
+        const SPECIAL: [f64; 6] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        let (n_rows, n_cols) = (rng.index(6), rng.index(6));
+        let values = (0..n_rows * n_cols)
+            .map(|_| {
+                if rng.bernoulli(0.2) {
+                    SPECIAL[rng.index(SPECIAL.len())]
+                } else {
+                    rng.uniform_in(-1e3, 1e3)
+                }
+            })
+            .collect();
+        DataMatrix::from_flat(values, n_rows, n_cols)
+    }
+
+    #[test]
+    fn fingerprint_matches_the_per_call_reference_bit_for_bit() {
+        // Cache keys taken with `cvcp_engine::fingerprint_matrix` before the
+        // fingerprint was memoised: edge shapes and the benchmark replicas.
+        let pinned = [
+            (DataMatrix::zeros(0, 0), 0x88201fb960ff6465),
+            (DataMatrix::from_flat(vec![], 0, 3), 0xa71ae6c26beeae86),
+            (
+                DataMatrix::from_rows(&[vec![1.5, -0.0, 0.0, f64::INFINITY]]),
+                0xc006390eb6cb2d88,
+            ),
+            (iris_like(7).matrix().clone(), 0x5ef6304ba9689cc8),
+            (wine_like(7).matrix().clone(), 0x60a7b425362b05d5),
+            (ionosphere_like(7).matrix().clone(), 0x79be59b640ebd219),
+            (ecoli_like(7).matrix().clone(), 0x6b71c7ae1ed7389b),
+            (zyeast_like(7).matrix().clone(), 0x216d65dbbfd5855e),
+            (aloi_k5_dataset(7, 0).matrix().clone(), 0xd2300b1436569e8e),
+        ];
+        let mut rng = SeededRng::new(19);
+        let mut cases: Vec<(DataMatrix, Fingerprint)> = pinned.into();
+        for m in [
+            DataMatrix::zeros(3, 0),
+            DataMatrix::from_rows(&[vec![2.0; 7]]),
+            DataMatrix::from_rows(&vec![vec![2.0]; 7]),
+        ]
+        .into_iter()
+        .chain((0..200).map(|_| random_matrix(&mut rng)))
+        {
+            let expected = fingerprint_by_rehashing(&m);
+            cases.push((m, expected));
+        }
+        for (m, expected) in &cases {
+            assert_eq!(fingerprint_by_rehashing(m), *expected);
+            let before = m.clone();
+            assert_eq!(m.fingerprint(), *expected, "first read of {m}");
+            assert_eq!(m.fingerprint(), *expected, "second read of {m}");
+            let after = m.clone();
+            assert_eq!(
+                before.fingerprint(),
+                *expected,
+                "clone taken before the first read"
+            );
+            assert_eq!(
+                after.fingerprint(),
+                *expected,
+                "clone taken after the first read"
+            );
+        }
+        // Two threads first-touch one shared matrix at the same time.
+        for (m, expected) in cases.into_iter().step_by(7) {
+            let shared = Arc::new(m);
+            let barrier = Arc::new(Barrier::new(2));
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (shared, barrier) = (Arc::clone(&shared), Arc::clone(&barrier));
+                    std::thread::spawn(move || {
+                        barrier.wait();
+                        shared.fingerprint()
+                    })
+                })
+                .collect();
+            for reader in readers {
+                assert_eq!(reader.join().expect("reader thread"), expected);
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprinted_matrix_equals_its_untouched_twin() {
+        let ds = iris_like(7);
+        let twin = iris_like(7);
+        let clone = ds.clone();
+        let _ = ds.matrix().fingerprint();
+        assert_eq!(ds.matrix(), twin.matrix());
+        assert_eq!(ds.matrix(), clone.matrix());
+        assert_eq!(ds, twin);
+        assert_eq!(ds, clone);
+        // Equality still reads shape and values.
+        let square = DataMatrix::from_flat(vec![1.0, 2.0, 3.0, 4.0], 2, 2);
+        let _ = square.fingerprint();
+        assert_ne!(
+            square,
+            DataMatrix::from_flat(vec![1.0, 2.0, 3.0, 4.0], 1, 4)
+        );
+        assert_ne!(
+            square,
+            DataMatrix::from_flat(vec![1.0, 2.0, 3.0, 4.5], 2, 2)
+        );
     }
 }

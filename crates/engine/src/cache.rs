@@ -105,62 +105,17 @@ impl Drop for ComputeDepthGuard {
     }
 }
 
-/// A 64-bit content fingerprint (FNV-1a over the value's raw bytes).
-pub type Fingerprint = u64;
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Incremental FNV-1a hasher over `u64` words.
-#[derive(Debug, Clone, Copy)]
-pub struct FingerprintBuilder {
-    state: u64,
-}
-
-impl FingerprintBuilder {
-    /// A fresh hasher.
-    pub fn new() -> Self {
-        Self { state: FNV_OFFSET }
-    }
-
-    /// Mixes one 64-bit word into the fingerprint.
-    #[inline]
-    pub fn write_u64(&mut self, word: u64) -> &mut Self {
-        for byte in word.to_le_bytes() {
-            self.state ^= byte as u64;
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
-        self
-    }
-
-    /// Mixes an `f64` by bit pattern (so `-0.0` and `0.0` differ — fine for
-    /// cache identity, which only needs "same bytes ⇒ same key").
-    #[inline]
-    pub fn write_f64(&mut self, value: f64) -> &mut Self {
-        self.write_u64(value.to_bits())
-    }
-
-    /// The finished fingerprint.
-    pub fn finish(&self) -> Fingerprint {
-        self.state
-    }
-}
-
-impl Default for FingerprintBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+pub use cvcp_data::{Fingerprint, FingerprintBuilder};
 
 /// Content fingerprint of a data matrix (shape + every value's bit pattern).
+///
+/// Reads [`DataMatrix::fingerprint`], which is memoised per instance: a
+/// matrix is hashed on its first lookup, and every later lookup of the
+/// same instance (or of a clone taken after it) reuses the key.
+/// `DataMatrix::{set, row_mut, push_row}` reset the memo, and matrix
+/// equality ignores it.
 pub fn fingerprint_matrix(matrix: &DataMatrix) -> Fingerprint {
-    let mut h = FingerprintBuilder::new();
-    h.write_u64(matrix.n_rows() as u64);
-    h.write_u64(matrix.n_cols() as u64);
-    for &v in matrix.as_slice() {
-        h.write_f64(v);
-    }
-    h.finish()
+    matrix.fingerprint()
 }
 
 /// Content fingerprint of a slice of indices (used for fold membership,
@@ -1523,6 +1478,47 @@ mod tests {
         // shape participates in the fingerprint
         let flat = DataMatrix::from_flat(vec![1.0, 2.0, 3.0, 4.0], 1, 4);
         assert_ne!(fingerprint_matrix(&a), fingerprint_matrix(&flat));
+
+        // Each mutation after a fingerprint was taken reads as a freshly
+        // built matrix with the new content.
+        let fresh = |rows: &[Vec<f64>]| fingerprint_matrix(&DataMatrix::from_rows(rows));
+        let mut m = a.clone();
+        assert_eq!(
+            fingerprint_matrix(&m),
+            fresh(&[vec![1.0, 2.0], vec![3.0, 4.0]])
+        );
+        m.set(0, 1, -2.0);
+        assert_eq!(
+            fingerprint_matrix(&m),
+            fresh(&[vec![1.0, -2.0], vec![3.0, 4.0]])
+        );
+        m.row_mut(1).copy_from_slice(&[5.0, 6.0]);
+        assert_eq!(
+            fingerprint_matrix(&m),
+            fresh(&[vec![1.0, -2.0], vec![5.0, 6.0]])
+        );
+        m.push_row(&[7.0, 8.0]);
+        assert_eq!(
+            fingerprint_matrix(&m),
+            fresh(&[vec![1.0, -2.0], vec![5.0, 6.0], vec![7.0, 8.0]])
+        );
+        // `push_row` on an empty matrix also sets the column count.
+        let mut grown = DataMatrix::zeros(0, 0);
+        let _ = fingerprint_matrix(&grown);
+        grown.push_row(&[9.0, 10.0, 11.0]);
+        assert_eq!(fingerprint_matrix(&grown), fresh(&[vec![9.0, 10.0, 11.0]]));
+        // A clone taken after the fingerprint, then mutated, leaves the
+        // original's fingerprint alone.
+        let mut copy = m.clone();
+        copy.set(2, 0, 0.5);
+        assert_eq!(
+            fingerprint_matrix(&copy),
+            fresh(&[vec![1.0, -2.0], vec![5.0, 6.0], vec![0.5, 8.0]])
+        );
+        assert_eq!(
+            fingerprint_matrix(&m),
+            fresh(&[vec![1.0, -2.0], vec![5.0, 6.0], vec![7.0, 8.0]])
+        );
     }
 
     #[test]

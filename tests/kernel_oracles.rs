@@ -15,23 +15,34 @@
 //!   sorted edge weights of every minimum spanning tree are the same, so
 //!   they are compared bit for bit;
 //! * `transitive_closure` against a naive fixpoint of the two closure
-//!   rules.
+//!   rules;
+//! * `constraint_fmeasure` against per-class precision, recall and F1
+//!   from brute-force counts, on partitions with noise objects;
+//! * `label_scenario_folds` and `constraint_scenario_folds`: training and
+//!   test objects are disjoint, and the naive-fixpoint closure of a
+//!   split's training constraints implies none of its test constraints.
 //!
 //! Cases come from the vendored proptest shim (`PROPTEST_CASES` bounds
 //! their number).
 
 use cvcp_suite::constraints::closure::transitive_closure;
 use cvcp_suite::constraints::generate::constraint_pool;
-use cvcp_suite::constraints::{ConstraintKind, ConstraintSet, UnionFind};
+use cvcp_suite::constraints::{
+    constraint_scenario_folds, label_scenario_folds, Constraint, ConstraintKind, ConstraintSet,
+    FoldSplit, LabeledSubset, UnionFind,
+};
 use cvcp_suite::data::distance::{pairwise_matrix, Euclidean};
 use cvcp_suite::data::rng::SeededRng;
-use cvcp_suite::data::{Assignment, DataMatrix};
+use cvcp_suite::data::{Assignment, DataMatrix, Partition};
 use cvcp_suite::density::core_distance::mutual_reachability_from_pairwise;
 use cvcp_suite::density::mst::minimum_spanning_tree;
 use cvcp_suite::density::{
     core_distances, extract_clusters, CondensedTree, Dendrogram, ExtractionObjective, KnnTable,
 };
 use cvcp_suite::kmeans::{MpckMeans, MpckMeansResult, MpckSeeding};
+use cvcp_suite::metrics::constraint_fmeasure::{
+    constraint_classification_report, constraint_fmeasure,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -517,6 +528,25 @@ fn closure_by_fixpoint(set: &ConstraintSet) -> ConstraintSet {
     }
 }
 
+/// Up to 2n random constraints drawn from a hidden labelling of n
+/// objects, so the set is consistent (the closure's precondition).
+fn consistent_constraints(label: &[usize], rng: &mut SeededRng) -> ConstraintSet {
+    let n = label.len();
+    let mut set = ConstraintSet::new(n);
+    for _ in 0..rng.index(2 * n + 1) {
+        let (a, b) = (rng.index(n), rng.index(n));
+        if a == b {
+            continue;
+        }
+        if label[a] == label[b] {
+            set.add_must_link(a, b);
+        } else {
+            set.add_cannot_link(a, b);
+        }
+    }
+    set
+}
+
 proptest! {
     #[test]
     fn transitive_closure_matches_a_naive_fixpoint(
@@ -524,25 +554,163 @@ proptest! {
         classes in 1usize..5,
         seed in 0u64..1_000_000,
     ) {
-        // Constraints drawn from a hidden labelling are consistent, the
-        // closure's precondition.
         let mut rng = SeededRng::new(seed);
         let label: Vec<usize> = (0..n).map(|_| rng.index(classes)).collect();
-        let mut set = ConstraintSet::new(n);
-        for _ in 0..rng.index(2 * n + 1) {
-            let (a, b) = (rng.index(n), rng.index(n));
-            if a == b {
-                continue;
-            }
-            if label[a] == label[b] {
-                set.add_must_link(a, b);
-            } else {
-                set.add_cannot_link(a, b);
-            }
-        }
+        let set = consistent_constraints(&label, &mut rng);
         let closed = transitive_closure(&set);
         let expected = closure_by_fixpoint(&set);
         prop_assert_eq!(&closed, &expected, "closure of {:?}", set);
         prop_assert!(closed.is_consistent());
+    }
+}
+
+/// Precision, recall and F1 of one constraint class from its definition:
+/// `predicted` and `actual` count the constraints classified as, and
+/// labelled with, the class, and `hits` those that are both.  An empty
+/// denominator reads 1 (no wrong prediction, nothing missed).
+fn class_scores_by_definition(hits: usize, predicted: usize, actual: usize) -> [f64; 3] {
+    let ratio = |num: usize, den: usize| {
+        if den == 0 {
+            1.0
+        } else {
+            num as f64 / den as f64
+        }
+    };
+    let (precision, recall) = (ratio(hits, predicted), ratio(hits, actual));
+    let f1 = if precision + recall == 0.0 {
+        0.0
+    } else {
+        2.0 * precision * recall / (precision + recall)
+    };
+    [precision, recall, f1]
+}
+
+proptest! {
+    #[test]
+    fn constraint_fmeasure_matches_its_definition(
+        n in 1usize..13,
+        clusters in 1usize..5,
+        draws in 0usize..30,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let noise_share = rng.uniform_in(0.0, 0.5);
+        let assignments: Vec<Assignment> = (0..n)
+            .map(|_| {
+                if rng.bernoulli(noise_share) {
+                    Assignment::Noise
+                } else {
+                    Assignment::Cluster(rng.index(clusters))
+                }
+            })
+            .collect();
+        let partition = Partition::from_assignments(assignments.clone());
+        let constraints = if n < 2 {
+            ConstraintSet::new(n)
+        } else {
+            random_constraints(n, draws, &mut rng)
+        };
+        // A constraint is classified must-link when both objects sit in
+        // one cluster; a noise object shares a cluster with nothing.
+        let together = |a: usize, b: usize| match (assignments[a], assignments[b]) {
+            (Assignment::Cluster(x), Assignment::Cluster(y)) => x == y,
+            _ => false,
+        };
+        let all: Vec<_> = constraints.iter().copied().collect();
+        let count = |keep: &dyn Fn(&Constraint) -> bool| all.iter().filter(|c| keep(c)).count();
+        let is_ml = |c: &Constraint| c.kind == ConstraintKind::MustLink;
+        let ml = class_scores_by_definition(
+            count(&|c| is_ml(c) && together(c.a, c.b)),
+            count(&|c| together(c.a, c.b)),
+            count(&|c| is_ml(c)),
+        );
+        let cl = class_scores_by_definition(
+            count(&|c| !is_ml(c) && !together(c.a, c.b)),
+            count(&|c| !together(c.a, c.b)),
+            count(&|c| !is_ml(c)),
+        );
+        let expected = if all.is_empty() { 0.0 } else { (ml[2] + cl[2]) / 2.0 };
+
+        let report = constraint_classification_report(&partition, &constraints);
+        let got_ml = [report.must_link.precision, report.must_link.recall, report.must_link.f1];
+        let got_cl = [
+            report.cannot_link.precision,
+            report.cannot_link.recall,
+            report.cannot_link.f1,
+        ];
+        prop_assert_eq!(bits(&got_ml), bits(&ml), "must-link {:?} vs {:?}", got_ml, ml);
+        prop_assert_eq!(bits(&got_cl), bits(&cl), "cannot-link {:?} vs {:?}", got_cl, cl);
+        prop_assert_eq!(report.n_constraints, all.len());
+        prop_assert_eq!(
+            constraint_fmeasure(&partition, &constraints).to_bits(),
+            expected.to_bits(),
+            "F-measure vs {} on {:?} with {:?}",
+            expected,
+            partition,
+            constraints
+        );
+    }
+}
+
+/// Checks every split: training and test objects are disjoint, and the
+/// naive-fixpoint closure of the training constraints implies no test
+/// constraint.
+fn check_no_leak(splits: &[FoldSplit]) {
+    for split in splits {
+        let training = split.training.involved_objects();
+        for o in split.test_constraints.involved_objects() {
+            assert!(
+                !training.contains(&o),
+                "object {} is on both sides of fold {}",
+                o,
+                split.fold
+            );
+        }
+        let implied = closure_by_fixpoint(&split.training.as_constraints());
+        for c in split.test_constraints.iter() {
+            assert!(
+                !implied.contains(c),
+                "fold {} leaks test constraint {:?} through the training closure",
+                split.fold,
+                c
+            );
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn fold_construction_never_leaks_through_the_closure(
+        n in 4usize..13,
+        classes in 1usize..4,
+        n_folds in 2usize..5,
+        stratified in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let label: Vec<usize> = (0..n).map(|_| rng.index(classes)).collect();
+
+        // Scenario I: a labelled subset of at least `n_folds` objects.
+        let n_labelled = n_folds + rng.index(n - n_folds + 1);
+        let indices = rng.sample_indices(n, n_labelled);
+        let labeled = LabeledSubset::from_ground_truth(&label, &indices);
+        let splits = label_scenario_folds(&labeled, n_folds, stratified == 1, &mut rng);
+        prop_assert_eq!(splits.len(), n_folds);
+        check_no_leak(&splits);
+
+        // Scenario II, skipped when too few objects are constrained.
+        let set = consistent_constraints(&label, &mut rng);
+        let closed = closure_by_fixpoint(&set);
+        if closed.involved_objects().len() >= n_folds {
+            let splits = constraint_scenario_folds(&set, n_folds, &mut rng);
+            prop_assert_eq!(splits.len(), n_folds);
+            check_no_leak(&splits);
+            // Both sides only ever hold constraints of the closed set.
+            for split in &splits {
+                for c in split.training.as_constraints().iter().chain(split.test_constraints.iter()) {
+                    prop_assert!(closed.contains(c), "{:?} is not implied by the input", c);
+                }
+            }
+        }
     }
 }

@@ -8,7 +8,7 @@
 //! receiver against a lock-class registry, tracks guard liveness through
 //! lexical scopes, and builds the static nesting graph. The build fails
 //! on: an unregistered lock site, an acquisition against the declared
-//! rank order, same-class nesting (two pool deques!), or any cycle among the
+//! rank order, same-class nesting (two pool queues!), or any cycle among the
 //! unranked leaf classes.
 //!
 //! This is a *lexical* approximation, and deliberately so: it sees
@@ -52,14 +52,9 @@ pub fn registry() -> BTreeMap<(&'static str, &'static str), LockClass> {
     BTreeMap::from([
         // The ranked classes — must match cvcp_obs::lock_rank.
         (("cvcp-server", "state"), ranked("server-queue", 10)),
-        // The pool's sharded deques: every per-worker per-lane local and
-        // every lane injector is its own mutex, all at the pool rank —
-        // same-class nesting (two deques held at once) is a violation, so
-        // every scheduler acquisition must be transient.
+        // The pool's one two-lane queue; its park condvar waits on the
+        // same lock, so there is no second pool rank.
         (("cvcp-engine", "state"), ranked("pool-state", 20)),
-        (("cvcp-engine", "locals"), ranked("pool-state", 20)),
-        (("cvcp-engine", "injectors"), ranked("pool-state", 20)),
-        (("cvcp-engine", "sleep"), ranked("pool-sleep", 25)),
         // The artifact cache's one map lock (innermost).
         (("cvcp-engine", "map"), ranked("cache-shard", 30)),
         // Leaf locks: completion plumbing and observability buffers.
@@ -150,7 +145,7 @@ pub fn rule_c1(
                         file: site.file.clone(),
                         line: site.line,
                         message: format!(
-                            "acquires `{}` (rank {n}) while holding `{}` (rank {h}) — violates the declared order server-queue(10) < pool-state(20) < pool-sleep(25) < cache-shard(30), and equal ranks never nest",
+                            "acquires `{}` (rank {n}) while holding `{}` (rank {h}) — violates the declared order server-queue(10) < pool-state(20) < cache-shard(30), and equal ranks never nest",
                             site.class.name, held.name
                         ),
                     });

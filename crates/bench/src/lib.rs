@@ -1,20 +1,21 @@
-//! Shared fixtures for the Criterion benchmarks of the CVCP suite.
+//! Shared fixtures for the two benchmarks of the CVCP suite, and the
+//! helpers that write their JSON artifacts.
 //!
-//! Benchmarks cover two layers:
+//! * `bench_engine` times the FOSC selection grid naively and on the
+//!   engine at 1 and 4 workers, and asserts bit-identical selections, the
+//!   FOSC and MPCKMeans cache hit rates, the 4-vs-1-worker ratio and the
+//!   metrics overhead;
+//! * `bench_cache_eviction` runs the experiment grid unbounded and under
+//!   byte and entry budgets below its working set, and asserts
+//!   bit-identical results, the budgets, the cache's accounting and that
+//!   eviction happened.
 //!
-//! * micro/meso benchmarks of the substrates (transitive closure, OPTICS,
-//!   dendrogram + FOSC, MPCKMeans, evaluation metrics, the CVCP selection
-//!   loop itself);
-//! * one benchmark group per reproduced experiment family (curve figures,
-//!   correlation tables, performance tables, box-plot selection runs) at a
-//!   reduced scale, so that regressions in end-to-end experiment cost are
-//!   visible;
-//! * ablation benches for the design decisions called out in `DESIGN.md`
-//!   (closure-aware vs. naive folds, metric learning on/off, semi-supervised
-//!   vs. stability extraction, stratified vs. random folds).
+//! Both run on the vendored criterion shim (`cargo bench -p cvcp-bench`).
+//! Kernel and end-to-end timings live in the repository benchmark
+//! (`perfbench/`), which also uses [`bench_meta`].
 
-use cvcp_constraints::generate::{constraint_pool, sample_labeled_subset};
-use cvcp_constraints::{ConstraintSet, SideInformation};
+use cvcp_constraints::generate::sample_labeled_subset;
+use cvcp_constraints::SideInformation;
 use cvcp_data::rng::SeededRng;
 use cvcp_data::Dataset;
 
@@ -26,27 +27,10 @@ pub fn aloi_dataset() -> Dataset {
     cvcp_data::aloi::aloi_k5_dataset(BENCH_SEED, 0)
 }
 
-/// A medium synthetic data set (smaller dimensionality, more objects).
-pub fn blob_dataset(n_per_class: usize) -> Dataset {
-    let mut rng = SeededRng::new(BENCH_SEED);
-    cvcp_data::synthetic::separated_blobs(4, n_per_class, 8, 10.0, &mut rng)
-}
-
-/// A constraint pool over a data set (all pairs among 10% of each class).
-pub fn pool_for(dataset: &Dataset) -> ConstraintSet {
-    let mut rng = SeededRng::new(BENCH_SEED + 1);
-    constraint_pool(dataset.labels(), 0.10, 2, &mut rng)
-}
-
 /// Label-based side information over 10% of the objects.
 pub fn labels_for(dataset: &Dataset) -> SideInformation {
     let mut rng = SeededRng::new(BENCH_SEED + 2);
     SideInformation::Labels(sample_labeled_subset(dataset.labels(), 0.10, 2, &mut rng))
-}
-
-/// A fresh RNG for a benchmark iteration.
-pub fn rng() -> SeededRng {
-    SeededRng::new(BENCH_SEED + 3)
 }
 
 /// The host's hardware thread count, read from `/proc/cpuinfo` where
@@ -154,10 +138,8 @@ mod tests {
 
     #[test]
     fn fixtures_have_expected_shapes() {
-        assert_eq!(aloi_dataset().len(), 125);
-        assert_eq!(blob_dataset(20).len(), 80);
-        let ds = blob_dataset(20);
-        assert!(!pool_for(&ds).is_empty());
+        let ds = aloi_dataset();
+        assert_eq!(ds.len(), 125);
         assert!(!labels_for(&ds).is_empty());
     }
 }

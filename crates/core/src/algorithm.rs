@@ -104,17 +104,6 @@ pub trait ParameterizedMethod: Send + Sync {
     fn supports_silhouette(&self) -> bool {
         false
     }
-
-    /// The artifact-kind names (see `ArtifactKey::KIND_NAMES`) that
-    /// [`SemiSupervisedClusterer::prepare_artifacts`] materialises for this
-    /// family from the data alone — the kinds a startup cache warmup can
-    /// precompute before any side information exists.  Families whose
-    /// shareable artifacts all depend on side information (e.g. MPCKMeans'
-    /// fold closures and seedings) return the empty slice: warming them
-    /// ahead of traffic is impossible, so warmup skips the family.
-    fn artifact_kinds(&self) -> &'static [&'static str] {
-        &[]
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -227,17 +216,6 @@ impl ParameterizedMethod for FoscMethod {
     fn default_parameter_range(&self, _n_classes_hint: usize) -> Vec<usize> {
         // The range used throughout the paper's experiments.
         vec![3, 6, 9, 12, 15, 18, 21, 24]
-    }
-
-    fn artifact_kinds(&self) -> &'static [&'static str] {
-        // `FoscClusterer::prepare_artifacts` builds the condensed tree,
-        // which caches the full chain of data-only artifacts.
-        &[
-            "pairwise_distances",
-            "core_distances",
-            "mutual_reachability_mst",
-            "density_hierarchy",
-        ]
     }
 }
 

@@ -60,7 +60,6 @@ pub mod report;
 pub mod request;
 pub mod selection;
 pub mod trace_export;
-pub mod warmup;
 
 pub use algorithm::{FoscMethod, MpckMethod, ParameterizedMethod, SemiSupervisedClusterer};
 pub use baselines::{expected_quality, silhouette_selection, SilhouetteSelection};
@@ -81,7 +80,6 @@ pub use selection::{
     CvcpSelection, SelectionCancelled, SelectionProgress,
 };
 pub use trace_export::{chrome_trace_json, graph_profile_json, write_chrome_trace};
-pub use warmup::{CacheWarmup, WarmupEntry, WarmupReport};
 
 /// Convenience re-exports.
 pub mod prelude {

@@ -145,8 +145,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn spawn_job<T: Send + 'static>(state: Arc<ExecState<T>>, pool: PoolHandle, idx: usize) {
     if let Some(recorder) = &state.recorder {
         // The enqueuing worker (None when submitted from outside the pool)
-        // is what the pool's spawn routing keys on too, so span steal
-        // attribution matches the deque the task actually landed on.
+        // is what the pool records as the task's spawner too, so span
+        // steal attribution matches the pool's steal counters.
         recorder.mark_enqueue(idx, state.pool_id.and_then(crate::pool::current_worker_in));
     }
     let task_pool = pool.clone();
@@ -795,8 +795,8 @@ mod tests {
         // jobs blocked on a gate, 40 more batch jobs are queued behind
         // them, and only then is an interactive graph submitted.  Once the
         // gate opens, the interactive job must run before (almost all of)
-        // the queued batch jobs — under the old single-lane FIFO injector
-        // it would have run after all 40.
+        // the queued batch jobs — with a single lane it would run after
+        // all 40.
         use crate::graph::Priority;
         let engine = Engine::with_exact_threads(2);
         let (started_tx, started_rx) = mpsc::channel::<()>();
@@ -945,6 +945,37 @@ mod tests {
         assert_eq!(snap.workers.len(), 2);
         let tasks: u64 = snap.workers.iter().map(|w| w.tasks).sum();
         assert_eq!(tasks, 6);
+    }
+
+    #[test]
+    fn worker_task_and_steal_counts_match_the_traced_spans() {
+        // The pool counts a pick-up as a steal exactly when the span's
+        // `stolen()` says so: another worker enqueued the task.  Chains
+        // make most jobs worker-spawned, so both kinds of pick-up occur.
+        let engine = Engine::with_exact_threads(4);
+        let mut graph: JobGraph<u64> = JobGraph::new(21);
+        for _ in 0..8 {
+            let mut prev = graph.add_job(&[], |ctx| ctx.rng().next_u64());
+            for _ in 0..15 {
+                prev = graph.add_job(&[prev], |ctx| {
+                    (0..200).fold(0u64, |acc, _| acc ^ ctx.rng().next_u64())
+                });
+            }
+        }
+        graph.enable_trace("steal-accounting");
+        let result = engine.run_graph(graph);
+        assert!(result.all_completed());
+        let trace = result.trace.expect("tracing was enabled");
+        let snap = engine.metrics_snapshot();
+        let tasks: u64 = snap.workers.iter().map(|w| w.tasks).sum();
+        let steals: u64 = snap.workers.iter().map(|w| w.steals).sum();
+        assert_eq!(trace.spans.len(), 8 * 16);
+        assert_eq!(tasks, trace.spans.len() as u64, "one task per span");
+        assert_eq!(
+            steals,
+            trace.spans.iter().filter(|s| s.stolen()).count() as u64,
+            "a steal is a pick-up by a worker other than the spawner"
+        );
     }
 
     #[test]

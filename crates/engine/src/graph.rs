@@ -24,12 +24,12 @@ use std::sync::Arc;
 
 /// Scheduling lane of a submitted graph.
 ///
-/// The engine's worker pool keeps two lanes of queues and always drains
-/// the [`Priority::Interactive`] lane first: jobs of an interactive graph
-/// overtake *queued* (not yet started) jobs of any batch graph, so a
+/// The engine's worker pool keeps one FIFO queue per lane and always
+/// drains the [`Priority::Interactive`] lane first: jobs of an interactive
+/// graph overtake *queued* (not yet started) jobs of any batch graph, so a
 /// latency-sensitive selection request is never stuck behind a large
-/// experiment fan-out.  Within a lane, queues keep their usual order
-/// (local LIFO, injector FIFO, steal-oldest).
+/// experiment fan-out.  Within a lane, jobs start in the order they became
+/// ready.
 ///
 /// Priority is pure scheduling: every job draws from its own salted RNG
 /// stream, so results are **bit-identical across lanes** — only waiting

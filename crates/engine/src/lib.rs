@@ -10,8 +10,9 @@
 //! of the grid.  This crate provides the three pieces that turn that grid
 //! into hardware-speed throughput:
 //!
-//! * [`Engine`] — a work-stealing thread pool over `std::thread` +
-//!   channels.  One thread means *inline* execution (the sequential path);
+//! * [`Engine`] — a thread pool over `std::thread` that pulls jobs from one
+//!   locked two-lane queue (interactive before batch, FIFO within a lane).
+//!   One thread means *inline* execution (the sequential path);
 //!   any thread count produces **bit-identical results**, because every job
 //!   draws from its own RNG stream derived via [`SeededRng::fork_stream`]
 //!   from the graph seed and the job's structural salt — never from

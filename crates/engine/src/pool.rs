@@ -1,35 +1,29 @@
-//! A work-stealing thread pool built on `std::thread` + condvar wake-ups,
-//! with two priority lanes and **per-worker, per-lane sharded deque locks**.
+//! The engine's thread pool: `std::thread` workers over **one locked
+//! two-lane queue**.
 //!
-//! Each worker owns one local deque *per lane*; tasks spawned *from* a
-//! worker go to that worker's deque for the task's lane (LIFO — the
-//! continuation of a job is cache-hot), tasks submitted from outside go to
-//! the lane's shared injector queue (FIFO), and idle workers steal the
-//! *oldest* task from a sibling.  Workers always drain the interactive lane
-//! (index 0) completely before touching the batch lane: an interactive
-//! graph submitted while a large batch graph is queued overtakes every
-//! batch job that has not started yet (see [`crate::graph::Priority`]).
+//! **One queue.** The whole scheduler state — one FIFO per priority lane
+//! and the shutdown flag — sits behind a single [`RankedMutex`] at rank
+//! `POOL_STATE`, and one [`RankedCondvar`] waits on that same lock.
+//! [`PoolHandle::spawn`] pushes to the back of its lane and wakes one
+//! parked worker; a worker pops under the lock, runs the task with the
+//! lock released, and parks on the condvar when both lanes are empty.
+//! The emptiness check and the park happen under the lock every spawn
+//! takes, so a task published concurrently is either seen by the check or
+//! wakes the parked worker: no wake-up is lost.
 //!
-//! **Lock sharding.** Every deque — each worker's per-lane local and each
-//! lane's injector — sits behind its own [`RankedMutex`] at rank
-//! `POOL_STATE`; with `unsafe` forbidden workspace-wide a lock-free
-//! Chase–Lev deque is off the table, but one short-lived lock per deque is
-//! safe Rust and removes the old design's single pool mutex from every
-//! push, pop and steal.  The strict rank order doubles as a guard: pool
-//! deque locks share one rank, so *holding two at once* panics in debug
-//! builds — every acquisition here is transient (lock, move one task,
-//! unlock).  Sleeping is coordinated by a separate epoch counter behind
-//! `POOL_SLEEP`: producers push, bump the epoch and notify; an idle worker
-//! baselines the epoch, rescans once, and only parks if the epoch is still
-//! unchanged, so a task published between scan and park can never be lost.
+//! **Strict priority.** Read as a coloured Petri net with priorities, each
+//! lane is a place holding ready tasks and "pop" is one transition per
+//! lane; the interactive transition has strictly higher priority, so the
+//! batch pop fires only while the interactive lane is empty.  An
+//! interactive graph submitted while a large batch graph is queued
+//! therefore overtakes every batch job that has not started yet (see
+//! [`crate::graph::Priority`]).  Within a lane, tasks run in spawn order.
 //!
-//! **Deterministic stealing.** An idle worker probes victims in a fixed
-//! rotation starting at its right-hand neighbour ([`steal_order`]): worker
-//! `me` of `n` scans `me+1, me+2, …` (mod `n`).  The probe order depends
-//! only on the worker id, never on queue lengths sampled under a racing
-//! lock, so scheduling decisions are reproducible given the same arrival
-//! order (results never depend on them either way — RNG streams are
-//! structural).
+//! **Steals.** Each queued task remembers the worker that spawned it
+//! (`None` when it came from outside the pool).  A pick-up counts as a
+//! steal when a *different* worker spawned the task — the rule trace spans
+//! apply too (`JobSpan::stolen`), so the per-worker `steals` counters and a
+//! profile's steal ratio count the same events.
 //!
 //! **Cooperative helping.** A worker that must wait for a result someone
 //! else is producing (an in-flight artifact-cache computation) can run one
@@ -42,17 +36,20 @@
 //! cannot poison the pool (verified by `tests/engine_determinism.rs`).
 
 use crate::graph::N_LANES;
-use cvcp_obs::lock_rank::{POOL_SLEEP, POOL_STATE};
+use cvcp_obs::lock_rank::POOL_STATE;
 use cvcp_obs::{EngineMetrics, RankedCondvar, RankedMutex};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
+
+/// A queued task and the worker that spawned it (`None` from outside).
+type Queued = (Task, Option<usize>);
 
 /// Source of unique pool identities (so a worker thread can tell *which*
 /// pool it belongs to — the engine uses this to run graphs submitted from
@@ -84,13 +81,6 @@ pub(crate) fn current_worker_in(pool_id: u64) -> Option<usize> {
         .map(|(_, index)| index)
 }
 
-/// Victim probe order for worker `me` in a pool of `n` workers: the fixed
-/// rotation `me+1, me+2, …, me+n-1` (mod `n`).  Pure — the steal schedule
-/// is a function of the worker id alone.
-pub(crate) fn steal_order(me: usize, n: usize) -> impl Iterator<Item = usize> {
-    (1..n).map(move |offset| (me + offset) % n)
-}
-
 /// Runs one ready pool task on the calling thread, if the thread is a pool
 /// worker with ready work and the helping depth cap is not exhausted.
 /// Returns whether a task ran.  This is the cache's cooperative-join hook:
@@ -107,89 +97,43 @@ pub(crate) fn help_run_one_task() -> bool {
     let Some(me) = current_worker_in(inner.id) else {
         return false;
     };
-    let Some((task, stolen)) = inner.next_task(me) else {
+    let Some((task, spawner)) = inner.state.lock().expect("pool lock").pop() else {
         return false;
     };
     HELP_DEPTH.with(|depth| depth.set(depth.get() + 1));
-    inner.run_task(me, task, stolen);
+    inner.run_task(me, task, spawner);
     HELP_DEPTH.with(|depth| depth.set(depth.get() - 1));
     true
 }
 
+/// The scheduler state behind the pool's one lock.
+struct Queue {
+    /// One FIFO per lane, interactive (index 0) first.
+    lanes: [VecDeque<Queued>; N_LANES],
+    shutdown: bool,
+}
+
+impl Queue {
+    /// The oldest task of the highest-priority non-empty lane.
+    fn pop(&mut self) -> Option<Queued> {
+        self.lanes.iter_mut().find_map(VecDeque::pop_front)
+    }
+}
+
 struct Inner {
     id: u64,
-    n_workers: usize,
-    /// One shared injector per lane, each behind its own `POOL_STATE` lock.
-    injectors: [RankedMutex<VecDeque<Task>>; N_LANES],
-    /// Per-worker per-lane deques, flat-indexed `worker * N_LANES + lane`,
-    /// each behind its own `POOL_STATE` lock.  Acquisitions are transient:
-    /// same-rank nesting panics under the debug lock-rank guard.
-    locals: Vec<RankedMutex<VecDeque<Task>>>,
-    /// Wake-up epoch (rank `POOL_SLEEP`): bumped on every publish so a
-    /// worker that found nothing can detect a racing push before parking.
-    sleep: RankedMutex<u64>,
+    state: RankedMutex<Queue>,
     work_available: RankedCondvar,
-    shutdown: AtomicBool,
     metrics: Arc<EngineMetrics>,
 }
 
 impl Inner {
-    fn slot(&self, worker: usize, lane: usize) -> usize {
-        worker * N_LANES + lane
-    }
-
-    /// Finds the next task for worker `me`: lanes in priority order (the
-    /// batch lane is only touched when no interactive task is ready), and
-    /// within a lane own deque first (newest-first — the continuation of
-    /// the job this worker just ran is the cache-hot one), then the lane's
-    /// injector (oldest-first, submission order), then the *oldest* task of
-    /// the first non-empty victim in [`steal_order`].  The `bool` says
-    /// whether the task was stolen from a sibling.
-    fn next_task(&self, me: usize) -> Option<(Task, bool)> {
-        for lane in 0..N_LANES {
-            let own = self.slot(me, lane);
-            if let Some(task) = self.locals[own].lock().expect("pool deque lock").pop_back() {
-                return Some((task, false));
-            }
-            if let Some(task) = self.injectors[lane]
-                .lock()
-                .expect("pool injector lock")
-                .pop_front()
-            {
-                return Some((task, false));
-            }
-            for victim in steal_order(me, self.n_workers) {
-                let vslot = self.slot(victim, lane);
-                if let Some(task) = self.locals[vslot]
-                    .lock()
-                    .expect("pool deque lock")
-                    .pop_front()
-                {
-                    return Some((task, true));
-                }
-            }
-        }
-        None
-    }
-
-    /// Publishes a wake-up: bump the epoch so a parking worker rescans, and
-    /// wake one sleeper.
-    fn bump_and_notify_one(&self) {
-        *self.sleep.lock().expect("pool sleep lock") += 1;
-        self.work_available.notify_one();
-    }
-
-    /// Reads the current wake-up epoch (transient acquisition — the
-    /// guard never outlives the read).
-    fn epoch(&self) -> u64 {
-        *self.sleep.lock().expect("pool sleep lock")
-    }
-
-    fn run_task(&self, me: usize, task: Task, stolen: bool) {
+    fn run_task(&self, me: usize, task: Task, spawner: Option<usize>) {
         // Count the pick-up before executing: the task body may publish
         // the result a snapshotting thread is waiting on, and post-hoc
         // counters would race that snapshot.
-        self.metrics.record_task_start(me, stolen);
+        self.metrics
+            .record_task_start(me, spawner.is_some_and(|from| from != me));
         // cvcp: allow(D2, reason = "worker busy-time metrics; observability only")
         let busy_from = self.metrics.is_enabled().then(Instant::now);
         // Backstop: graph jobs catch their own panics to record a Failed
@@ -202,33 +146,21 @@ impl Inner {
     }
 }
 
-/// Cloneable submission handle onto a pool's queues.
+/// Cloneable submission handle onto a pool's queue.
 #[derive(Clone)]
 pub(crate) struct PoolHandle {
     inner: Arc<Inner>,
 }
 
 impl PoolHandle {
-    /// Enqueues a task on the given lane: on one of *this* pool's worker
-    /// threads onto that worker's local deque, otherwise onto the lane's
-    /// shared injector.
+    /// Enqueues a task at the back of the given lane and wakes one parked
+    /// worker.
     pub(crate) fn spawn(&self, task: Task, lane: usize) {
         debug_assert!(lane < N_LANES);
         let inner = &self.inner;
-        match WORKER.with(Cell::get) {
-            Some((pool, me)) if pool == inner.id && me < inner.n_workers => {
-                let own = inner.slot(me, lane);
-                inner.locals[own]
-                    .lock()
-                    .expect("pool deque lock")
-                    .push_back(task);
-            }
-            _ => inner.injectors[lane]
-                .lock()
-                .expect("pool injector lock")
-                .push_back(task),
-        }
-        inner.bump_and_notify_one();
+        let spawner = current_worker_in(inner.id);
+        inner.state.lock().expect("pool lock").lanes[lane].push_back((task, spawner));
+        inner.work_available.notify_one();
     }
 }
 
@@ -249,14 +181,14 @@ impl ThreadPool {
         debug_assert!(metrics.n_workers() >= n, "metrics sized for the pool");
         let inner = Arc::new(Inner {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
-            n_workers: n,
-            injectors: std::array::from_fn(|_| RankedMutex::new(&POOL_STATE, VecDeque::new())),
-            locals: (0..n * N_LANES)
-                .map(|_| RankedMutex::new(&POOL_STATE, VecDeque::new()))
-                .collect(),
-            sleep: RankedMutex::new(&POOL_SLEEP, 0),
+            state: RankedMutex::new(
+                &POOL_STATE,
+                Queue {
+                    lanes: std::array::from_fn(|_| VecDeque::new()),
+                    shutdown: false,
+                },
+            ),
             work_available: RankedCondvar::new(),
-            shutdown: AtomicBool::new(false),
             metrics,
         });
         let workers = (0..n)
@@ -280,9 +212,7 @@ impl ThreadPool {
 
     /// `true` when the calling thread is one of this pool's workers.
     pub(crate) fn is_worker_thread(&self) -> bool {
-        WORKER
-            .with(Cell::get)
-            .is_some_and(|(pool, _)| pool == self.inner.id)
+        current_worker_in(self.inner.id).is_some()
     }
 
     /// This pool's identity, matchable against [`current_worker_in`] from
@@ -300,8 +230,7 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        *self.inner.sleep.lock().expect("pool sleep lock") += 1;
+        self.inner.state.lock().expect("pool lock").shutdown = true;
         self.inner.work_available.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -313,28 +242,24 @@ fn worker_loop(inner: &Arc<Inner>, me: usize) {
     WORKER.with(|cell| cell.set(Some((inner.id, me))));
     CURRENT_POOL.with(|pool| *pool.borrow_mut() = Some(Arc::downgrade(inner)));
     loop {
-        if let Some((task, stolen)) = inner.next_task(me) {
-            inner.run_task(me, task, stolen);
-            continue;
-        }
-        if inner.shutdown.load(Ordering::Acquire) {
+        let next = {
+            let mut queue = inner.state.lock().expect("pool lock");
+            loop {
+                if let Some(next) = queue.pop() {
+                    break Some(next);
+                }
+                if queue.shutdown {
+                    break None;
+                }
+                inner.metrics.record_park(me);
+                queue = inner.work_available.wait(queue).expect("pool condvar wait");
+            }
+        };
+        // The lock is released here: the task runs without it.
+        let Some((task, spawner)) = next else {
             return;
-        }
-        // Park protocol, per-deque locks edition: baseline the wake-up
-        // epoch, rescan once, and only sleep while the epoch is unchanged.
-        // A producer pushes *then* bumps the epoch, so a task published
-        // after the rescan forces the epoch check to fail and a task
-        // published before it is found by the rescan — no lost wake-ups.
-        let seen = inner.epoch();
-        if let Some((task, stolen)) = inner.next_task(me) {
-            inner.run_task(me, task, stolen);
-            continue;
-        }
-        inner.metrics.record_park(me);
-        let mut epoch = inner.sleep.lock().expect("pool sleep lock");
-        while *epoch == seen && !inner.shutdown.load(Ordering::Acquire) {
-            epoch = inner.work_available.wait(epoch).expect("pool condvar wait");
-        }
+        };
+        inner.run_task(me, task, spawner);
     }
 }
 
@@ -403,7 +328,7 @@ mod tests {
         let inner_handle = handle.clone();
         handle.spawn(
             Box::new(move || {
-                // spawned from a worker → lands on the local deque
+                // spawned from a worker: the spawner is recorded
                 inner_handle.spawn(Box::new(move || tx.send(7).unwrap()), BATCH);
             }),
             BATCH,
@@ -421,29 +346,11 @@ mod tests {
     }
 
     #[test]
-    fn steal_order_is_a_deterministic_rotation() {
-        assert_eq!(steal_order(0, 4).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(steal_order(2, 4).collect::<Vec<_>>(), vec![3, 0, 1]);
-        assert_eq!(steal_order(3, 4).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert_eq!(steal_order(0, 1).count(), 0, "no self-steal in a pool of 1");
-        // The schedule is a pure function of the worker id: identical on
-        // every call, and each worker visits every sibling exactly once.
-        for me in 0..8 {
-            let first: Vec<_> = steal_order(me, 8).collect();
-            let second: Vec<_> = steal_order(me, 8).collect();
-            assert_eq!(first, second);
-            let mut sorted = first.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..8).filter(|&i| i != me).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
     fn blocked_workers_local_tasks_are_stolen_by_siblings() {
-        // One worker parks on a gate *inside a task*, after pushing two
-        // follow-ups onto its own local deque.  The other worker must steal
-        // and run them while the owner is still blocked — per-worker deque
-        // locks must not trap tasks on a busy worker.
+        // One worker parks on a gate *inside a task*, after spawning two
+        // follow-ups.  The other worker must steal and run them while the
+        // spawner is still blocked — a busy worker must not trap the tasks
+        // it spawned.
         let pool = pool(2);
         let handle = pool.handle();
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
@@ -504,6 +411,81 @@ mod tests {
         // Drop resolves only after the worker loop drains; reaching here
         // without a deadlock is the assertion.
         drop(pool);
+    }
+
+    #[test]
+    fn no_task_is_lost_under_concurrent_spawns_and_parks() {
+        // Two outside threads feed both lanes in bursts while the tasks
+        // they submit spawn children from the workers.  Seeded pauses
+        // between bursts let the workers drain the queue and park, so
+        // every burst has to wake them again: a spawn whose wake-up is
+        // lost leaves its task queued behind parked workers and trips the
+        // timeout below.
+        use cvcp_data::rng::SeededRng;
+        use std::time::Duration;
+        const ROUNDS: usize = 200;
+        const FEEDERS: usize = 2;
+        const BURSTS: usize = 4;
+        const BURST: usize = 6;
+        // Each fed task runs once and spawns one child.
+        const PER_ROUND: usize = FEEDERS * BURSTS * BURST * 2;
+        let pool = pool(4);
+        let handle = pool.handle();
+        for round in 0..ROUNDS {
+            let runs: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..PER_ROUND).map(|_| AtomicUsize::new(0)).collect());
+            let (done_tx, done_rx) = mpsc::channel::<()>();
+            std::thread::scope(|scope| {
+                for feeder in 0..FEEDERS {
+                    let (handle, runs, done_tx) =
+                        (handle.clone(), Arc::clone(&runs), done_tx.clone());
+                    scope.spawn(move || {
+                        let mut rng = SeededRng::new((round * FEEDERS + feeder) as u64);
+                        let mut id = feeder * BURSTS * BURST * 2;
+                        for _ in 0..BURSTS {
+                            for _ in 0..BURST {
+                                let (parent, child) = (id, id + 1);
+                                id += 2;
+                                let lane = rng.index(N_LANES);
+                                let child_lane = rng.index(N_LANES);
+                                let (inner, runs, done_tx) =
+                                    (handle.clone(), Arc::clone(&runs), done_tx.clone());
+                                handle.spawn(
+                                    Box::new(move || {
+                                        runs[parent].fetch_add(1, Ordering::SeqCst);
+                                        let child_runs = Arc::clone(&runs);
+                                        let child_tx = done_tx.clone();
+                                        inner.spawn(
+                                            Box::new(move || {
+                                                child_runs[child].fetch_add(1, Ordering::SeqCst);
+                                                child_tx.send(()).unwrap();
+                                            }),
+                                            child_lane,
+                                        );
+                                        done_tx.send(()).unwrap();
+                                    }),
+                                    lane,
+                                );
+                            }
+                            let pause = rng.index(500) as u64;
+                            std::thread::sleep(Duration::from_micros(pause));
+                        }
+                    });
+                }
+            });
+            for _ in 0..PER_ROUND {
+                done_rx
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("round {round}: a spawned task never ran"));
+            }
+            for (id, count) in runs.iter().enumerate() {
+                assert_eq!(
+                    count.load(Ordering::SeqCst),
+                    1,
+                    "round {round}: task {id} must run exactly once"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!    run clean under the guard, i.e. the declared order matches reality.
 
 use cvcp_engine::obs::lock_rank::{
-    checking_enabled, RankedMutex, CACHE_SHARD, POOL_SLEEP, POOL_STATE, SERVER_QUEUE,
+    checking_enabled, RankedMutex, CACHE_SHARD, POOL_STATE, SERVER_QUEUE,
 };
 use cvcp_engine::{ArtifactKey, CacheConfig, Engine, JobGraph};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,12 +40,11 @@ fn reversed_engine_lock_order_panics_in_debug_builds() {
     assert!(message.contains("lock-rank violation"), "{message}");
 }
 
-/// The per-worker deque refactor's contract (ISSUE 9): the pool's
-/// per-worker per-lane deques all share rank `POOL_STATE`, and equal
-/// ranks never nest — every scheduler acquisition must be transient, so
-/// holding one deque while locking a second (the classic symmetric
-/// deadlock of work stealing: worker A steals from B while B steals
-/// from A) panics immediately in debug builds.
+/// Equal ranks never nest: a lock at rank `POOL_STATE` taken while
+/// another one is held panics in debug builds, so any second pool queue
+/// (or a scheduler that held two at once — the classic symmetric deadlock
+/// of work stealing: worker A steals from B while B steals from A) is
+/// caught immediately.
 #[test]
 fn nesting_two_pool_deque_locks_panics_in_debug_builds() {
     if !checking_enabled() {
@@ -66,10 +65,9 @@ fn nesting_two_pool_deque_locks_panics_in_debug_builds() {
 }
 
 #[test]
-fn declared_order_is_queue_pool_sleep_shard() {
+fn declared_order_is_queue_pool_shard() {
     assert!(SERVER_QUEUE.rank < POOL_STATE.rank);
-    assert!(POOL_STATE.rank < POOL_SLEEP.rank);
-    assert!(POOL_SLEEP.rank < CACHE_SHARD.rank);
+    assert!(POOL_STATE.rank < CACHE_SHARD.rank);
 }
 
 /// A real multi-worker engine run over a bounded, eviction-active cache: every ranked lock in the engine fires many times.  If any actual

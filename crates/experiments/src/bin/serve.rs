@@ -8,9 +8,6 @@
 //! * `CVCP_THREADS` — engine worker threads (default: hardware);
 //! * `CVCP_CACHE_MAX_MB` / `CVCP_CACHE_MAX_ENTRIES` — artifact-cache
 //!   budget (default: unbounded);
-//! * `CVCP_CACHE_WARMUP` — comma-separated data-set replica names (e.g.
-//!   `iris_like,aloi:0`) whose data-only artifacts are precomputed into
-//!   the cache, in list order, before the server accepts traffic;
 //! * `CVCP_ADDR` — listen address;
 //! * `CVCP_QUEUE_DEPTH` — request queue capacity (default 32);
 //! * `CVCP_SERVER_WORKERS` — concurrent selection workers (default 2);
@@ -39,28 +36,13 @@
 //!
 //! The process runs until a client sends `{"type":"shutdown"}`.
 
-use cvcp_experiments::{engine_from_env, run_cache_warmup, warmup_replicas_from_env};
+use cvcp_experiments::engine_from_env;
 use cvcp_server::{Server, ServerConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 fn main() -> ExitCode {
     let engine = Arc::new(engine_from_env());
-    // Warm the cache *before* binding: the first request a client can
-    // reach already sees the precomputed artifacts.
-    let warmup_replicas = warmup_replicas_from_env();
-    if !warmup_replicas.is_empty() {
-        match run_cache_warmup(&engine, &warmup_replicas) {
-            Some(report) => println!(
-                "cache warmup: {} jobs over {} plan cell(s); {} artifacts ({:.1} MiB) resident",
-                report.jobs,
-                report.entries.len(),
-                report.resident_entries,
-                report.resident_bytes as f64 / (1024.0 * 1024.0),
-            ),
-            None => eprintln!("cache warmup: no known replicas in CVCP_CACHE_WARMUP"),
-        }
-    }
     let config = ServerConfig::from_env();
     let server = match Server::start(&config, Arc::clone(&engine)) {
         Ok(server) => server,

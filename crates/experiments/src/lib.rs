@@ -14,14 +14,12 @@
 use cvcp_core::experiment::{
     run_experiment_on, summarize, ExperimentConfig, ExperimentSummary, SideInfoSpec,
 };
-use cvcp_core::{
-    CacheWarmup, CvcpConfig, FoscMethod, MpckMethod, ParameterizedMethod, WarmupReport,
-};
+use cvcp_core::{CvcpConfig, FoscMethod, MpckMethod, ParameterizedMethod};
 use cvcp_data::Dataset;
 use cvcp_engine::{CacheConfig, Engine};
 use cvcp_metrics::stats::{mean, std_dev};
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 pub use cvcp_core::json;
 
@@ -143,52 +141,6 @@ pub fn threads_from_env() -> usize {
 /// experiment binaries ([`shared_engine`]) and the `serve` front-end.
 pub fn engine_from_env() -> Engine {
     Engine::with_cache_config(threads_from_env(), cache_config_from_env())
-}
-
-/// The startup cache-warmup replica list from `CVCP_CACHE_WARMUP`: a
-/// comma-separated list of replica names as understood by
-/// [`cvcp_data::replicas::replica_by_name`] (e.g.
-/// `iris_like,wine_like,aloi:3`).  Unset or empty: no warmup.
-pub fn warmup_replicas_from_env() -> Vec<String> {
-    // cvcp: allow(D3, reason = "generic reader closure; the literal CVCP_CACHE_WARMUP name is passed in below and checked there")
-    warmup_replicas_from(|var| std::env::var(var).ok())
-}
-
-/// [`warmup_replicas_from_env`] with the variable lookup injected (see
-/// [`cache_config_from_env`] for why).
-fn warmup_replicas_from(lookup: impl Fn(&str) -> Option<String>) -> Vec<String> {
-    lookup("CVCP_CACHE_WARMUP")
-        .map(|list| {
-            list.split(',')
-                .map(str::trim)
-                .filter(|name| !name.is_empty())
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Runs the startup cache warmup for the named data-set replicas on the
-/// paper's method families (resolved deterministically with [`BASE_SEED`],
-/// so the warmed artifacts fingerprint-match the ones `serve` requests for
-/// those replicas will look up).  Unknown names are reported on stderr and
-/// skipped; `None` when no name resolves.  Warmup only populates the
-/// cache — it can never change any selection result.
-pub fn run_cache_warmup(engine: &Engine, replicas: &[String]) -> Option<WarmupReport> {
-    let mut warmup = CacheWarmup::new()
-        .add_method(Arc::new(FoscMethod::default()))
-        .add_method(Arc::new(MpckMethod::default()));
-    let mut any = false;
-    for name in replicas {
-        match cvcp_data::replicas::replica_by_name(name, BASE_SEED) {
-            Some(ds) => {
-                warmup = warmup.add_dataset(&ds);
-                any = true;
-            }
-            None => eprintln!("warning: unknown warmup replica {name:?} (skipped)"),
-        }
-    }
-    any.then(|| warmup.run(engine))
 }
 
 /// The process-wide execution engine: every experiment binary multiplexes
@@ -699,26 +651,6 @@ mod tests {
         // An absurd MiB count saturates instead of overflowing.
         let cfg = cache_config_from(env(&[("CVCP_CACHE_MAX_MB", "18446744073709551615")]));
         assert_eq!(cfg.max_bytes, Some(usize::MAX));
-    }
-
-    #[test]
-    fn warmup_replica_list_parses_and_warms_the_cache() {
-        let names = warmup_replicas_from(|var| {
-            (var == "CVCP_CACHE_WARMUP").then(|| " iris_like, ,aloi:1 ".to_string())
-        });
-        assert_eq!(names, vec!["iris_like".to_string(), "aloi:1".to_string()]);
-        assert!(warmup_replicas_from(|_| None).is_empty());
-
-        // Unknown names are skipped; known ones warm real artifacts.
-        let engine = Engine::new(2);
-        let report = run_cache_warmup(
-            &engine,
-            &["no_such_replica".to_string(), "iris_like".to_string()],
-        )
-        .expect("one replica resolves");
-        assert!(report.jobs > 0);
-        assert!(report.resident_entries > 0);
-        assert!(run_cache_warmup(&engine, &["no_such_replica".to_string()]).is_none());
     }
 
     #[test]

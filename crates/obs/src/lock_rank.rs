@@ -18,13 +18,12 @@
 //! | rank | lock | holder |
 //! |------|------|--------|
 //! | 10 | [`SERVER_QUEUE`] | `cvcp-server` `BoundedQueue` state |
-//! | 20 | [`POOL_STATE`] | one `cvcp-engine` thread-pool deque (per worker per lane) |
-//! | 25 | [`POOL_SLEEP`] | the pool's wake-up epoch behind its park condvar |
+//! | 20 | [`POOL_STATE`] | the `cvcp-engine` thread pool's two-lane queue |
 //! | 30 | [`CACHE_SHARD`] | the `ArtifactCache` map (innermost) |
 //!
 //! Equal ranks never nest either (the order is *strictly* increasing), so
-//! holding two pool deques at once — the classic work-stealing deadlock —
-//! is also a violation.
+//! holding two locks of one rank at once — two pool queues, say — is also
+//! a violation.
 //!
 //! Cost model: in release builds the rank bookkeeping compiles away
 //! entirely (`cfg!(debug_assertions)` is a compile-time constant) and a
@@ -58,22 +57,13 @@ pub static SERVER_QUEUE: LockRank = LockRank {
     name: "server-queue",
 };
 
-/// One deque of the engine thread pool (each worker's per-lane deque and
-/// each lane's shared injector carries its own mutex at this rank, so the
-/// strict order makes holding two pool deques at once a violation — every
-/// acquisition on the scheduling hot path must be transient).
+/// The engine thread pool's queue: both priority lanes and the shutdown
+/// flag behind one mutex, which the pool's park condvar waits on.  Every
+/// acquisition is transient (push, pop or park); a task never runs under
+/// it.
 pub static POOL_STATE: LockRank = LockRank {
     rank: 20,
     name: "pool-state",
-};
-
-/// The pool's wake-up epoch counter, guarded separately from the deques so
-/// producers never publish a task and wake a sleeper under one big lock.
-/// Ordered after the deques: a scan may baseline the epoch between deque
-/// probes, never the other way around while a deque lock is held.
-pub static POOL_SLEEP: LockRank = LockRank {
-    rank: 25,
-    name: "pool-sleep",
 };
 
 /// The engine's `ArtifactCache` map (innermost: no lock is taken while
@@ -118,8 +108,8 @@ fn push_rank(rank: &'static LockRank) {
                 assert!(
                     top < rank.rank,
                     "lock-rank violation: acquiring `{}` (rank {}) while holding `{}` (rank {}); \
-                     the global order is server-queue(10) < pool-state(20) < pool-sleep(25) < \
-                     cache-shard(30), strictly increasing",
+                     the global order is server-queue(10) < pool-state(20) < cache-shard(30), \
+                     strictly increasing",
                     rank.name,
                     rank.rank,
                     top_name,

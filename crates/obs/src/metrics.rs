@@ -80,7 +80,7 @@ pub struct WorkerSnapshot {
     /// Nanoseconds spent executing tasks (excludes queue handling and
     /// parked time).
     pub busy_nanos: u64,
-    /// Tasks obtained by stealing from a sibling's local deque.
+    /// Tasks picked up that a different worker had spawned.
     pub steals: u64,
     /// Times the worker parked on the pool condvar with no work found.
     pub parks: u64,
@@ -151,8 +151,8 @@ impl EngineMetrics {
         }
     }
 
-    /// Records one executed task on `worker`: `stolen` says whether it
-    /// came from a sibling's local deque.
+    /// Records one executed task on `worker`: `stolen` says whether a
+    /// different worker spawned it.
     ///
     /// Single-call form of [`record_task_start`](Self::record_task_start)
     /// plus [`record_task_busy`](Self::record_task_busy), for recorders
@@ -162,8 +162,8 @@ impl EngineMetrics {
         self.record_task_busy(worker, busy_nanos);
     }
 
-    /// Counts one task picked up by `worker` (`stolen` says whether it
-    /// came from a sibling's local deque), *before* it executes.
+    /// Counts one task picked up by `worker` (`stolen` says whether a
+    /// different worker spawned it), *before* it executes.
     ///
     /// Recording the pick-up separately from the busy time matters for
     /// snapshot consistency: a task's own body may publish the result

@@ -11,8 +11,8 @@
 //! * **per-worker occupancy** — busy nanoseconds per worker over the wall
 //!   clock, exposing idle workers and load imbalance;
 //! * **queue waits and steals** — how long ready jobs sat before starting,
-//!   and what fraction of executed jobs were stolen from another worker's
-//!   deque.
+//!   and what fraction of executed jobs were stolen (run by a worker
+//!   other than the one that enqueued them).
 
 use crate::trace::GraphTrace;
 
@@ -55,7 +55,8 @@ pub struct GraphProfile {
     /// `wall_ns / critical_path_ns` (≥ 1 in a faithful trace): 1.0 means
     /// the schedule was optimal; the excess is scheduling overhead.
     pub schedule_overhead: f64,
-    /// Fraction of executed jobs taken from another worker's deque.
+    /// Fraction of executed jobs run by a worker other than the one that
+    /// enqueued them.
     pub steal_ratio: f64,
     /// Sum over executed jobs of (start − enqueue).
     pub total_queue_wait_ns: u64,

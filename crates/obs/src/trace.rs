@@ -47,8 +47,8 @@ pub struct JobSpan {
     pub start_ns: u64,
     /// Tick at which execution finished.
     pub end_ns: u64,
-    /// Pool worker whose local deque the job was enqueued on; `None` when
-    /// it went through the injector (submitted from outside the pool).
+    /// Pool worker that enqueued the job; `None` when it was submitted
+    /// from outside the pool.
     pub enqueued_by: Option<usize>,
     /// Artifact-cache hits observed while the job ran.
     pub cache_hits: u64,
@@ -68,8 +68,9 @@ impl JobSpan {
     }
 
     /// Whether the job was executed by a different worker than the one
-    /// that enqueued it (i.e. it was stolen).  Injector-submitted jobs are
-    /// never "stolen" — any worker may legitimately pick them up.
+    /// that enqueued it (i.e. it was stolen).  Jobs submitted from outside
+    /// the pool are never "stolen" — any worker may legitimately pick them
+    /// up.
     pub fn stolen(&self) -> bool {
         match (self.enqueued_by, self.worker) {
             (Some(from), Some(ran)) => from != ran,
@@ -117,8 +118,8 @@ impl SpanRecorder {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Marks `job` as enqueued now, by pool worker `by` (or `None` for
-    /// the injector / inline path).
+    /// Marks `job` as enqueued now, by pool worker `by` (or `None` when
+    /// it was submitted from outside the pool or runs inline).
     pub fn mark_enqueue(&self, job: usize, by: Option<usize>) {
         self.enqueue_ns[job].store(self.now_ns(), Ordering::Relaxed);
         self.enqueued_by[job].store(by.unwrap_or(NO_WORKER), Ordering::Relaxed);
@@ -236,9 +237,9 @@ mod tests {
         r.mark_enqueue(0, Some(0));
         r.record_span(0, Some(1), 0, 1, 2, 0, 0); // enqueued by 0, ran on 1
         r.mark_enqueue(1, Some(1));
-        r.record_span(1, Some(1), 0, 1, 2, 0, 0); // own deque
+        r.record_span(1, Some(1), 0, 1, 2, 0, 0); // enqueued and ran on 1
         r.mark_enqueue(2, None);
-        r.record_span(2, Some(0), 0, 1, 2, 0, 0); // injector
+        r.record_span(2, Some(0), 0, 1, 2, 0, 0); // submitted from outside
         let trace = r.finish();
         assert!(trace.spans[0].stolen());
         assert!(!trace.spans[1].stolen());

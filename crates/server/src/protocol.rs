@@ -467,7 +467,7 @@ pub struct WorkerMetrics {
     pub tasks: u64,
     /// Nanoseconds spent executing tasks.
     pub busy_ns: u64,
-    /// Tasks stolen from a sibling's deque.
+    /// Tasks picked up that a different worker had spawned.
     pub steals: u64,
     /// Times the worker parked waiting for work.
     pub parks: u64,

@@ -12,10 +12,10 @@
 //! results are **bit-identical** to the unbounded run, the peak resident
 //! bytes never exceed the budget, the accounting never drifts from the live
 //! map, and eviction actually happened (the budget was real).  CI runs this
-//! bench in smoke mode so an accounting or eviction regression fails the
-//! build.
+//! bench on every build, so an accounting or eviction regression fails it.
+//! A plain `harness = false` main: `cargo bench -p cvcp-bench --bench
+//! bench_cache_eviction`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use cvcp_bench::{aloi_dataset, bench_meta, write_bench_json};
 use cvcp_core::experiment::{run_experiment_on, ExperimentConfig, SideInfoSpec, TrialOutcome};
 use cvcp_core::json::{Json, ToJson};
@@ -61,7 +61,7 @@ fn run_grid(engine: &Engine) -> (Vec<TrialOutcome>, Vec<TrialOutcome>) {
     (mpck, fosc)
 }
 
-fn bench_cache_eviction(c: &mut Criterion) {
+fn main() {
     // Reference: unbounded cache — measures the working set.
     let unbounded = Engine::new(2);
     let start = Instant::now();
@@ -144,24 +144,9 @@ fn bench_cache_eviction(c: &mut Criterion) {
             ("bounded_evictions", stats.evictions.to_json()),
             ("bounded_evicted_bytes", stats.evicted_bytes.to_json()),
             ("bounded_peak_bytes", stats.peak_resident_bytes.to_json()),
+            ("entry_bounded_hit_rate", entry_stats.hit_rate().to_json()),
             ("entry_bounded_evictions", entry_stats.evictions.to_json()),
             ("results_bit_identical_under_budget", true.to_json()),
         ]),
     );
-
-    let mut group = c.benchmark_group("engine/cache_eviction");
-    group.sample_size(2);
-    group.bench_function("grid_unbounded", |b| b.iter(|| run_grid(&Engine::new(2))));
-    group.bench_function("grid_bounded_quarter", |b| {
-        b.iter(|| {
-            run_grid(&Engine::with_cache_config(
-                2,
-                CacheConfig::default().with_max_bytes(budget),
-            ))
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_cache_eviction);
-criterion_main!(benches);

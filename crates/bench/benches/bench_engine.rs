@@ -12,9 +12,10 @@
 //! cache hit rate.  On a multi-core host the 4-worker line adds thread
 //! parallelism on top of the cache win; on a single hardware thread it
 //! degrades gracefully to the 1-worker figure.  Selections are asserted
-//! bit-identical across engine thread counts on every measurement.
+//! bit-identical across engine thread counts on every measurement.  A
+//! plain `harness = false` main: `cargo bench -p cvcp-bench --bench
+//! bench_engine`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use cvcp_bench::{aloi_dataset, bench_meta, labels_for, write_bench_json};
 use cvcp_constraints::folds::label_scenario_folds;
 use cvcp_constraints::SideInformation;
@@ -30,7 +31,7 @@ use std::time::Instant;
 
 /// Minimum cache hit rate the FOSC grid must sustain — a drop below this
 /// means the hit/miss accounting or the artifact keying regressed (CI runs
-/// this bench in smoke mode and fails on the assert).
+/// this bench and fails on the assert).
 const MIN_FOSC_HIT_RATE: f64 = 0.5;
 
 /// Minimum cache hit rate for the MPCKMeans grid: the k-invariant seeding
@@ -83,21 +84,8 @@ fn engine_grid(engine: &Engine, ds: &Dataset, side: &SideInformation) -> CvcpSel
     )
 }
 
-fn bench_engine(c: &mut Criterion) {
+fn main() {
     let (ds, side) = fixture();
-
-    let mut group = c.benchmark_group("engine/grid");
-    group.sample_size(3);
-    group.bench_function("fosc_grid_naive_sequential", |b| {
-        b.iter(|| naive_grid(&ds, &side))
-    });
-    group.bench_function("fosc_grid_engine_1worker", |b| {
-        b.iter(|| engine_grid(&Engine::new(1), &ds, &side))
-    });
-    group.bench_function("fosc_grid_engine_4workers", |b| {
-        b.iter(|| engine_grid(&Engine::new(4), &ds, &side))
-    });
-    group.finish();
 
     // Explicit speedup / hit-rate report (best of 3 cold runs each).
     fn best_of(mut f: impl FnMut() -> f64) -> f64 {
@@ -453,6 +441,3 @@ fn bench_engine(c: &mut Criterion) {
         ]),
     );
 }
-
-criterion_group!(benches, bench_engine);
-criterion_main!(benches);

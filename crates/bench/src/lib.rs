@@ -10,7 +10,7 @@
 //!   bit-identical results, the budgets, the cache's accounting and that
 //!   eviction happened.
 //!
-//! Both run on the vendored criterion shim (`cargo bench -p cvcp-bench`).
+//! Both are plain `harness = false` mains (`cargo bench -p cvcp-bench`).
 //! Kernel and end-to-end timings live in the repository benchmark
 //! (`perfbench/`), which also uses [`bench_meta`].
 

@@ -6,14 +6,9 @@
 //! * **Silhouette selection** ("Sil-x"): choose the parameter whose resulting
 //!   clustering has the best Silhouette coefficient.  Applicable to
 //!   MPCKMeans (a centroid-based method); the paper notes no comparable
-//!   heuristic exists for the `MinPts` of a density-based method.
-
-use crate::algorithm::ParameterizedMethod;
-use cvcp_constraints::SideInformation;
-use cvcp_data::distance::Euclidean;
-use cvcp_data::rng::SeededRng;
-use cvcp_data::{DataMatrix, Partition};
-use cvcp_metrics::silhouette_coefficient;
+//!   heuristic exists for the `MinPts` of a density-based method.  The
+//!   experiment plan computes it from each trial's external cells
+//!   (`plan::finalize_trial`).
 
 /// The expected (mean) quality over a parameter range, given the per-
 /// parameter external quality values.  Returns 0 for an empty slice.
@@ -24,122 +19,13 @@ pub fn expected_quality(per_parameter_quality: &[f64]) -> f64 {
     per_parameter_quality.iter().sum::<f64>() / per_parameter_quality.len() as f64
 }
 
-/// Result of Silhouette-based model selection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SilhouetteSelection {
-    /// The selected parameter value.
-    pub best_param: usize,
-    /// The Silhouette coefficient of the selected clustering.
-    pub best_silhouette: f64,
-    /// Per-parameter Silhouette values (`None` when undefined, e.g. a single
-    /// cluster).
-    pub silhouettes: Vec<Option<f64>>,
-}
-
-/// Selects the parameter whose clustering (run with the full side
-/// information) maximises the Silhouette coefficient.
-///
-/// Parameters whose clustering has fewer than two clusters receive an
-/// undefined Silhouette and are only selected if every candidate is
-/// undefined (in which case the first candidate is returned).
-///
-/// # Panics
-///
-/// Panics if `params` is empty.
-pub fn silhouette_selection(
-    method: &dyn ParameterizedMethod,
-    data: &DataMatrix,
-    side: &SideInformation,
-    params: &[usize],
-    rng: &mut SeededRng,
-) -> SilhouetteSelection {
-    assert!(
-        !params.is_empty(),
-        "at least one candidate parameter is required"
-    );
-    // One salted stream per candidate, so evaluation order cannot leak into
-    // the per-parameter clusterings.
-    let base = rng.fork(0x5110_E77E);
-    let mut silhouettes: Vec<Option<f64>> = Vec::with_capacity(params.len());
-    let mut partitions: Vec<Partition> = Vec::with_capacity(params.len());
-    for (pi, &p) in params.iter().enumerate() {
-        let clusterer = method.instantiate(p);
-        let mut param_rng = base.fork_stream(pi as u64);
-        let partition = clusterer.cluster(data, side, &mut param_rng);
-        let s = silhouette_coefficient(data, &partition, &Euclidean);
-        silhouettes.push(s);
-        partitions.push(partition);
-    }
-    let mut best_idx = 0usize;
-    let mut best_value = f64::NEG_INFINITY;
-    for (i, s) in silhouettes.iter().enumerate() {
-        if let Some(v) = s {
-            if *v > best_value {
-                best_value = *v;
-                best_idx = i;
-            }
-        }
-    }
-    if best_value == f64::NEG_INFINITY {
-        best_idx = 0;
-        best_value = 0.0;
-    }
-    SilhouetteSelection {
-        best_param: params[best_idx],
-        best_silhouette: best_value,
-        silhouettes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::MpckMethod;
-    use cvcp_constraints::generate::sample_labeled_subset;
-    use cvcp_data::synthetic::separated_blobs;
 
     #[test]
     fn expected_quality_is_the_mean() {
         assert_eq!(expected_quality(&[0.2, 0.4, 0.9]), 0.5);
         assert_eq!(expected_quality(&[]), 0.0);
-    }
-
-    #[test]
-    fn silhouette_prefers_the_true_k_on_globular_data() {
-        let mut rng = SeededRng::new(1);
-        let ds = separated_blobs(3, 25, 4, 12.0, &mut rng);
-        let labeled = sample_labeled_subset(ds.labels(), 0.1, 2, &mut rng);
-        let side = SideInformation::Labels(labeled);
-        let sel = silhouette_selection(
-            &MpckMethod::default(),
-            ds.matrix(),
-            &side,
-            &[2, 3, 4, 5, 6],
-            &mut rng,
-        );
-        assert_eq!(sel.best_param, 3, "silhouettes: {:?}", sel.silhouettes);
-        assert!(sel.best_silhouette > 0.5);
-        assert_eq!(sel.silhouettes.len(), 5);
-    }
-
-    #[test]
-    fn undefined_silhouettes_fall_back_to_first_candidate() {
-        let mut rng = SeededRng::new(2);
-        let ds = separated_blobs(2, 10, 2, 8.0, &mut rng);
-        let side = SideInformation::none(ds.len());
-        // k = 1 always produces a single cluster -> undefined silhouette
-        let sel = silhouette_selection(&MpckMethod::default(), ds.matrix(), &side, &[1], &mut rng);
-        assert_eq!(sel.best_param, 1);
-        assert_eq!(sel.best_silhouette, 0.0);
-        assert_eq!(sel.silhouettes, vec![None]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one candidate")]
-    fn empty_range_panics() {
-        let mut rng = SeededRng::new(3);
-        let ds = separated_blobs(2, 10, 2, 8.0, &mut rng);
-        let side = SideInformation::none(ds.len());
-        let _ = silhouette_selection(&MpckMethod::default(), ds.matrix(), &side, &[], &mut rng);
     }
 }

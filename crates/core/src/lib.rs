@@ -14,12 +14,14 @@
 //! 2. step 1 is repeated for every candidate parameter value;
 //! 3. the parameter with the highest score is selected ([`selection`]);
 //! 4. the algorithm is re-run with the selected parameter using *all*
-//!    available side information.
+//!    available side information (the external stage of an experiment
+//!    [`plan`]).
 //!
 //! The crate also implements the two baselines the paper compares against —
 //! the *expected* quality when guessing the parameter and Silhouette-based
-//! selection ([`baselines`]) — and the repeated-trial experiment harness
-//! that regenerates the paper's tables and figures ([`experiment`]).
+//! selection ([`baselines`], computed per trial by the [`plan`]) — and the
+//! repeated-trial experiment harness that regenerates the paper's tables
+//! and figures ([`experiment`]).
 //!
 //! ```
 //! use cvcp_core::prelude::*;
@@ -62,7 +64,7 @@ pub mod selection;
 pub mod trace_export;
 
 pub use algorithm::{FoscMethod, MpckMethod, ParameterizedMethod, SemiSupervisedClusterer};
-pub use baselines::{expected_quality, silhouette_selection, SilhouetteSelection};
+pub use baselines::expected_quality;
 pub use crossval::{evaluate_parameter, CvcpConfig, FoldScore, ParameterEvaluation};
 pub use cvcp_engine::{ArtifactCache, Engine, GraphProfile, GraphTrace, Priority};
 pub use experiment::{
@@ -86,7 +88,7 @@ pub mod prelude {
     pub use crate::algorithm::{
         FoscMethod, MpckMethod, ParameterizedMethod, SemiSupervisedClusterer,
     };
-    pub use crate::baselines::{expected_quality, silhouette_selection};
+    pub use crate::baselines::expected_quality;
     pub use crate::crossval::{evaluate_parameter, CvcpConfig};
     pub use crate::experiment::{
         run_experiment, run_experiment_on, summarize, ExperimentConfig, SideInfoSpec,

@@ -658,3 +658,58 @@ fn finalize_trial(
         correlation,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn stage(with_silhouette: bool) -> ExternalStage {
+        ExternalStage {
+            side: Arc::new(SideInformation::none(4)),
+            involved: Vec::new(),
+            external_base: SeededRng::new(0),
+            with_silhouette,
+            labels: Arc::new(vec![0; 4]),
+        }
+    }
+
+    /// The Silhouette baseline of the paper's tables: the candidate with
+    /// the best defined Silhouette wins, the earlier one on a tie, and the
+    /// first candidate is reported when every Silhouette is undefined.
+    #[test]
+    fn finalize_trial_takes_the_first_best_silhouette_or_the_first_candidate() {
+        let params = [2, 3, 4, 5];
+        // CVCP picks 4, so its choice differs from the Silhouette's.
+        let sel = reduce_evaluations(
+            params
+                .iter()
+                .map(|&param| ParameterEvaluation {
+                    param,
+                    score: if param == 4 { 0.9 } else { 0.5 },
+                    folds: Vec::new(),
+                })
+                .collect(),
+        );
+
+        let tied = [
+            (0.1, Some(0.2)),
+            (0.5, Some(0.7)),
+            (0.6, None),
+            (0.9, Some(0.7)),
+        ];
+        let outcome = finalize_trial(0, &params, &sel, &stage(true), &tied);
+        assert_eq!(outcome.silhouette_param, Some(3));
+        assert_eq!(outcome.silhouette_external, Some(0.5));
+        assert_eq!(outcome.selected_param, 4);
+        assert_eq!(outcome.cvcp_external, 0.6);
+
+        let undefined = [(0.4, None), (0.8, None), (0.3, None), (0.2, None)];
+        let outcome = finalize_trial(1, &params, &sel, &stage(true), &undefined);
+        assert_eq!(outcome.silhouette_param, Some(2));
+        assert_eq!(outcome.silhouette_external, Some(0.4));
+
+        let outcome = finalize_trial(2, &params, &sel, &stage(false), &tied);
+        assert_eq!(outcome.silhouette_param, None);
+        assert_eq!(outcome.silhouette_external, None);
+    }
+}

@@ -1,61 +1,10 @@
 //! Plain-text report formatting for the experiment binaries.
 //!
-//! The experiment binaries print tables whose rows mirror the paper's tables
-//! (mean / std per data set, significance marks) and numeric series that
-//! correspond to its figures (parameter curves, box-plot summaries).
+//! The figure binaries print numeric series that correspond to the paper's
+//! figures (parameter curves, box-plot summaries); the table binaries print
+//! their rows through `cvcp-experiments`' own printers.
 
-use crate::experiment::ExperimentSummary;
 use cvcp_metrics::stats::BoxplotStats;
-
-/// Formats a correlation-table row (Tables 1–4): one data set, one value.
-pub fn correlation_row(dataset: &str, correlation: f64) -> String {
-    format!("{dataset:<18} {correlation:>8.4}")
-}
-
-/// Formats a performance-table row for the FOSC tables (Tables 5–7, 11–13):
-/// CVCP mean/std and Expected mean/std, with a `*` on the CVCP mean when the
-/// difference is statistically significant at `alpha`.
-pub fn fosc_performance_row(summary: &ExperimentSummary, alpha: f64) -> String {
-    let star = if summary.cvcp_beats_expected_significantly(alpha) {
-        "*"
-    } else {
-        " "
-    };
-    format!(
-        "{:<18} {:>8.4}{} {:>8.4}  {:>8.4} {:>8.4}",
-        summary.dataset,
-        summary.cvcp.mean,
-        star,
-        summary.expected.mean,
-        summary.cvcp.std,
-        summary.expected.std
-    )
-}
-
-/// Formats a performance-table row for the MPCKMeans tables (Tables 8–10,
-/// 14–16): CVCP / Expected / Silhouette means and standard deviations.
-pub fn mpck_performance_row(summary: &ExperimentSummary, alpha: f64) -> String {
-    let star = if summary.cvcp_beats_expected_significantly(alpha) {
-        "*"
-    } else {
-        " "
-    };
-    let (sil_mean, sil_std) = summary
-        .silhouette
-        .as_ref()
-        .map_or((f64::NAN, f64::NAN), |s| (s.mean, s.std));
-    format!(
-        "{:<18} {:>8.4}{} {:>8.4} {:>8.4}  {:>8.4} {:>8.4} {:>8.4}",
-        summary.dataset,
-        summary.cvcp.mean,
-        star,
-        summary.expected.mean,
-        sil_mean,
-        summary.cvcp.std,
-        summary.expected.std,
-        sil_std
-    )
-}
 
 /// Formats a figure curve (Figures 5–8) as aligned columns:
 /// parameter, internal score, external score.
@@ -85,73 +34,9 @@ pub fn boxplot_row(label: &str, values: &[f64]) -> String {
     )
 }
 
-/// A header + separator for the experiment tables.
-pub fn table_header(title: &str, columns: &str) -> String {
-    format!(
-        "{title}\n{columns}\n{}\n",
-        "-".repeat(columns.len().max(title.len()))
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{summarize, SideInfoSpec, TrialOutcome};
-
-    fn fake_outcomes() -> Vec<TrialOutcome> {
-        (0..6)
-            .map(|t| TrialOutcome {
-                trial: t,
-                params: vec![2, 3, 4],
-                internal_scores: vec![0.5, 0.9, 0.6],
-                external_scores: vec![0.55, 0.92, 0.61],
-                selected_param: 3,
-                cvcp_external: 0.92,
-                expected_external: 0.69,
-                silhouette_param: Some(4),
-                silhouette_external: Some(0.61 + t as f64 * 0.001),
-                correlation: 0.98,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn rows_contain_the_numbers() {
-        let s = summarize(
-            "iris_like",
-            "MPCKMeans",
-            SideInfoSpec::LabelFraction(0.1),
-            &fake_outcomes(),
-        );
-        let row = mpck_performance_row(&s, 0.05);
-        assert!(row.contains("iris_like"));
-        assert!(row.contains("0.9200"));
-        assert!(row.contains("0.6900"));
-        let frow = fosc_performance_row(&s, 0.05);
-        assert!(frow.contains("0.9200"));
-    }
-
-    #[test]
-    fn significance_star_appears_for_clear_differences() {
-        let s = summarize(
-            "iris_like",
-            "MPCKMeans",
-            SideInfoSpec::LabelFraction(0.1),
-            &fake_outcomes(),
-        );
-        // CVCP (0.92) vs expected (0.69) with tiny variance is significant —
-        // but all differences are identical so the t-test may be degenerate;
-        // either way the row formats without panicking.
-        let _ = fosc_performance_row(&s, 0.05);
-        let _ = mpck_performance_row(&s, 0.05);
-    }
-
-    #[test]
-    fn correlation_row_formats() {
-        let row = correlation_row("zyeast_like", -0.7123);
-        assert!(row.contains("zyeast_like"));
-        assert!(row.contains("-0.7123"));
-    }
 
     #[test]
     fn curve_table_has_one_line_per_parameter() {
@@ -165,12 +50,5 @@ mod tests {
         assert!(boxplot_row("CVCP-10", &[]).contains("no data"));
         let row = boxplot_row("CVCP-10", &[0.5, 0.6, 0.7, 0.8, 0.9]);
         assert!(row.contains("median=0.7000"));
-    }
-
-    #[test]
-    fn header_contains_title_and_underline() {
-        let h = table_header("Table 5", "dataset  cvcp  expected");
-        assert!(h.starts_with("Table 5\n"));
-        assert!(h.contains("---"));
     }
 }

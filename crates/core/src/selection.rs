@@ -1,5 +1,7 @@
-//! Steps 2–4 of the CVCP framework: sweep the parameter range, pick the
-//! highest-scoring value, and re-run the algorithm with all side information.
+//! Steps 2–3 of the CVCP framework: sweep the parameter range and pick the
+//! highest-scoring value.  Step 4, re-running the algorithm with all side
+//! information, is the external stage of an experiment plan
+//! ([`crate::plan::ExternalStage`]).
 //!
 //! Both entry points are thin wrappers over the unified
 //! [`crate::plan::ExecutionPlan`]: they realize a single-trial plan (folds
@@ -11,7 +13,7 @@ use crate::plan::{ExecutionPlan, PlanOptions, PlanTrial};
 use cvcp_constraints::folds::FoldSplit;
 use cvcp_constraints::SideInformation;
 use cvcp_data::rng::SeededRng;
-use cvcp_data::{DataMatrix, Partition};
+use cvcp_data::DataMatrix;
 use cvcp_engine::{CancelToken, Engine, GraphTrace, Priority};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -329,9 +331,9 @@ pub(crate) fn select_model_prepared(
     };
     // On the sequential engine, skip plan construction entirely — the
     // inline executor works on borrowed data, so the per-request
-    // O(objects²·dims) matrix clone that 'static DAG jobs need is never
-    // paid (it is the same executor the plan's own inline branch uses,
-    // so both paths stay bit-identical).  A traced run takes the plan
+    // O(objects·dims) copy of the flat matrix that 'static DAG jobs need
+    // is never paid (it is the same executor the plan's own inline branch
+    // uses, so both paths stay bit-identical).  A traced run takes the plan
     // path regardless: the timeline is recorded per graph job, and the
     // graph executes inline on a one-thread engine anyway.
     if engine.n_threads() <= 1 && trace.is_none() {
@@ -362,20 +364,6 @@ pub(crate) fn select_model_prepared(
         },
     )?;
     Ok((results.pop().expect("single-trial plan").selection, trace))
-}
-
-/// Step 4 of the framework: run the algorithm with the selected parameter and
-/// *all* available side information, producing the final partition.
-pub fn final_clustering(
-    method: &dyn ParameterizedMethod,
-    data: &DataMatrix,
-    side: &SideInformation,
-    selection: &CvcpSelection,
-    rng: &mut SeededRng,
-) -> (Box<dyn SemiSupervisedClusterer>, Partition) {
-    let clusterer = method.instantiate(selection.best_param);
-    let partition = clusterer.cluster(data, side, rng);
-    (clusterer, partition)
 }
 
 #[cfg(test)]
@@ -470,30 +458,6 @@ mod tests {
             selected_external >= expected - 0.02,
             "CVCP external {selected_external} should be at least the expected {expected}"
         );
-    }
-
-    #[test]
-    fn final_clustering_uses_selected_parameter() {
-        let mut rng = SeededRng::new(4);
-        let ds = separated_blobs(3, 15, 3, 12.0, &mut rng);
-        let labeled = sample_labeled_subset(ds.labels(), 0.3, 2, &mut rng);
-        let side = SideInformation::Labels(labeled);
-        let cfg = CvcpConfig {
-            n_folds: 4,
-            stratified: true,
-        };
-        let sel = select_model(
-            &MpckMethod::default(),
-            ds.matrix(),
-            &side,
-            &[2, 3, 4],
-            &cfg,
-            &mut rng,
-        );
-        let (clusterer, partition) =
-            final_clustering(&MpckMethod::default(), ds.matrix(), &side, &sel, &mut rng);
-        assert!(clusterer.name().contains(&format!("k={}", sel.best_param)));
-        assert_eq!(partition.len(), ds.len());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Distance metrics used by the clustering substrates.
 //!
 //! All algorithms in the suite are generic over [`Distance`].  The CVCP paper
-//! uses Euclidean distance for both FOSC-OPTICSDend and MPCKMeans, but
-//! MPCKMeans additionally learns a per-cluster *diagonal Mahalanobis* metric,
-//! which is provided here as [`DiagonalMahalanobis`].
+//! uses Euclidean distance for both FOSC-OPTICSDend and MPCKMeans.
+//! MPCKMeans additionally learns a per-cluster diagonal metric, which it
+//! applies through its own weighted squared distance
+//! (`cvcp_kmeans::objective::weighted_sq_dist`).
 
 use std::fmt::Debug;
 
@@ -43,7 +44,7 @@ impl Distance for Euclidean {
 }
 
 /// Squared Euclidean distance.  Cheaper than [`Euclidean`] (no square root)
-/// and order-equivalent to it; used internally by k-means style algorithms.
+/// and order-equivalent to it; [`Euclidean`] computes through it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SquaredEuclidean;
 
@@ -67,183 +68,6 @@ impl Distance for SquaredEuclidean {
 
     fn name(&self) -> &'static str {
         "squared_euclidean"
-    }
-}
-
-/// Manhattan (L1, city block) distance.  Satisfies the triangle inequality.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Manhattan;
-
-impl Distance for Manhattan {
-    #[inline]
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len(), "dimension mismatch");
-        a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-    }
-
-    fn name(&self) -> &'static str {
-        "manhattan"
-    }
-}
-
-/// Chebyshev (L∞) distance: the maximum absolute per-coordinate difference.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Chebyshev;
-
-impl Distance for Chebyshev {
-    #[inline]
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len(), "dimension mismatch");
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
-
-    fn name(&self) -> &'static str {
-        "chebyshev"
-    }
-}
-
-/// General Minkowski (Lp) distance for `p >= 1`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Minkowski {
-    /// The order of the norm; must be at least 1.
-    pub p: f64,
-}
-
-impl Minkowski {
-    /// Creates a Minkowski distance of order `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p < 1` or `p` is not finite.
-    pub fn new(p: f64) -> Self {
-        assert!(
-            p.is_finite() && p >= 1.0,
-            "Minkowski order must be >= 1, got {p}"
-        );
-        Self { p }
-    }
-}
-
-impl Distance for Minkowski {
-    #[inline]
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len(), "dimension mismatch");
-        let sum: f64 = a
-            .iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs().powf(self.p))
-            .sum();
-        sum.powf(1.0 / self.p)
-    }
-
-    fn name(&self) -> &'static str {
-        "minkowski"
-    }
-}
-
-/// Cosine *distance*: `1 - cos(a, b)`.
-///
-/// When one of the vectors has zero norm the distance is defined as `1.0`
-/// (maximally dissimilar) unless both are zero, in which case it is `0.0`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Cosine;
-
-impl Distance for Cosine {
-    #[inline]
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len(), "dimension mismatch");
-        let mut dot = 0.0;
-        let mut na = 0.0;
-        let mut nb = 0.0;
-        for (x, y) in a.iter().zip(b) {
-            dot += x * y;
-            na += x * x;
-            nb += y * y;
-        }
-        if na == 0.0 && nb == 0.0 {
-            return 0.0;
-        }
-        if na == 0.0 || nb == 0.0 {
-            return 1.0;
-        }
-        let cos = (dot / (na.sqrt() * nb.sqrt())).clamp(-1.0, 1.0);
-        1.0 - cos
-    }
-
-    fn name(&self) -> &'static str {
-        "cosine"
-    }
-}
-
-/// Mahalanobis distance with a diagonal weight matrix, i.e.
-/// `sqrt(Σ_j w_j (a_j - b_j)^2)`.
-///
-/// This is the parameterised metric learned per cluster by MPCKMeans
-/// (Bilenko et al. 2004).  Weights must be non-negative.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiagonalMahalanobis {
-    weights: Vec<f64>,
-}
-
-impl DiagonalMahalanobis {
-    /// Creates the metric from per-dimension weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any weight is negative or non-finite.
-    pub fn new(weights: Vec<f64>) -> Self {
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-            "diagonal metric weights must be finite and non-negative"
-        );
-        Self { weights }
-    }
-
-    /// An identity metric (all weights 1), equivalent to [`Euclidean`].
-    pub fn identity(dims: usize) -> Self {
-        Self {
-            weights: vec![1.0; dims],
-        }
-    }
-
-    /// The per-dimension weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Squared weighted distance (no square root), as used in the MPCKMeans
-    /// objective.
-    #[inline]
-    pub fn squared(&self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len(), "dimension mismatch");
-        assert_eq!(a.len(), self.weights.len(), "weight dimension mismatch");
-        let mut acc = 0.0;
-        for ((x, y), w) in a.iter().zip(b).zip(&self.weights) {
-            let d = x - y;
-            acc += w * d * d;
-        }
-        acc
-    }
-
-    /// `log(det(A))` for the diagonal metric, i.e. the sum of the log weights.
-    /// Weights of zero are clamped to a small positive value to keep the
-    /// value finite (mirrors the clamping applied during metric learning).
-    pub fn log_det(&self) -> f64 {
-        self.weights.iter().map(|w| w.max(1e-12).ln()).sum()
-    }
-}
-
-impl Distance for DiagonalMahalanobis {
-    #[inline]
-    fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
-        self.squared(a, b).sqrt()
-    }
-
-    fn name(&self) -> &'static str {
-        "diagonal_mahalanobis"
     }
 }
 
@@ -293,68 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn manhattan_basic() {
-        assert_eq!(Manhattan.distance(&A, &B), 7.0);
-    }
-
-    #[test]
-    fn chebyshev_basic() {
-        assert_eq!(Chebyshev.distance(&A, &B), 4.0);
-    }
-
-    #[test]
-    fn minkowski_p1_is_manhattan_p2_is_euclidean() {
-        let m1 = Minkowski::new(1.0);
-        let m2 = Minkowski::new(2.0);
-        assert!((m1.distance(&A, &B) - Manhattan.distance(&A, &B)).abs() < 1e-9);
-        assert!((m2.distance(&A, &B) - Euclidean.distance(&A, &B)).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "Minkowski order")]
-    fn minkowski_rejects_p_below_one() {
-        let _ = Minkowski::new(0.5);
-    }
-
-    #[test]
-    fn cosine_parallel_and_orthogonal() {
-        assert!(Cosine.distance(&[1.0, 0.0], &[2.0, 0.0]).abs() < 1e-12);
-        assert!((Cosine.distance(&[1.0, 0.0], &[0.0, 3.0]) - 1.0).abs() < 1e-12);
-        assert!((Cosine.distance(&[1.0, 0.0], &[-1.0, 0.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_zero_vectors() {
-        assert_eq!(Cosine.distance(&[0.0, 0.0], &[0.0, 0.0]), 0.0);
-        assert_eq!(Cosine.distance(&[0.0, 0.0], &[1.0, 1.0]), 1.0);
-    }
-
-    #[test]
-    fn diagonal_mahalanobis_identity_matches_euclidean() {
-        let m = DiagonalMahalanobis::identity(3);
-        assert!((m.distance(&A, &B) - Euclidean.distance(&A, &B)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diagonal_mahalanobis_weights_scale_dimensions() {
-        let m = DiagonalMahalanobis::new(vec![4.0, 0.0]);
-        // only first dimension counts, scaled by 4 => distance = 2*|dx|
-        assert!((m.distance(&[0.0, 5.0], &[3.0, 100.0]) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn diagonal_mahalanobis_log_det() {
-        let m = DiagonalMahalanobis::new(vec![1.0, std::f64::consts::E]);
-        assert!((m.log_det() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn diagonal_mahalanobis_rejects_negative_weights() {
-        let _ = DiagonalMahalanobis::new(vec![1.0, -0.5]);
-    }
-
-    #[test]
     #[allow(clippy::needless_range_loop)]
     fn pairwise_matrix_is_symmetric_with_zero_diagonal() {
         let data = DataMatrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]]);
@@ -374,12 +136,5 @@ mod tests {
     fn metric_names_are_stable() {
         assert_eq!(Euclidean.name(), "euclidean");
         assert_eq!(SquaredEuclidean.name(), "squared_euclidean");
-        assert_eq!(Manhattan.name(), "manhattan");
-        assert_eq!(Chebyshev.name(), "chebyshev");
-        assert_eq!(Cosine.name(), "cosine");
-        assert_eq!(
-            DiagonalMahalanobis::identity(1).name(),
-            "diagonal_mahalanobis"
-        );
     }
 }

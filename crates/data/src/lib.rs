@@ -1,8 +1,8 @@
 //! # cvcp-data
 //!
-//! Data handling substrate for the CVCP suite: dense matrices, distance
-//! metrics, feature normalisation, seeded random number helpers, synthetic
-//! data generators and replicas of the data sets used in the CVCP paper
+//! Data handling substrate for the CVCP suite: dense matrices, the
+//! Euclidean distance, seeded random number helpers, synthetic data
+//! generators and replicas of the data sets used in the CVCP paper
 //! (Pourrajabi et al., EDBT 2014).
 //!
 //! The original experiments used the ALOI image collection, five UCI data
@@ -10,8 +10,8 @@
 //! in this offline reproduction.  The [`replicas`] and [`aloi`] modules
 //! provide synthetic stand-ins that preserve the structural characteristics
 //! the paper's experiments depend on (object counts, dimensionality, number
-//! and size of classes, degree of overlap).  See `DESIGN.md` §3 for the full
-//! substitution rationale.
+//! and size of classes, degree of overlap).  `EXPERIMENTS.md` ("Data")
+//! records the substitution.
 //!
 //! ## Quick example
 //!
@@ -34,17 +34,13 @@ pub mod dataset;
 pub mod distance;
 mod fingerprint;
 pub mod matrix;
-pub mod normalize;
 pub mod partition;
 pub mod replicas;
 pub mod rng;
 pub mod synthetic;
 
 pub use dataset::{ClassSummary, Dataset};
-pub use distance::{
-    Chebyshev, Cosine, DiagonalMahalanobis, Distance, Euclidean, Manhattan, Minkowski,
-    SquaredEuclidean,
-};
+pub use distance::{Distance, Euclidean, SquaredEuclidean};
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
 pub use matrix::DataMatrix;
 pub use partition::{Assignment, Partition};
@@ -54,7 +50,6 @@ pub mod prelude {
     pub use crate::dataset::Dataset;
     pub use crate::distance::{Distance, Euclidean, SquaredEuclidean};
     pub use crate::matrix::DataMatrix;
-    pub use crate::normalize::{MinMaxScaler, Scaler, ZScoreScaler};
     pub use crate::partition::{Assignment, Partition};
     pub use crate::rng::SeededRng;
 }

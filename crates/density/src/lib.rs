@@ -9,7 +9,8 @@
 //!
 //! 1. [`core_distance`]: k-nearest-neighbour core distances for a given
 //!    `MinPts`, and mutual-reachability distances;
-//! 2. [`optics`]: the OPTICS algorithm (reachability plot with ε = ∞);
+//! 2. [`optics`]: the OPTICS algorithm (reachability plot with ε = ∞),
+//!    kept as the reference the MST-built dendrogram is tested against;
 //! 3. [`mst`]: a minimum spanning tree of the mutual-reachability graph
 //!    (equivalent information, used to build the hierarchy);
 //! 4. [`dendrogram`]: the single-linkage dendrogram over mutual-reachability
@@ -21,14 +22,12 @@
 //!    unsupervised stability or by the semi-supervised constraint
 //!    satisfaction objective;
 //! 7. [`fosc_optics_dend`]: the end-to-end `FoscOpticsDend` algorithm whose
-//!    free parameter is `MinPts` — exactly what CVCP selects in the paper;
-//! 8. [`dbscan`]: DBSCAN, as an unsupervised density baseline for ablations.
+//!    free parameter is `MinPts` — exactly what CVCP selects in the paper.
 
 #![warn(missing_docs)]
 
 pub mod condensed;
 pub mod core_distance;
-pub mod dbscan;
 pub mod dendrogram;
 pub mod fosc;
 pub mod fosc_optics_dend;
@@ -37,7 +36,6 @@ pub mod optics;
 
 pub use condensed::{CondensedNode, CondensedTree};
 pub use core_distance::{core_distances, mutual_reachability_matrix, KnnTable};
-pub use dbscan::Dbscan;
 pub use dendrogram::{Dendrogram, Merge};
 pub use fosc::{extract_clusters, ExtractionObjective, FoscSelection};
 pub use fosc_optics_dend::{FoscOpticsDend, FoscOpticsDendResult};
@@ -46,7 +44,6 @@ pub use optics::{OpticsOrdering, OpticsPoint};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::dbscan::Dbscan;
     pub use crate::fosc::ExtractionObjective;
     pub use crate::fosc_optics_dend::FoscOpticsDend;
     pub use crate::optics::OpticsOrdering;

@@ -1,6 +1,5 @@
 //! Centroid initialisation strategies.
 //!
-//! * [`random_centroids`]: `k` distinct data points chosen uniformly;
 //! * [`kmeanspp_centroids`]: the k-means++ D² seeding of Arthur &
 //!   Vassilvitskii (2007);
 //! * [`neighborhood_centroids`]: the MPCKMeans initialisation of Bilenko et
@@ -15,23 +14,6 @@ use cvcp_constraints::closure::must_link_components;
 use cvcp_constraints::ConstraintSet;
 use cvcp_data::rng::SeededRng;
 use cvcp_data::DataMatrix;
-
-/// Picks `k` distinct rows of `data` uniformly at random as centroids.
-///
-/// # Panics
-///
-/// Panics if `k` is zero or exceeds the number of rows.
-pub fn random_centroids(data: &DataMatrix, k: usize, rng: &mut SeededRng) -> Vec<Vec<f64>> {
-    assert!(
-        k >= 1 && k <= data.n_rows(),
-        "invalid k = {k} for {} rows",
-        data.n_rows()
-    );
-    rng.sample_indices(data.n_rows(), k)
-        .into_iter()
-        .map(|i| data.row(i).to_vec())
-        .collect()
-}
 
 /// k-means++ (D²) seeding.
 ///
@@ -208,17 +190,6 @@ mod tests {
             vec![20.0, 0.0],
             vec![20.1, 0.2],
         ])
-    }
-
-    #[test]
-    fn random_centroids_are_data_points() {
-        let data = blob_data();
-        let mut rng = SeededRng::new(1);
-        let cs = random_centroids(&data, 3, &mut rng);
-        assert_eq!(cs.len(), 3);
-        for c in &cs {
-            assert!((0..data.n_rows()).any(|i| data.row(i) == c.as_slice()));
-        }
     }
 
     #[test]

@@ -1,43 +1,32 @@
 //! # cvcp-kmeans
 //!
-//! The k-means family of clustering algorithms used by the CVCP suite:
+//! The partitional clustering algorithm of the CVCP suite:
 //!
-//! * [`lloyd`]: standard (unsupervised) k-means with k-means++ seeding;
-//! * [`cop_kmeans`]: COP-KMeans (Wagstaff et al. 2001) — hard constraint
-//!   enforcement during assignment (ablation baseline);
-//! * [`pck_means`]: PCKMeans (Basu et al. 2004) — soft constraint penalties,
-//!   no metric learning (ablation baseline);
 //! * [`mpck_means`]: **MPCKMeans** (Bilenko, Basu & Mooney 2004) — the
 //!   semi-supervised partitional algorithm evaluated in the CVCP paper,
 //!   combining soft constraint penalties with per-cluster diagonal metric
 //!   learning.  Its free parameter is the number of clusters `k`, which is
-//!   exactly what CVCP selects in the paper's experiments.
+//!   exactly what CVCP selects in the paper's experiments;
+//! * [`init`]: its must-link neighbourhood initialisation, with k-means++
+//!   draws filling any missing centroids;
+//! * [`objective`]: the centroid and (weighted) squared-distance helpers
+//!   both of them share.
 //!
-//! All algorithms consume a [`cvcp_constraints::ConstraintSet`] (possibly
-//! empty) and produce a [`cvcp_data::Partition`] with no noise objects.
+//! MPCKMeans consumes a [`cvcp_constraints::ConstraintSet`] (possibly empty)
+//! and produces a [`cvcp_data::Partition`] with no noise objects.
 
 #![warn(missing_docs)]
 
-pub mod cop_kmeans;
 pub mod init;
-pub mod lloyd;
 pub mod mpck_means;
 pub mod objective;
-pub mod pck_means;
 
-pub use cop_kmeans::{CopKMeans, CopKMeansError};
 pub use init::{
     centroids_from_candidates, kmeanspp_centroids, neighborhood_candidates, neighborhood_centroids,
-    random_centroids,
 };
-pub use lloyd::{KMeans, KMeansResult};
 pub use mpck_means::{MpckMeans, MpckMeansResult, MpckSeeding};
-pub use pck_means::PckMeans;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::cop_kmeans::CopKMeans;
-    pub use crate::lloyd::KMeans;
     pub use crate::mpck_means::MpckMeans;
-    pub use crate::pck_means::PckMeans;
 }

@@ -1,4 +1,4 @@
-//! Shared centroid / objective helpers for the k-means family.
+//! Shared centroid / objective helpers for MPCKMeans and its initialisation.
 
 use cvcp_data::DataMatrix;
 
@@ -70,15 +70,6 @@ pub fn weighted_sq_dist(a: &[f64], b: &[f64], weights: &[f64]) -> f64 {
     acc
 }
 
-/// The within-cluster sum of squared distances (the k-means objective).
-pub fn inertia(data: &DataMatrix, assignment: &[usize], centroids: &[Vec<f64>]) -> f64 {
-    assignment
-        .iter()
-        .enumerate()
-        .map(|(i, &c)| sq_dist(data.row(i), &centroids[c]))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,13 +113,5 @@ mod tests {
             weighted_sq_dist(&[0.0, 0.0], &[3.0, 4.0], &[2.0, 0.0]),
             18.0
         );
-    }
-
-    #[test]
-    fn inertia_of_perfect_assignment() {
-        let d = data();
-        let centroids = vec![vec![1.0, 0.0], vec![11.0, 10.0]];
-        let val = inertia(&d, &[0, 0, 1, 1], &centroids);
-        assert_eq!(val, 4.0);
     }
 }

@@ -3,7 +3,6 @@
 //! Tables 1–4 of the paper report, per data set and amount of side
 //! information, the *Pearson correlation* between the internal CVCP scores
 //! and the external Overall F-Measure values across the parameter range.
-//! Spearman rank correlation is provided as an additional robustness check.
 
 /// Pearson product-moment correlation of two equally long samples.
 ///
@@ -38,45 +37,6 @@ pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
     (sxy / (sxx.sqrt() * syy.sqrt())).clamp(-1.0, 1.0)
 }
 
-/// Spearman rank correlation (Pearson correlation of the ranks, average ranks
-/// for ties).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn spearman(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "samples must have equal length");
-    let rx = ranks(x);
-    let ry = ranks(y);
-    pearson(&rx, &ry)
-}
-
-/// Average ranks (1-based) with ties receiving the mean of their positions.
-fn ranks(values: &[f64]) -> Vec<f64> {
-    let n = values.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        values[a]
-            .partial_cmp(&values[b])
-            .expect("no NaN in rank input")
-    });
-    let mut out = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && (values[order[j + 1]] - values[order[i]]).abs() < 1e-15 {
-            j += 1;
-        }
-        // positions i..=j are tied; their rank is the average of (i+1)..=(j+1)
-        let rank = (i + j) as f64 / 2.0 + 1.0;
-        for &idx in &order[i..=j] {
-            out[idx] = rank;
-        }
-        i = j + 1;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,8 +49,6 @@ mod tests {
         let y_neg = [8.0, 6.0, 4.0, 2.0];
         assert!((pearson(&x, &y_pos) - 1.0).abs() < 1e-12);
         assert!((pearson(&x, &y_neg) + 1.0).abs() < 1e-12);
-        assert!((spearman(&x, &y_pos) - 1.0).abs() < 1e-12);
-        assert!((spearman(&x, &y_neg) + 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -113,24 +71,6 @@ mod tests {
     fn short_series() {
         assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
         assert_eq!(pearson(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn spearman_is_monotonic_invariant() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        // y is a nonlinear but monotone transform of x
-        let y: Vec<f64> = x.iter().map(|v| f64::exp(*v)).collect();
-        assert!((spearman(&x, &y) - 1.0).abs() < 1e-12);
-        assert!(pearson(&x, &y) < 1.0);
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let x = [1.0, 2.0, 2.0, 3.0];
-        let y = [1.0, 2.0, 2.0, 3.0];
-        assert!((spearman(&x, &y) - 1.0).abs() < 1e-12);
-        let r = ranks(&x);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
     }
 
     #[test]
@@ -159,7 +99,6 @@ mod tests {
             // needs non-constant input
             prop_assume!(values.iter().any(|v| (v - values[0]).abs() > 1e-9));
             prop_assert!((pearson(&values, &values) - 1.0).abs() < 1e-9);
-            prop_assert!((spearman(&values, &values) - 1.0).abs() < 1e-9);
         }
     }
 }

@@ -11,11 +11,10 @@
 //!   with support for excluding the objects involved in side information
 //!   ("set aside" evaluation, Section 2);
 //! * [`pair_counting`]: Rand index and Adjusted Rand Index;
-//! * [`nmi`]: normalised mutual information;
 //! * [`silhouette`]: the Silhouette coefficient, used by the paper as the
 //!   unsupervised model-selection baseline for MPCKMeans;
 //! * [`stats`]: descriptive statistics and box-plot summaries;
-//! * [`correlation`]: Pearson and Spearman correlation (Tables 1–4);
+//! * [`correlation`]: Pearson correlation (Tables 1–4);
 //! * [`ttest`]: the paired t-test used for the significance marks in
 //!   Tables 5–16, with a self-contained Student-t CDF.
 
@@ -23,25 +22,21 @@
 
 pub mod constraint_fmeasure;
 pub mod correlation;
-pub mod nmi;
 pub mod overall_fmeasure;
 pub mod pair_counting;
 pub mod silhouette;
 pub mod stats;
 pub mod ttest;
-pub mod vmeasure;
 
 pub use constraint_fmeasure::{
     constraint_classification_report, constraint_fmeasure, BinaryReport,
 };
-pub use correlation::{pearson, spearman};
-pub use nmi::normalized_mutual_information;
+pub use correlation::pearson;
 pub use overall_fmeasure::{overall_fmeasure, overall_fmeasure_excluding};
 pub use pair_counting::{adjusted_rand_index, rand_index};
 pub use silhouette::{silhouette_coefficient, silhouette_from_pairwise};
 pub use stats::{mean, std_dev, BoxplotStats, Summary};
 pub use ttest::{paired_t_test, SampleLengthMismatch, TTestResult};
-pub use vmeasure::{fowlkes_mallows, v_measure, VMeasure};
 
 /// Convenience re-exports.
 pub mod prelude {

@@ -11,7 +11,7 @@
 //! * [`constraints`] — must-link/cannot-link constraints, transitive closure
 //!   and the leak-free cross-validation fold machinery;
 //! * [`metrics`] — internal and external evaluation measures and statistics;
-//! * [`kmeans`] — MPCKMeans and friends;
+//! * [`kmeans`] — MPCKMeans and its initialisation;
 //! * [`density`] — OPTICS, dendrograms, FOSC and FOSC-OPTICSDend;
 //! * [`obs`] — always-on engine metrics (log-bucketed histograms), the
 //!   opt-in per-job span recorder and the critical-path profiler;
@@ -56,8 +56,8 @@ mod tests {
         let _ = crate::data::replicas::iris_like(0);
         let _ = crate::constraints::ConstraintSet::new(3);
         let _ = crate::metrics::stats::mean(&[1.0, 2.0]);
-        let _ = crate::kmeans::KMeans::new(2);
-        let _ = crate::density::Dbscan::new(1.0, 3);
+        let _ = crate::kmeans::MpckMeans::new(2);
+        let _ = crate::density::FoscOpticsDend::new(3);
         let _ = crate::engine::Engine::sequential();
         let _ = crate::obs::LogHistogram::new();
         let _ = crate::core::CvcpConfig::default();

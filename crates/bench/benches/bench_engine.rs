@@ -20,11 +20,8 @@ use cvcp_bench::{aloi_dataset, bench_meta, labels_for, write_bench_json};
 use cvcp_constraints::folds::label_scenario_folds;
 use cvcp_constraints::SideInformation;
 use cvcp_core::crossval::evaluate_parameter_on_folds;
-use cvcp_core::experiment::{run_experiment_on, run_experiment_trialwise, ExperimentConfig};
 use cvcp_core::json::{Json, ToJson};
-use cvcp_core::{
-    select_model_with, CvcpConfig, CvcpSelection, Engine, FoscMethod, MpckMethod, SideInfoSpec,
-};
+use cvcp_core::{select_model_with, CvcpConfig, CvcpSelection, Engine, FoscMethod, MpckMethod};
 use cvcp_data::rng::SeededRng;
 use cvcp_data::Dataset;
 use std::time::Instant;
@@ -238,78 +235,6 @@ fn main() {
         MIN_MPCK_HIT_RATE * 100.0
     );
 
-    // Few-trial experiment: with fewer trials than workers, the old
-    // trial-only lowering (one inline job per trial) leaves (parameter ×
-    // fold) parallelism on the table; the unified plan fans the full
-    // (trial × parameter × fold) grid into one graph.  Results must be
-    // bit-identical; the wall-clock comparison is the point of the
-    // refactor (on a single hardware thread both collapse to the same
-    // inline work and the ratio approaches 1×).
-    let exp_config = ExperimentConfig {
-        n_trials: 2,
-        cvcp: CvcpConfig {
-            n_folds: N_FOLDS,
-            stratified: true,
-        },
-        params: MINPTS_GRID.to_vec(),
-        seed: 7,
-        with_silhouette: false,
-        n_threads: 4, // unused: engines are built explicitly below
-    };
-    let spec = SideInfoSpec::LabelFraction(0.2);
-    // Interleave the two paths round-robin (rather than timing one in a
-    // block and then the other) and alternate which goes first each round,
-    // so slow clock / cache / allocator drift on the host hits both
-    // equally; best-of-6 per path.
-    const FEW_TRIAL_ROUNDS: usize = 6;
-    let mut trialwise_outcomes = None;
-    let mut unified_outcomes = None;
-    let mut trialwise_secs = f64::INFINITY;
-    let mut unified_secs = f64::INFINITY;
-    let time_trialwise = |outcomes: &mut Option<Vec<_>>, secs: &mut f64| {
-        let engine = Engine::new(4);
-        let start = Instant::now();
-        let run = run_experiment_trialwise(&engine, &FoscMethod::default(), &ds, spec, &exp_config);
-        *secs = secs.min(start.elapsed().as_secs_f64());
-        *outcomes = Some(run);
-    };
-    let time_unified = |outcomes: &mut Option<Vec<_>>, secs: &mut f64| {
-        let engine = Engine::new(4);
-        let start = Instant::now();
-        let run = run_experiment_on(&engine, &FoscMethod::default(), &ds, spec, &exp_config);
-        *secs = secs.min(start.elapsed().as_secs_f64());
-        *outcomes = Some(run);
-    };
-    // One untimed pass of each path first: the very first execution runs
-    // with cold i-cache and (on burst-clocked hosts) at a different
-    // frequency than the steady state the rest of the loop sees.
-    time_trialwise(&mut trialwise_outcomes, &mut trialwise_secs);
-    time_unified(&mut unified_outcomes, &mut unified_secs);
-    trialwise_secs = f64::INFINITY;
-    unified_secs = f64::INFINITY;
-    for round in 0..FEW_TRIAL_ROUNDS {
-        if round % 2 == 0 {
-            time_unified(&mut unified_outcomes, &mut unified_secs);
-            time_trialwise(&mut trialwise_outcomes, &mut trialwise_secs);
-        } else {
-            time_trialwise(&mut trialwise_outcomes, &mut trialwise_secs);
-            time_unified(&mut unified_outcomes, &mut unified_secs);
-        }
-    }
-    assert_eq!(
-        unified_outcomes, trialwise_outcomes,
-        "the unified full-grid plan must reproduce the trial-only path bit-for-bit"
-    );
-    println!(
-        "engine/few_trial_experiment (2 trials × {} params × {} folds, 4 workers): \
-         trial-only {:.1} ms | unified full-grid plan {:.1} ms ({:.2}x)",
-        MINPTS_GRID.len(),
-        N_FOLDS,
-        trialwise_secs * 1e3,
-        unified_secs * 1e3,
-        trialwise_secs / unified_secs,
-    );
-
     // Sanity: the naive path and the engine agree on the internal scores
     // (FOSC is rng-free, so fold scores are comparable across paths).
     let naive_scores = naive_grid(&ds, &side);
@@ -404,17 +329,6 @@ fn main() {
                     ("cold_ms", (cold.0 * 1e3).to_json()),
                     ("warm_ms", (warm.0 * 1e3).to_json()),
                     ("speedup", (cold.0 / warm.0).to_json()),
-                ]),
-            ),
-            (
-                "few_trial_experiment",
-                Json::obj([
-                    ("trialwise_ms", (trialwise_secs * 1e3).to_json()),
-                    ("unified_plan_ms", (unified_secs * 1e3).to_json()),
-                    ("speedup", (trialwise_secs / unified_secs).to_json()),
-                    ("n_trials", 2usize.to_json()),
-                    ("n_params", MINPTS_GRID.len().to_json()),
-                    ("n_folds", N_FOLDS.to_json()),
                 ]),
             ),
             (

@@ -123,8 +123,8 @@ pub fn evaluate_parameter_on_folds(
 }
 
 /// The RNG-stream salt of one (parameter, fold) cell of the evaluation
-/// grid.  Both the engine's job DAG and the inline evaluation path use this
-/// salt, which is what makes them bit-identical.
+/// grid: a pure function of the cell's coordinates, so the cell's stream
+/// does not depend on which job or thread evaluates it.
 pub(crate) fn grid_salt(param_idx: usize, fold: usize) -> u64 {
     ((param_idx as u64) << 32) | fold as u64
 }
@@ -162,30 +162,6 @@ pub(crate) fn reduce_fold_scores(param: usize, folds: Vec<FoldScore>) -> Paramet
         score,
         folds,
     }
-}
-
-/// One column of the inline grid: evaluates candidate `pi` (value `param`)
-/// over every non-empty fold, drawing from the same salted streams as the
-/// engine's job DAG (what makes the plan's inline executor and its DAG
-/// lowering bit-identical).
-pub(crate) fn evaluate_param_inline(
-    clusterer: &dyn SemiSupervisedClusterer,
-    pi: usize,
-    param: usize,
-    data: &DataMatrix,
-    splits: &[FoldSplit],
-    base: &SeededRng,
-    cache: Option<&ArtifactCache>,
-) -> ParameterEvaluation {
-    let folds = splits
-        .iter()
-        .filter(|split| !split.test_constraints.is_empty())
-        .map(|split| {
-            let mut rng = base.fork_stream(grid_salt(pi, split.fold));
-            score_fold(clusterer, data, split, &mut rng, cache)
-        })
-        .collect();
-    reduce_fold_scores(param, folds)
 }
 
 #[cfg(test)]

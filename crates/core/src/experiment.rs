@@ -20,24 +20,24 @@
 //! per-parameter final clusterings of every trial — into one engine
 //! [`JobGraph`](cvcp_engine::JobGraph) through the unified
 //! [`crate::plan::ExecutionPlan`], so even a few-trial run saturates the
-//! pool with (parameter × fold) parallelism.  Every cell derives all of
-//! its randomness from the experiment seed and its own (trial, parameter,
-//! fold) coordinates — so results are bit-identical at any thread count,
-//! on either scheduling lane, and identical to the trial-only reference
-//! lowering ([`run_experiment_trialwise`]).  Shareable artifacts
-//! (distance matrices, per-`MinPts` density hierarchies) come from the
-//! engine's content-keyed cache and are therefore also shared *across*
-//! trials and experiments.
+//! pool with (parameter × fold) parallelism; a one-thread engine runs the
+//! same graph inline.  The figure curves of one representative run are a
+//! one-trial experiment.  Every cell derives all of its randomness from
+//! the experiment seed and its own (trial, parameter, fold) coordinates —
+//! so results are bit-identical at any thread count and on either
+//! scheduling lane.  Shareable artifacts (distance matrices, per-`MinPts`
+//! density hierarchies) come from the engine's content-keyed cache and
+//! are therefore also shared *across* trials and experiments.
 
 use crate::algorithm::{ParameterizedMethod, SemiSupervisedClusterer};
 use crate::crossval::{build_folds, CvcpConfig};
 use crate::json::{Json, ToJson};
-use crate::plan::{evaluate_trial_inline, ExecutionPlan, ExternalStage, PlanOptions, PlanTrial};
+use crate::plan::{ExecutionPlan, ExternalStage, PlanOptions, PlanTrial};
 use cvcp_constraints::generate::{constraint_pool, sample_constraints, sample_labeled_subset};
 use cvcp_constraints::SideInformation;
 use cvcp_data::rng::SeededRng;
 use cvcp_data::Dataset;
-use cvcp_engine::{ArtifactCache, Engine, Priority};
+use cvcp_engine::{Engine, Priority};
 use cvcp_metrics::stats::Summary;
 use cvcp_metrics::ttest::{paired_t_test, TTestResult};
 use std::sync::Arc;
@@ -198,9 +198,8 @@ pub fn run_experiment(
 /// on the [`Priority::Batch`] lane (so concurrent interactive selections
 /// overtake it).  Every cell's randomness derives solely from
 /// `config.seed` and its structural coordinates — results are
-/// bit-identical for any thread count, either lane, any batch
-/// composition, and to the trial-only reference path
-/// ([`run_experiment_trialwise`]).
+/// bit-identical for any thread count, either lane and any batch
+/// composition.
 pub fn run_experiment_on(
     engine: &Engine,
     method: &dyn ParameterizedMethod,
@@ -229,31 +228,6 @@ pub fn run_experiment_on(
             )
         })
         .collect();
-    // On the sequential engine, skip plan construction entirely — the
-    // inline executor works on borrowed data (mirroring the
-    // `select_model_prepared` shortcut), so the per-experiment matrix
-    // clone and the job-graph Arcs that 'static DAG jobs need are never
-    // paid.  It is the same executor the plan's own inline branch uses,
-    // so both paths stay bit-identical.
-    if engine.n_threads() <= 1 {
-        return trials
-            .iter()
-            .map(|trial| {
-                evaluate_trial_inline(
-                    &prepared.clusterers,
-                    &prepared.params,
-                    dataset.matrix(),
-                    trial,
-                    Some(engine.cache()),
-                    None,
-                    None,
-                )
-                .expect("experiment plans run without a cancel token")
-                .outcome
-                .expect("experiment trials carry an external stage")
-            })
-            .collect();
-    }
     let plan = ExecutionPlan::new(
         Arc::new(dataset.matrix().clone()),
         prepared.clusterers,
@@ -262,80 +236,13 @@ pub fn run_experiment_on(
     );
     plan.run(engine, PlanOptions::with_priority(Priority::Batch))
         .expect("experiment plans run without a cancel token")
+        .0
         .into_iter()
         .map(|r| {
             r.outcome
                 .expect("experiment trials carry an external stage")
         })
         .collect()
-}
-
-/// The trial-only reference lowering: one engine job per trial with
-/// inline intra-trial evaluation — exactly the shape `run_experiment_on`
-/// had before the unified plan.
-///
-/// Kept (a) as the reference the unified full-grid plan is asserted
-/// **bit-identical** against in the determinism suite, and (b) as the
-/// comparison baseline of `bench_engine`'s few-trial section: with fewer
-/// trials than workers this path leaves (parameter × fold) parallelism on
-/// the table, which is precisely what the unified plan reclaims.
-pub fn run_experiment_trialwise(
-    engine: &Engine,
-    method: &dyn ParameterizedMethod,
-    dataset: &Dataset,
-    spec: SideInfoSpec,
-    config: &ExperimentConfig,
-) -> Vec<TrialOutcome> {
-    let params = if config.params.is_empty() {
-        method.default_parameter_range(dataset.n_classes())
-    } else {
-        config.params.clone()
-    };
-    let prepared = Arc::new(PreparedMethod::new(method, &params, config.with_silhouette));
-    let dataset = Arc::new(dataset.clone());
-    let n_trials = config.n_trials.max(1);
-    let jobs: Vec<_> = (0..n_trials)
-        .map(|trial| {
-            let prepared = Arc::clone(&prepared);
-            let dataset = Arc::clone(&dataset);
-            let cvcp = config.cvcp;
-            let seed = config.seed;
-            move |ctx: &mut cvcp_engine::JobCtx| {
-                run_trial_prepared(
-                    &prepared,
-                    &dataset,
-                    spec,
-                    &cvcp,
-                    seed,
-                    trial,
-                    Some(&ctx.cache_arc()),
-                )
-            }
-        })
-        .collect();
-    engine.run_jobs(config.seed, jobs)
-}
-
-/// Runs a single trial (exposed for the figure-generating binaries, which
-/// need the per-parameter curves of one representative run).
-pub fn run_trial(
-    method: &dyn ParameterizedMethod,
-    dataset: &Dataset,
-    spec: SideInfoSpec,
-    config: &ExperimentConfig,
-    params: &[usize],
-    trial: usize,
-) -> TrialOutcome {
-    let prepared = PreparedMethod::new(method, params, config.with_silhouette);
-    run_trial_prepared(
-        &prepared,
-        dataset,
-        spec,
-        &config.cvcp,
-        config.seed,
-        trial,
-        None,
-    )
 }
 
 /// Realizes one trial of the experiment plan: draws the side information,
@@ -374,34 +281,6 @@ fn realize_trial(
             labels: Arc::clone(labels),
         }),
     }
-}
-
-/// The body of one trial, evaluated inline through the plan's shared cell
-/// helpers.  All randomness is derived from `seed` and `trial`; the
-/// optional cache only shares artifacts, never changes results.
-fn run_trial_prepared(
-    prepared: &PreparedMethod,
-    dataset: &Dataset,
-    spec: SideInfoSpec,
-    cvcp: &CvcpConfig,
-    seed: u64,
-    trial: usize,
-    cache: Option<&ArtifactCache>,
-) -> TrialOutcome {
-    let labels = Arc::new(dataset.labels().to_vec());
-    let plan_trial = realize_trial(prepared, dataset, &labels, spec, cvcp, seed, trial);
-    evaluate_trial_inline(
-        &prepared.clusterers,
-        &prepared.params,
-        dataset.matrix(),
-        &plan_trial,
-        cache,
-        None,
-        None,
-    )
-    .expect("inline trials run without a cancel token")
-    .outcome
-    .expect("experiment trials carry an external stage")
 }
 
 /// Aggregated results of an experiment, mirroring one row of the paper's
@@ -670,33 +549,6 @@ mod tests {
             &cfg,
         );
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn unified_plan_matches_the_trialwise_reference_bit_for_bit() {
-        // The refactor contract: lowering the full (trial × parameter ×
-        // fold) grid into one graph must reproduce the trial-only path —
-        // the PR-4 shape — exactly, with and without Silhouette.
-        let ds = blobs();
-        for with_silhouette in [true, false] {
-            let mut cfg = quick_config(4);
-            cfg.with_silhouette = with_silhouette;
-            let unified = run_experiment_on(
-                &Engine::new(4),
-                &MpckMethod::default(),
-                &ds,
-                SideInfoSpec::LabelFraction(0.2),
-                &cfg,
-            );
-            let reference = run_experiment_trialwise(
-                &Engine::new(4),
-                &MpckMethod::default(),
-                &ds,
-                SideInfoSpec::LabelFraction(0.2),
-                &cfg,
-            );
-            assert_eq!(unified, reference);
-        }
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub use baselines::expected_quality;
 pub use crossval::{evaluate_parameter, CvcpConfig, FoldScore, ParameterEvaluation};
 pub use cvcp_engine::{ArtifactCache, Engine, GraphProfile, GraphTrace, Priority};
 pub use experiment::{
-    run_experiment, run_experiment_on, run_experiment_trialwise, summarize, ExperimentConfig,
-    ExperimentSummary, SideInfoSpec, TrialOutcome,
+    run_experiment, run_experiment_on, summarize, ExperimentConfig, ExperimentSummary,
+    SideInfoSpec, TrialOutcome,
 };
 pub use json::{Json, JsonParseError, ToJson};
 pub use plan::{ExecutionPlan, ExternalStage, PlanOptions, PlanTrial, TrialEvaluation};
@@ -78,8 +78,8 @@ pub use request::{
     RequestError, RunRequestError, SelectionRequest,
 };
 pub use selection::{
-    select_model, select_model_streaming, select_model_streaming_traced, select_model_with,
-    CvcpSelection, SelectionCancelled, SelectionProgress,
+    select_model, select_model_streaming, select_model_with, CvcpSelection, SelectionCancelled,
+    SelectionProgress,
 };
 pub use trace_export::{chrome_trace_json, graph_profile_json, write_chrome_trace};
 

@@ -14,16 +14,19 @@
 //!   clustering — fans out as one [`JobGraph`] instead of one opaque job
 //!   per trial.
 //!
+//! There is no other executor: a one-thread engine runs the same graph
+//! inline, in ascending job order.
+//!
 //! ## Determinism
 //!
 //! Every grid cell derives its RNG stream *inside the job* from the
 //! trial's frozen `grid_base` generator and the cell's structural
 //! coordinates (`fork_stream(grid_salt(parameter, fold))`); external
 //! cells fork from the trial's `external_base` and the parameter index.
-//! Streams are pure functions of (plan inputs, coordinates), never of
-//! execution order, thread count or scheduling lane — so the DAG lowering
-//! and the inline (sequential) executor are **bit-identical**, as are runs
-//! at any thread count and either [`Priority`] lane.
+//! The engine itself draws no randomness.  Streams are pure functions of
+//! (plan inputs, coordinates), never of execution order, thread count or
+//! scheduling lane — so runs at any thread count and on either
+//! [`Priority`] lane are **bit-identical**.
 //!
 //! ## Reduce stages
 //!
@@ -41,14 +44,13 @@
 //! emitted exactly once per candidate **in ascending candidate order**
 //! even when fold jobs complete out of order (the regression
 //! `streaming_progress_events_are_deterministic_in_parameter_order`
-//! pins this).
+//! pins this).  Each progress job is added right after its candidate's
+//! evaluation job, so a one-thread engine emits every event before it
+//! evaluates the next candidate.
 
 use crate::algorithm::SemiSupervisedClusterer;
 use crate::baselines::expected_quality;
-use crate::crossval::{
-    evaluate_param_inline, grid_salt, reduce_fold_scores, score_fold, FoldScore,
-    ParameterEvaluation,
-};
+use crate::crossval::{grid_salt, reduce_fold_scores, score_fold, FoldScore, ParameterEvaluation};
 use crate::experiment::TrialOutcome;
 use crate::selection::{reduce_evaluations, CvcpSelection, ProgressSink, SelectionCancelled};
 use cvcp_constraints::folds::FoldSplit;
@@ -60,9 +62,7 @@ use cvcp_engine::{
     fingerprint_matrix, ArtifactCache, ArtifactKey, CancelToken, Engine, GraphTrace, JobGraph,
     JobId, JobOutcome, Priority,
 };
-use cvcp_metrics::{
-    overall_fmeasure_excluding, pearson, silhouette_coefficient, silhouette_from_pairwise,
-};
+use cvcp_metrics::{overall_fmeasure_excluding, pearson, silhouette_from_pairwise};
 use std::sync::{Arc, Mutex};
 
 /// One finished external cell: the candidate's external F-measure and its
@@ -125,9 +125,9 @@ pub struct PlanOptions {
     /// Progress sink for single-trial streaming selections.
     pub(crate) sink: Option<Arc<ProgressSink>>,
     /// When set, the plan records a per-job timeline ([`GraphTrace`])
-    /// under this name.  Tracing is timing-only — the salted RNG streams
-    /// are untouched, so traced and untraced runs are bit-identical.  Use
-    /// [`ExecutionPlan::run_traced`] to receive the recorded trace.
+    /// under this name, returned by [`ExecutionPlan::run`].  Tracing is
+    /// timing-only — the salted RNG streams are untouched, so traced and
+    /// untraced runs are bit-identical.
     pub trace: Option<String>,
 }
 
@@ -182,87 +182,30 @@ impl ExecutionPlan {
         }
     }
 
-    /// Number of trials in the plan.
-    pub fn n_trials(&self) -> usize {
-        self.trials.len()
-    }
-
     /// Runs the plan on `engine` and returns one [`TrialEvaluation`] per
-    /// trial, in trial order.
-    ///
-    /// On a one-thread engine the plan executes inline on the calling
-    /// thread; otherwise it is lowered into one [`JobGraph`] covering the
-    /// full (trial × parameter × fold) grid.  Both paths are
-    /// **bit-identical**.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any evaluation job panics (and the plan was not
-    /// cancelled).
-    pub fn run(
-        self,
-        engine: &Engine,
-        options: PlanOptions,
-    ) -> Result<Vec<TrialEvaluation>, SelectionCancelled> {
-        if engine.n_threads() <= 1 && options.trace.is_none() {
-            self.run_inline(engine.cache(), options)
-        } else {
-            // Tracing needs the graph lowering (the timeline is recorded
-            // per job); the engine executes it inline on one thread, so
-            // results stay bit-identical either way.
-            self.run_on_graph(engine, options).map(|(out, _)| out)
-        }
-    }
-
-    /// Like [`run`](Self::run), but always lowers onto a [`JobGraph`] and
-    /// returns the recorded [`GraphTrace`] alongside the evaluations when
+    /// trial, in trial order, plus the recorded [`GraphTrace`] when
     /// `options.trace` is set.
-    pub fn run_traced(
-        self,
-        engine: &Engine,
-        options: PlanOptions,
-    ) -> Result<(Vec<TrialEvaluation>, Option<GraphTrace>), SelectionCancelled> {
-        self.run_on_graph(engine, options)
-    }
-
-    /// The sequential executor: trials, then candidates, in order — with
-    /// the same salted streams as the DAG lowering.
-    fn run_inline(
-        self,
-        cache: &ArtifactCache,
-        options: PlanOptions,
-    ) -> Result<Vec<TrialEvaluation>, SelectionCancelled> {
-        let mut out = Vec::with_capacity(self.trials.len());
-        for trial in &self.trials {
-            out.push(evaluate_trial_inline(
-                &self.clusterers,
-                &self.params,
-                &self.data,
-                trial,
-                Some(cache),
-                options.sink.as_deref(),
-                options.cancel.as_ref(),
-            )?);
-        }
-        Ok(out)
-    }
-
-    /// The lowering: the full grid as one [`JobGraph`].
     ///
-    /// Per candidate parameter one plan-level artifact job (densities /
-    /// hierarchies are trial-invariant); per (trial, fold) one fold
-    /// artifact job; per (trial, parameter) one evaluation job over that
-    /// parameter's folds (labelled `fused` in traces) and, when the trial
-    /// has an [`ExternalStage`], one external job; per trial one reduce
-    /// job; one final report job.
+    /// The plan is lowered into one [`JobGraph`]: per candidate parameter
+    /// one plan-level artifact job (densities / hierarchies are
+    /// trial-invariant); per (trial, fold) one fold artifact job; per
+    /// (trial, parameter) one evaluation job over that parameter's folds
+    /// (labelled `fused` in traces), its progress job when the plan
+    /// streams, and, when the trial has an [`ExternalStage`], one external
+    /// job; per trial one reduce job; one final report job.
     ///
     /// One job per (trial × parameter) rather than per grid cell keeps
     /// per-job overhead (queueing, dependency bookkeeping, a pool
     /// wake-up) off cheap cells while the parameter sweep stays
     /// parallel.  It decides only how jobs are cut: each cell still forks
     /// its stream from the trial's frozen base and its (parameter, fold)
-    /// coordinates, exactly as the inline executor does.
-    fn run_on_graph(
+    /// coordinates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any evaluation job panics (and the plan was not
+    /// cancelled).
+    pub fn run(
         self,
         engine: &Engine,
         options: PlanOptions,
@@ -283,7 +226,7 @@ impl ExecutionPlan {
         let n_params = params.len();
         let params = Arc::new(params);
 
-        let mut graph: JobGraph<Option<Vec<TrialEvaluation>>> = JobGraph::new(0);
+        let mut graph: JobGraph<Option<Vec<TrialEvaluation>>> = JobGraph::new();
         graph.set_priority(priority);
         if let Some(token) = cancel.clone() {
             graph.set_cancel_token(token);
@@ -358,44 +301,47 @@ impl ExecutionPlan {
             ));
             let mut eval_ids = Vec::with_capacity(n_params);
             for pi in 0..n_params {
-                let clusterer = Arc::clone(&clusterers[pi]);
-                let data = Arc::clone(&data);
-                let splits = Arc::clone(&splits);
-                let grid = Arc::clone(&grid);
-                let trial = Arc::clone(&trial);
                 let deps: Vec<JobId> = std::iter::once(artifact_ids[pi])
                     .chain(fold_artifact_ids.iter().copied().flatten())
                     .collect();
-                let id = graph.add_job(&deps, move |ctx| {
-                    let cache = ctx.cache_arc();
-                    for (si, split) in splits.iter().enumerate() {
-                        if split.test_constraints.is_empty() {
-                            continue;
+                let id = {
+                    let clusterer = Arc::clone(&clusterers[pi]);
+                    let data = Arc::clone(&data);
+                    let splits = Arc::clone(&splits);
+                    let grid = Arc::clone(&grid);
+                    let trial = Arc::clone(&trial);
+                    graph.add_job(&deps, move |ctx| {
+                        let cache = ctx.cache_arc();
+                        for (si, split) in splits.iter().enumerate() {
+                            if split.test_constraints.is_empty() {
+                                continue;
+                            }
+                            let mut rng = trial.grid_base.fork_stream(grid_salt(pi, split.fold));
+                            let score =
+                                score_fold(&*clusterer, &data, &splits[si], &mut rng, Some(&cache));
+                            grid.lock().expect("grid lock")[pi][si] = Some(score);
                         }
-                        let mut rng = trial.grid_base.fork_stream(grid_salt(pi, split.fold));
-                        let score =
-                            score_fold(&*clusterer, &data, &splits[si], &mut rng, Some(&cache));
-                        grid.lock().expect("grid lock")[pi][si] = Some(score);
-                    }
-                    None
-                });
+                        None
+                    })
+                };
                 if tracing {
                     graph.set_job_label(id, format!("t{t}/p{}/fused", params[pi]));
                 }
                 eval_ids.push(id);
-            }
 
-            // Streaming: one progress job per candidate, chained on its
-            // predecessor so events are emitted in ascending candidate
-            // order no matter how the fold jobs interleave.  Progress jobs
-            // only read the grid — no randomness — so their presence
-            // cannot perturb the evaluation streams.
-            if let Some(sink) = &sink {
-                for pi in 0..n_params {
+                // Streaming: the candidate's progress job, chained on its
+                // predecessor so events are emitted in ascending candidate
+                // order no matter how the fold jobs interleave.  It only
+                // reads the grid — no randomness — so its presence cannot
+                // perturb the evaluation streams.  Adding it right after
+                // its evaluation job lets a one-thread engine, which runs
+                // ready jobs in ascending order, emit it before the next
+                // candidate is evaluated.
+                if let Some(sink) = &sink {
                     let sink = Arc::clone(sink);
                     let grid = Arc::clone(&grid);
                     let param = params[pi];
-                    let mut deps = vec![eval_ids[pi]];
+                    let mut deps = vec![id];
                     deps.extend(prev_progress);
                     let id = graph.add_job(&deps, move |_ctx| {
                         let folds: Vec<FoldScore> = grid.lock().expect("grid lock")[pi]
@@ -427,7 +373,7 @@ impl ExecutionPlan {
                     let externals = Arc::clone(&externals);
                     let id = graph.add_job(&[artifact_ids[pi]], move |ctx| {
                         let ext = trial.external.as_ref().expect("external stage present");
-                        let cell = external_cell(&*clusterer, pi, &data, ext, Some(ctx.cache()));
+                        let cell = external_cell(&*clusterer, pi, &data, ext, ctx.cache());
                         externals.lock().expect("externals lock")[pi] = Some(cell);
                         None
                     });
@@ -519,87 +465,29 @@ impl ExecutionPlan {
     }
 }
 
-/// Inline evaluation of one plan trial with the *same* salted streams as
-/// the DAG lowering — shared by the sequential executor and the
-/// figure-generating [`crate::experiment::run_trial`] path (which has no
-/// engine and may have no cache).
-pub(crate) fn evaluate_trial_inline(
-    clusterers: &[Arc<dyn SemiSupervisedClusterer>],
-    params: &[usize],
-    data: &DataMatrix,
-    trial: &PlanTrial,
-    cache: Option<&ArtifactCache>,
-    sink: Option<&ProgressSink>,
-    cancel: Option<&CancelToken>,
-) -> Result<TrialEvaluation, SelectionCancelled> {
-    let is_cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
-    let mut evaluations = Vec::with_capacity(params.len());
-    for (pi, clusterer) in clusterers.iter().enumerate() {
-        if is_cancelled() {
-            return Err(SelectionCancelled);
-        }
-        let eval = evaluate_param_inline(
-            &**clusterer,
-            pi,
-            params[pi],
-            data,
-            &trial.splits,
-            &trial.grid_base,
-            cache,
-        );
-        if let Some(sink) = sink {
-            sink.emit(eval.param, eval.score);
-        }
-        evaluations.push(eval);
-    }
-    let selection = reduce_evaluations(evaluations);
-    let outcome = match &trial.external {
-        Some(ext) => {
-            let cells: Vec<ExternalCell> = clusterers
-                .iter()
-                .enumerate()
-                .map(|(pi, clusterer)| external_cell(&**clusterer, pi, data, ext, cache))
-                .collect();
-            Some(finalize_trial(trial.trial, params, &selection, ext, &cells))
-        }
-        None => None,
-    };
-    Ok(TrialEvaluation { selection, outcome })
-}
-
 /// One external cell: run candidate `pi` with the trial's full side
 /// information and measure the external F-measure (plus the Silhouette
 /// when requested).  The candidate's stream is `external_base` forked by
 /// the candidate index, so parameter order cannot influence results; the
-/// Silhouette's pairwise matrix comes from the cache when one is present
-/// (bit-identical to the direct computation — see
-/// [`silhouette_from_pairwise`]).
+/// Silhouette's pairwise matrix comes from the cache.
 fn external_cell(
     clusterer: &dyn SemiSupervisedClusterer,
     pi: usize,
     data: &DataMatrix,
     ext: &ExternalStage,
-    cache: Option<&ArtifactCache>,
+    cache: &ArtifactCache,
 ) -> ExternalCell {
     let mut rng = ext.external_base.fork_stream(pi as u64);
-    let partition = match cache {
-        Some(cache) => clusterer.cluster_with_cache(data, &ext.side, &mut rng, cache),
-        None => clusterer.cluster(data, &ext.side, &mut rng),
-    };
+    let partition = clusterer.cluster_with_cache(data, &ext.side, &mut rng, cache);
     let f = overall_fmeasure_excluding(&partition, &ext.labels, &ext.involved);
     let silhouette = if ext.with_silhouette {
-        match cache {
-            Some(cache) => {
-                let dist = cache.get_or_compute(
-                    ArtifactKey::PairwiseDistances {
-                        data: fingerprint_matrix(data),
-                    },
-                    || pairwise_matrix(data, &Euclidean),
-                );
-                silhouette_from_pairwise(&dist, &partition)
-            }
-            None => silhouette_coefficient(data, &partition, &Euclidean),
-        }
+        let dist = cache.get_or_compute(
+            ArtifactKey::PairwiseDistances {
+                data: fingerprint_matrix(data),
+            },
+            || pairwise_matrix(data, &Euclidean),
+        );
+        silhouette_from_pairwise(&dist, &partition)
     } else {
         None
     };

@@ -12,15 +12,14 @@
 //! * [`RealizedSelection::select`] — the in-process reference, running
 //!   [`select_model_with`];
 //! * [`RealizedSelection::select_streaming`] — the serving path, running
-//!   [`select_model_streaming`] with per-parameter progress events and a
-//!   [`CancelToken`].
+//!   [`select_model_streaming`] with per-parameter progress events, a
+//!   [`CancelToken`] and an optional per-job timeline.
 
 use crate::algorithm::{FoscMethod, MpckMethod, ParameterizedMethod};
 use crate::crossval::CvcpConfig;
 use crate::experiment::SideInfoSpec;
 use crate::selection::{
-    select_model_streaming, select_model_streaming_traced, select_model_with, CvcpSelection,
-    SelectionCancelled, SelectionProgress,
+    select_model_streaming, select_model_with, CvcpSelection, SelectionCancelled, SelectionProgress,
 };
 use cvcp_constraints::SideInformation;
 use cvcp_data::replicas::{replica_by_name, replica_name_is_known};
@@ -245,14 +244,17 @@ impl RealizedSelection {
     }
 
     /// The serving lowering: [`select_model_streaming`] with per-parameter
-    /// progress, cancellation and the request's scheduling lane.
-    /// Bit-identical to [`Self::select`] when it completes.
+    /// progress, cancellation, the request's scheduling lane and, when
+    /// `trace_name` is set, a per-job timeline recorded under that name.
+    /// The selection is bit-identical to [`Self::select`] when it
+    /// completes, traced or not.
     pub fn select_streaming<F>(
         mut self,
         engine: &Engine,
         cancel: Option<CancelToken>,
+        trace_name: Option<String>,
         on_progress: F,
-    ) -> Result<CvcpSelection, SelectionCancelled>
+    ) -> Result<(CvcpSelection, Option<GraphTrace>), SelectionCancelled>
     where
         F: FnMut(SelectionProgress) + Send + 'static,
     {
@@ -266,34 +268,7 @@ impl RealizedSelection {
             &mut self.rng,
             self.priority,
             cancel,
-            on_progress,
-        )
-    }
-
-    /// [`Self::select_streaming`] with a per-job timeline recorded under
-    /// `trace_name`.  The selection is bit-identical to the untraced
-    /// lowering; the trace is `None` only if the run was cancelled.
-    pub fn select_streaming_traced<F>(
-        mut self,
-        engine: &Engine,
-        trace_name: String,
-        cancel: Option<CancelToken>,
-        on_progress: F,
-    ) -> Result<(CvcpSelection, Option<GraphTrace>), SelectionCancelled>
-    where
-        F: FnMut(SelectionProgress) + Send + 'static,
-    {
-        select_model_streaming_traced(
-            engine,
-            &*self.method,
-            self.dataset.matrix(),
-            &self.side,
-            &self.params,
-            &self.config,
-            &mut self.rng,
-            self.priority,
-            cancel,
-            Some(trace_name),
+            trace_name,
             on_progress,
         )
     }
@@ -336,7 +311,8 @@ where
 {
     let realized = request.realize().map_err(RunRequestError::Invalid)?;
     realized
-        .select_streaming(engine, cancel, on_progress)
+        .select_streaming(engine, cancel, None, on_progress)
+        .map(|(selection, _)| selection)
         .map_err(|SelectionCancelled| RunRequestError::Cancelled)
 }
 
@@ -357,7 +333,7 @@ where
 {
     let realized = request.realize().map_err(RunRequestError::Invalid)?;
     realized
-        .select_streaming_traced(engine, request.id.clone(), cancel, on_progress)
+        .select_streaming(engine, cancel, Some(request.id.clone()), on_progress)
         .map_err(|SelectionCancelled| RunRequestError::Cancelled)
 }
 

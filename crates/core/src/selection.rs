@@ -4,8 +4,9 @@
 //! ([`crate::plan::ExternalStage`]).
 //!
 //! Both entry points are thin wrappers over the unified
-//! [`crate::plan::ExecutionPlan`]: they realize a single-trial plan (folds
-//! + frozen grid RNG base) and hand it to the plan's one lowering.
+//! [`crate::plan::ExecutionPlan`]: they realize a single-trial plan (the
+//! folds and the frozen grid RNG base) and hand it to the plan's one
+//! lowering, which a one-thread engine runs inline.
 
 use crate::algorithm::{ParameterizedMethod, SemiSupervisedClusterer};
 use crate::crossval::{build_folds, CvcpConfig, ParameterEvaluation};
@@ -151,10 +152,10 @@ impl ProgressSink {
 ///
 /// The request is modelled as a job DAG: one artifact job per candidate
 /// parameter (precomputing shareable structures such as the per-`MinPts`
-/// density hierarchy into the engine's cache), one evaluation job per
-/// (parameter × fold) grid cell, and a final reduction job producing the
-/// [`CvcpSelection`].  Results are **bit-identical** to the sequential path
-/// at any thread count: every grid cell draws from a salted
+/// density hierarchy into the engine's cache), one artifact job per fold,
+/// one evaluation job per candidate over its folds, and a final reduction
+/// job producing the [`CvcpSelection`].  Results are **bit-identical** at
+/// any thread count: every grid cell draws from a salted
 /// [`SeededRng::fork_stream`] keyed by its (parameter, fold) coordinates,
 /// never from execution order.
 ///
@@ -197,71 +198,29 @@ pub fn select_model_with(
 }
 
 /// Like [`select_model_with`], but emits a [`SelectionProgress`] event as
-/// each candidate parameter finishes, honours an optional [`CancelToken`]
-/// and queues its jobs on the given [`Priority`] lane — the serving
-/// front-end's entry point.
+/// each candidate parameter finishes, honours an optional [`CancelToken`],
+/// queues its jobs on the given [`Priority`] lane and, when `trace_name`
+/// is set, records a per-job timeline ([`GraphTrace`]) under that name —
+/// the serving front-end's entry point.
 ///
 /// The final [`CvcpSelection`] is **bit-identical** to the one
-/// [`select_model_with`] returns for the same inputs, on either lane:
-/// progress jobs only observe the evaluation grid, they never draw
-/// randomness, so the salted RNG streams of the grid cells are unchanged.
-/// Events arrive exactly once per candidate, in ascending candidate
-/// order (see [`SelectionProgress`]).
+/// [`select_model_with`] returns for the same inputs, on either lane and
+/// traced or not: progress jobs only observe the evaluation grid and
+/// tracing only records times, so the salted RNG streams of the grid
+/// cells are unchanged.  Events arrive exactly once per candidate, in
+/// ascending candidate order (see [`SelectionProgress`]); on a one-thread
+/// engine each arrives before the next candidate is evaluated.
 ///
 /// Cancellation skips jobs that have not started; the function then
 /// returns `Err(SelectionCancelled)`.  When the token fires after the
 /// final reduction has already run, the completed selection is returned.
+/// The trace is `None` when `trace_name` is.
 ///
 /// # Panics
 ///
 /// Panics if `params` is empty, or if an evaluation job panics.
 #[allow(clippy::too_many_arguments)]
 pub fn select_model_streaming<F>(
-    engine: &Engine,
-    method: &dyn ParameterizedMethod,
-    data: &DataMatrix,
-    side: &SideInformation,
-    params: &[usize],
-    config: &CvcpConfig,
-    rng: &mut SeededRng,
-    priority: Priority,
-    cancel: Option<CancelToken>,
-    on_progress: F,
-) -> Result<CvcpSelection, SelectionCancelled>
-where
-    F: FnMut(SelectionProgress) + Send + 'static,
-{
-    select_model_streaming_traced(
-        engine,
-        method,
-        data,
-        side,
-        params,
-        config,
-        rng,
-        priority,
-        cancel,
-        None,
-        on_progress,
-    )
-    .map(|(selection, _)| selection)
-}
-
-/// Like [`select_model_streaming`], but optionally records a per-job
-/// timeline ([`GraphTrace`]) of the evaluation graph under `trace_name`.
-///
-/// Tracing is timing-only: it forces the DAG lowering (even on a
-/// one-thread engine, where the graph executes inline) but never touches
-/// the salted RNG streams, so the returned [`CvcpSelection`] is
-/// **bit-identical** to the untraced run at any thread count.  When
-/// `trace_name` is `None` this *is* [`select_model_streaming`] and the
-/// returned trace is `None`.
-///
-/// # Panics
-///
-/// Panics if `params` is empty, or if an evaluation job panics.
-#[allow(clippy::too_many_arguments)]
-pub fn select_model_streaming_traced<F>(
     engine: &Engine,
     method: &dyn ParameterizedMethod,
     data: &DataMatrix,
@@ -329,32 +288,13 @@ pub(crate) fn select_model_prepared(
         grid_base: base,
         external: None,
     };
-    // On the sequential engine, skip plan construction entirely — the
-    // inline executor works on borrowed data, so the per-request
-    // O(objects·dims) copy of the flat matrix that 'static DAG jobs need
-    // is never paid (it is the same executor the plan's own inline branch
-    // uses, so both paths stay bit-identical).  A traced run takes the plan
-    // path regardless: the timeline is recorded per graph job, and the
-    // graph executes inline on a one-thread engine anyway.
-    if engine.n_threads() <= 1 && trace.is_none() {
-        return crate::plan::evaluate_trial_inline(
-            clusterers,
-            params,
-            data,
-            &trial,
-            Some(engine.cache()),
-            sink.as_deref(),
-            cancel.as_ref(),
-        )
-        .map(|result| (result.selection, None));
-    }
     let plan = ExecutionPlan::new(
         Arc::new(data.clone()),
         clusterers.to_vec(),
         params.to_vec(),
         vec![trial],
     );
-    let (mut results, trace) = plan.run_traced(
+    let (mut results, trace) = plan.run(
         engine,
         PlanOptions {
             priority,
@@ -498,7 +438,7 @@ mod tests {
         for round in 0..5u64 {
             let (tx, rx) = mpsc::channel();
             let mut rng = SeededRng::new(100 + round);
-            let sel = select_model_streaming(
+            let (sel, _) = select_model_streaming(
                 &engine,
                 &MpckMethod::default(),
                 ds.matrix(),
@@ -507,6 +447,7 @@ mod tests {
                 &cfg,
                 &mut rng,
                 Priority::Interactive,
+                None,
                 None,
                 move |p| tx.send(p).expect("receiver alive"),
             )
@@ -525,6 +466,164 @@ mod tests {
             assert!(events.iter().all(|e| e.total == params.len()));
             assert!(params.contains(&sel.best_param));
         }
+    }
+
+    /// Blobs with a labelled subset that leaves all four folds non-empty.
+    fn four_fold_labels() -> (cvcp_data::Dataset, SideInformation, CvcpConfig) {
+        let mut rng = SeededRng::new(8);
+        let ds = separated_blobs(3, 18, 3, 11.0, &mut rng);
+        let labeled = sample_labeled_subset(ds.labels(), 0.3, 2, &mut rng);
+        let cfg = CvcpConfig {
+            n_folds: 4,
+            stratified: true,
+        };
+        (ds, SideInformation::Labels(labeled), cfg)
+    }
+
+    #[test]
+    fn cancelling_from_the_first_progress_event_stops_the_selection() {
+        let (ds, side, cfg) = four_fold_labels();
+        let params = [2usize, 3, 4, 5];
+        let run = |engine: &Engine, cancel: Option<CancelToken>| {
+            let events = Arc::new(Mutex::new(Vec::new()));
+            let seen = Arc::clone(&events);
+            let token = cancel.clone();
+            let result = select_model_streaming(
+                engine,
+                &MpckMethod::default(),
+                ds.matrix(),
+                &side,
+                &params,
+                &cfg,
+                &mut SeededRng::new(31),
+                Priority::Interactive,
+                cancel,
+                None,
+                move |p| {
+                    seen.lock().expect("events lock").push(p.param);
+                    if let Some(token) = &token {
+                        token.cancel();
+                    }
+                },
+            )
+            .map(|(selection, _)| selection);
+            let events = events.lock().expect("events lock").clone();
+            (result, events)
+        };
+        let reference = run(&Engine::sequential(), None).0.expect("not cancelled");
+
+        // One thread: the first candidate's event cancels every later job.
+        let (result, events) = run(&Engine::sequential(), Some(CancelToken::new()));
+        assert_eq!(result, Err(SelectionCancelled));
+        assert_eq!(
+            events,
+            vec![2],
+            "exactly one event, for the first candidate"
+        );
+
+        // Two threads: the grid may finish before the token is seen; either
+        // way the engine stays usable.
+        let engine = Engine::with_exact_threads(2);
+        let (result, _) = run(&engine, Some(CancelToken::new()));
+        assert!(
+            result == Err(SelectionCancelled) || result.as_ref() == Ok(&reference),
+            "a cancelled selection either stops or completes unchanged: {result:?}"
+        );
+        assert_eq!(run(&engine, None).0, Ok(reference));
+    }
+
+    /// `MpckMethod` whose clusterers log each `cluster_with_cache` call's `k`.
+    struct CountingMpck(Arc<Mutex<Vec<usize>>>);
+
+    struct CountingClusterer {
+        k: usize,
+        inner: Box<dyn SemiSupervisedClusterer>,
+        log: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl ParameterizedMethod for CountingMpck {
+        fn name(&self) -> String {
+            MpckMethod::default().name()
+        }
+
+        fn parameter_name(&self) -> String {
+            MpckMethod::default().parameter_name()
+        }
+
+        fn instantiate(&self, k: usize) -> Box<dyn SemiSupervisedClusterer> {
+            Box::new(CountingClusterer {
+                k,
+                inner: MpckMethod::default().instantiate(k),
+                log: Arc::clone(&self.0),
+            })
+        }
+
+        fn default_parameter_range(&self, n_classes_hint: usize) -> Vec<usize> {
+            MpckMethod::default().default_parameter_range(n_classes_hint)
+        }
+    }
+
+    impl SemiSupervisedClusterer for CountingClusterer {
+        fn name(&self) -> String {
+            self.inner.name()
+        }
+
+        fn cluster(
+            &self,
+            data: &DataMatrix,
+            side: &SideInformation,
+            rng: &mut SeededRng,
+        ) -> cvcp_data::Partition {
+            self.inner.cluster(data, side, rng)
+        }
+
+        fn cluster_with_cache(
+            &self,
+            data: &DataMatrix,
+            side: &SideInformation,
+            rng: &mut SeededRng,
+            cache: &cvcp_engine::ArtifactCache,
+        ) -> cvcp_data::Partition {
+            self.log.lock().expect("log lock").push(self.k);
+            self.inner.cluster_with_cache(data, side, rng, cache)
+        }
+    }
+
+    #[test]
+    fn one_thread_streaming_emits_each_event_before_later_candidates_run() {
+        // Per event: (candidate, its own clusterings so far, clusterings of
+        // later candidates so far).  A served selection on a one-thread
+        // engine must stream: no later candidate runs before an event.
+        let (ds, side, cfg) = four_fold_labels();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (log_in_event, seen_in_event) = (Arc::clone(&log), Arc::clone(&seen));
+        select_model_streaming(
+            &Engine::sequential(),
+            &CountingMpck(Arc::clone(&log)),
+            ds.matrix(),
+            &side,
+            &[2, 3, 4, 5],
+            &cfg,
+            &mut SeededRng::new(31),
+            Priority::Interactive,
+            None,
+            None,
+            move |p| {
+                let log = log_in_event.lock().expect("log lock");
+                let own = log.iter().filter(|&&k| k == p.param).count();
+                let later = log.iter().filter(|&&k| k > p.param).count();
+                seen_in_event
+                    .lock()
+                    .expect("seen lock")
+                    .push((p.param, own, later));
+            },
+        )
+        .expect("not cancelled");
+        assert_eq!(
+            *seen.lock().expect("seen lock"),
+            vec![(2, 4, 0), (3, 4, 0), (4, 4, 0), (5, 4, 0)]
+        );
     }
 
     #[test]
@@ -551,9 +650,11 @@ mod tests {
                 &mut rng,
                 priority,
                 None,
+                None,
                 |_| {},
             )
             .expect("no cancellation")
+            .0
         };
         assert_eq!(run(Priority::Interactive), run(Priority::Batch));
     }

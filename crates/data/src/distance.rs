@@ -21,11 +21,6 @@ pub trait Distance: Send + Sync + Debug {
     ///
     /// Implementations may panic if `a.len() != b.len()`.
     fn distance(&self, a: &[f64], b: &[f64]) -> f64;
-
-    /// A short, human-readable name for reports.
-    fn name(&self) -> &'static str {
-        "distance"
-    }
 }
 
 /// The ordinary Euclidean (L2) metric.  Satisfies the triangle inequality.
@@ -36,10 +31,6 @@ impl Distance for Euclidean {
     #[inline]
     fn distance(&self, a: &[f64], b: &[f64]) -> f64 {
         SquaredEuclidean.distance(a, b).sqrt()
-    }
-
-    fn name(&self) -> &'static str {
-        "euclidean"
     }
 }
 
@@ -64,10 +55,6 @@ impl Distance for SquaredEuclidean {
             acc += d * d;
         }
         acc
-    }
-
-    fn name(&self) -> &'static str {
-        "squared_euclidean"
     }
 }
 
@@ -130,11 +117,5 @@ mod tests {
         }
         assert!((d[0][1] - 5.0).abs() < 1e-12);
         assert!((d[0][2] - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metric_names_are_stable() {
-        assert_eq!(Euclidean.name(), "euclidean");
-        assert_eq!(SquaredEuclidean.name(), "squared_euclidean");
     }
 }

@@ -118,17 +118,6 @@ pub fn fingerprint_matrix(matrix: &DataMatrix) -> Fingerprint {
     matrix.fingerprint()
 }
 
-/// Content fingerprint of a slice of indices (used for fold membership,
-/// labelled subsets, constraint endpoints…).
-pub fn fingerprint_indices(indices: &[usize]) -> Fingerprint {
-    let mut h = FingerprintBuilder::new();
-    h.write_u64(indices.len() as u64);
-    for &i in indices {
-        h.write_u64(i as u64);
-    }
-    h.finish()
-}
-
 /// Identity of a cached artifact.
 ///
 /// Keys combine the *content* fingerprint of the inputs with the structural
@@ -1518,18 +1507,6 @@ mod tests {
         assert_eq!(
             fingerprint_matrix(&m),
             fresh(&[vec![1.0, -2.0], vec![5.0, 6.0], vec![7.0, 8.0]])
-        );
-    }
-
-    #[test]
-    fn index_fingerprints_are_order_sensitive() {
-        assert_ne!(
-            fingerprint_indices(&[1, 2, 3]),
-            fingerprint_indices(&[3, 2, 1])
-        );
-        assert_eq!(
-            fingerprint_indices(&[1, 2, 3]),
-            fingerprint_indices(&[1, 2, 3])
         );
     }
 

@@ -1,8 +1,8 @@
-//! The engine proper: graph submission, batch multiplexing and the
-//! sequential (one-thread) execution path.
+//! The engine proper: graph submission onto the pool and the inline
+//! executor that runs one-thread engines and nested graphs.
 
 use crate::cache::{ArtifactCache, CacheConfig, CacheStats};
-use crate::graph::{CancelToken, GraphResult, JobCtx, JobGraph, JobOutcome, N_LANES};
+use crate::graph::{CancelToken, GraphResult, JobCtx, JobFn, JobGraph, JobOutcome, N_LANES};
 use crate::pool::{PoolHandle, Task, ThreadPool};
 use cvcp_obs::{EngineMetrics, MetricsSnapshot, SpanRecorder};
 use std::collections::BTreeSet;
@@ -11,14 +11,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
-struct Prepared<T> {
-    f: crate::graph::JobFn<T>,
-    rng: cvcp_data::rng::SeededRng,
-}
-
 /// Shared state of one executing graph.
 struct ExecState<T> {
-    jobs: Vec<Mutex<Option<Prepared<T>>>>,
+    jobs: Vec<Mutex<Option<JobFn<T>>>>,
     deps_remaining: Vec<AtomicUsize>,
     dep_failed: Vec<AtomicBool>,
     dependents: Vec<Vec<usize>>,
@@ -83,8 +78,8 @@ fn complete_job<T>(state: &ExecState<T>, idx: usize, outcome: JobOutcome<T>) -> 
 
 /// Runs job `idx` (which must be ready) and returns its outcome.
 ///
-/// Instrumentation here is timing-only — the job's RNG stream was frozen
-/// at submit, so recording can never perturb results.
+/// Instrumentation here is timing-only: a job receives only the cache, so
+/// recording can never perturb its result.
 fn run_job<T>(state: &ExecState<T>, idx: usize) -> JobOutcome<T> {
     if state.cancelled.is_cancelled() {
         state.jobs[idx].lock().expect("job lock").take();
@@ -95,23 +90,20 @@ fn run_job<T>(state: &ExecState<T>, idx: usize) -> JobOutcome<T> {
             .metrics
             .record_graph_queue_wait(state.lane, state.submitted_at.elapsed().as_nanos() as u64);
     }
-    let prepared = state.jobs[idx]
+    let f = state.jobs[idx]
         .lock()
         .expect("job lock")
         .take()
         .expect("ready job present exactly once");
     let mut ctx = JobCtx {
         cache: Arc::clone(&state.cache),
-        rng: prepared.rng,
-        index: idx,
     };
-    let f = prepared.f;
     let recorder = state.recorder.as_ref();
     let start_tick = recorder.map(|r| {
         crate::cache::reset_thread_cache_events();
         r.now_ns()
     });
-    // cvcp: allow(D2, reason = "metrics-only job timing; the RNG stream was frozen at submit, so timing never reaches results")
+    // cvcp: allow(D2, reason = "metrics-only job timing; a job receives only the cache, so timing never reaches results")
     let run_from = state.metrics.is_enabled().then(Instant::now);
     let outcome = match catch_unwind(AssertUnwindSafe(move || f(&mut ctx))) {
         Ok(value) => JobOutcome::Completed(value),
@@ -165,7 +157,8 @@ enum HandleMode {
     /// Already running on the pool; `wait` just blocks on the done channel.
     Pool,
     /// Executed inline, in deterministic ascending-index order, when `wait`
-    /// is called (the one-thread / sequential path).
+    /// is called: the one-thread (sequential) path, and graphs submitted
+    /// from inside one of the engine's own jobs.
     Inline { ready: BTreeSet<usize> },
 }
 
@@ -375,8 +368,9 @@ impl Engine {
     /// Submits a graph for execution and returns a handle.
     ///
     /// On a multi-threaded engine the graph starts running immediately; on
-    /// the sequential engine it runs when [`GraphHandle::wait`] is called.
-    /// Either way, results are bit-identical for the same graph seed.
+    /// the sequential engine it runs inline, in ascending job order, when
+    /// [`GraphHandle::wait`] is called.  Jobs receive no randomness from the
+    /// engine, so either way results depend only on the jobs themselves.
     ///
     /// Re-entrancy: submitting from inside one of this engine's own jobs
     /// is safe — the nested graph is executed inline on the submitting
@@ -385,7 +379,6 @@ impl Engine {
     /// thread left to run it).
     pub fn submit<T: Send + 'static>(&self, graph: JobGraph<T>) -> GraphHandle<T> {
         let n = graph.jobs.len();
-        let base = graph.base_rng;
         let lane = graph.priority.lane_index();
         let cancelled = graph.cancel_token.unwrap_or_default();
         // Opt-in span recording: the recorder's epoch is the submit
@@ -410,10 +403,7 @@ impl Engine {
                 debug_assert!(d < idx, "dependency edges point backwards by construction");
                 dependents[d].push(idx);
             }
-            jobs.push(Mutex::new(Some(Prepared {
-                f: job.f,
-                rng: base.fork_stream(job.salt),
-            })));
+            jobs.push(Mutex::new(Some(job.f)));
         }
         let (done_tx, done_rx) = mpsc::channel();
         let state = Arc::new(ExecState {
@@ -471,25 +461,18 @@ impl Engine {
         self.submit(graph).wait()
     }
 
-    /// Submits many graphs at once — they interleave over the same pool —
-    /// and returns their results in submission order.
-    pub fn run_batch<T: Send + 'static>(&self, graphs: Vec<JobGraph<T>>) -> Vec<GraphResult<T>> {
-        let handles: Vec<_> = graphs.into_iter().map(|g| self.submit(g)).collect();
-        handles.into_iter().map(GraphHandle::wait).collect()
-    }
-
     /// Convenience: runs independent jobs (no dependencies) and returns
     /// their values in submission order.
     ///
     /// # Panics
     ///
     /// Panics if any job panics.
-    pub fn run_jobs<T, F>(&self, seed: u64, jobs: Vec<F>) -> Vec<T>
+    pub fn run_jobs<T, F>(&self, jobs: Vec<F>) -> Vec<T>
     where
         T: Send + 'static,
         F: FnOnce(&mut JobCtx) -> T + Send + 'static,
     {
-        let mut graph = JobGraph::new(seed);
+        let mut graph = JobGraph::new();
         for f in jobs {
             graph.add_job(&[], f);
         }
@@ -506,7 +489,7 @@ mod tests {
     fn dependencies_run_before_dependents() {
         for n_threads in [1, 4] {
             let engine = Engine::with_exact_threads(n_threads);
-            let mut graph: JobGraph<u64> = JobGraph::new(1);
+            let mut graph: JobGraph<u64> = JobGraph::new();
             let order = Arc::new(Mutex::new(Vec::new()));
             let (o1, o2, o3) = (order.clone(), order.clone(), order.clone());
             let a = graph.add_job(&[], move |_| {
@@ -530,30 +513,10 @@ mod tests {
     }
 
     #[test]
-    fn job_rng_streams_are_thread_count_invariant() {
-        let draws = |n_threads: usize| -> Vec<u64> {
-            let engine = Engine::with_exact_threads(n_threads);
-            let mut graph: JobGraph<u64> = JobGraph::new(99);
-            for _ in 0..16 {
-                graph.add_job(&[], |ctx| ctx.rng().next_u64());
-            }
-            engine.run_graph(graph).expect_all("rng draws")
-        };
-        let seq = draws(1);
-        assert_eq!(seq, draws(2));
-        assert_eq!(seq, draws(8));
-        // and the streams differ from each other
-        let mut unique = seq.clone();
-        unique.sort_unstable();
-        unique.dedup();
-        assert_eq!(unique.len(), seq.len());
-    }
-
-    #[test]
     fn failed_job_skips_dependents_but_not_siblings() {
         for n_threads in [1, 4] {
             let engine = Engine::with_exact_threads(n_threads);
-            let mut graph: JobGraph<u32> = JobGraph::new(3);
+            let mut graph: JobGraph<u32> = JobGraph::new();
             let bad = graph.add_job(&[], |_| panic!("deliberate failure"));
             let child = graph.add_job(&[bad], |_| 10);
             let _grandchild = graph.add_job(&[child], |_| 11);
@@ -571,12 +534,12 @@ mod tests {
     #[test]
     fn engine_survives_a_failed_graph() {
         let engine = Engine::with_exact_threads(2);
-        let mut bad: JobGraph<u32> = JobGraph::new(1);
+        let mut bad: JobGraph<u32> = JobGraph::new();
         bad.add_job(&[], |_| panic!("boom"));
         let result = engine.run_graph(bad);
         assert!(result.first_failure().is_some());
         // The pool still works afterwards.
-        let mut good: JobGraph<u32> = JobGraph::new(2);
+        let mut good: JobGraph<u32> = JobGraph::new();
         good.add_job(&[], |_| 5);
         assert_eq!(engine.run_graph(good).expect_all("after failure"), vec![5]);
     }
@@ -584,7 +547,7 @@ mod tests {
     #[test]
     fn cancellation_skips_unstarted_jobs() {
         let engine = Engine::sequential();
-        let mut graph: JobGraph<u32> = JobGraph::new(1);
+        let mut graph: JobGraph<u32> = JobGraph::new();
         graph.add_job(&[], |_| 1);
         graph.add_job(&[], |_| 2);
         let handle = engine.submit(graph);
@@ -599,7 +562,7 @@ mod tests {
             let engine = Engine::with_exact_threads(n_threads);
             let token = CancelToken::new();
             token.cancel();
-            let mut graph: JobGraph<u32> = JobGraph::new(1);
+            let mut graph: JobGraph<u32> = JobGraph::new();
             graph.add_job(&[], |_| 1);
             graph.add_job(&[], |_| 2);
             graph.set_cancel_token(token);
@@ -616,7 +579,7 @@ mod tests {
         let (started_tx, started_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let token = CancelToken::new();
-        let mut graph: JobGraph<u32> = JobGraph::new(7);
+        let mut graph: JobGraph<u32> = JobGraph::new();
         let a = graph.add_job(&[], move |_| {
             started_tx.send(()).expect("watcher alive");
             release_rx.recv().expect("release signal");
@@ -639,7 +602,7 @@ mod tests {
     fn handle_token_and_graph_token_are_the_same_flag() {
         let engine = Engine::sequential();
         let bound = CancelToken::new();
-        let mut graph: JobGraph<u32> = JobGraph::new(3);
+        let mut graph: JobGraph<u32> = JobGraph::new();
         graph.add_job(&[], |_| 9);
         graph.set_cancel_token(bound.clone());
         let handle = engine.submit(graph);
@@ -647,24 +610,6 @@ mod tests {
         assert!(bound.is_cancelled());
         let result = handle.wait();
         assert_eq!(result.outcomes[0], JobOutcome::Skipped);
-    }
-
-    #[test]
-    fn batch_results_come_back_in_submission_order() {
-        let engine = Engine::with_exact_threads(4);
-        let graphs: Vec<JobGraph<usize>> = (0..6)
-            .map(|i| {
-                let mut g = JobGraph::new(i as u64);
-                g.add_job(&[], move |_| i);
-                g
-            })
-            .collect();
-        let results = engine.run_batch(graphs);
-        let values: Vec<usize> = results
-            .into_iter()
-            .flat_map(|r| r.expect_all("batch"))
-            .collect();
-        assert_eq!(values, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
@@ -680,7 +625,7 @@ mod tests {
                 }
             })
             .collect();
-        let out = engine.run_jobs(7, jobs);
+        let out = engine.run_jobs(jobs);
         assert_eq!(out, (0..32u64).map(|i| i * 2).collect::<Vec<_>>());
         assert_eq!(touched.load(Ordering::SeqCst), 32);
     }
@@ -691,11 +636,11 @@ mod tests {
         // waits on a nested graph; without the inline re-entrancy guard
         // this deadlocks (all workers blocked, nested jobs unrunnable).
         let engine = Arc::new(Engine::with_exact_threads(2));
-        let mut outer: JobGraph<u64> = JobGraph::new(11);
+        let mut outer: JobGraph<u64> = JobGraph::new();
         for i in 0..4u64 {
             let engine = Arc::clone(&engine);
             outer.add_job(&[], move |_| {
-                let mut inner: JobGraph<u64> = JobGraph::new(100 + i);
+                let mut inner: JobGraph<u64> = JobGraph::new();
                 let a = inner.add_job(&[], move |_| i);
                 inner.add_job(&[a], move |_| i * 10);
                 let values = engine.run_graph(inner).expect_all("nested");
@@ -709,7 +654,7 @@ mod tests {
     #[test]
     fn empty_graph_completes_immediately() {
         let engine = Engine::with_exact_threads(2);
-        let graph: JobGraph<u32> = JobGraph::new(0);
+        let graph: JobGraph<u32> = JobGraph::new();
         let result = engine.run_graph(graph);
         assert!(result.outcomes.is_empty());
         assert!(result.all_completed());
@@ -719,7 +664,7 @@ mod tests {
     fn jobs_share_the_engine_cache() {
         use crate::cache::ArtifactKey;
         let engine = Engine::with_exact_threads(4);
-        let mut graph: JobGraph<usize> = JobGraph::new(5);
+        let mut graph: JobGraph<usize> = JobGraph::new();
         for _ in 0..8 {
             graph.add_job(&[], |ctx| {
                 let v: Arc<Vec<u8>> = ctx
@@ -766,7 +711,7 @@ mod tests {
                     }
                 })
                 .collect();
-            engine.run_jobs(5, jobs)
+            engine.run_jobs(jobs)
         };
 
         let configs = [
@@ -803,7 +748,7 @@ mod tests {
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Arc::new(Mutex::new(release_rx));
         let batch_done = Arc::new(AtomicUsize::new(0));
-        let mut batch: JobGraph<u32> = JobGraph::new(1);
+        let mut batch: JobGraph<u32> = JobGraph::new();
         batch.set_priority(Priority::Batch);
         for _ in 0..2 {
             let started_tx = started_tx.clone();
@@ -831,7 +776,7 @@ mod tests {
         // Both workers blocked, 40 batch jobs queued; now the interactive
         // graph arrives and records how much batch work ran before it.
         let seen = Arc::clone(&batch_done);
-        let mut interactive: JobGraph<u32> = JobGraph::new(2);
+        let mut interactive: JobGraph<u32> = JobGraph::new();
         interactive.add_job(&[], move |_| seen.load(Ordering::SeqCst) as u32);
         let interactive_handle = engine.submit(interactive);
         release_tx.send(()).expect("blocker alive");
@@ -852,10 +797,10 @@ mod tests {
         use crate::graph::Priority;
         let draws = |priority: Priority| -> Vec<u64> {
             let engine = Engine::with_exact_threads(4);
-            let mut graph: JobGraph<u64> = JobGraph::new(77);
+            let mut graph: JobGraph<u64> = JobGraph::new();
             graph.set_priority(priority);
-            for _ in 0..16 {
-                graph.add_job(&[], |ctx| ctx.rng().next_u64());
+            for i in 0..16u64 {
+                graph.add_job(&[], move |_| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             }
             engine.run_graph(graph).expect_all("lane draws")
         };
@@ -866,11 +811,11 @@ mod tests {
     fn traced_graph_records_one_span_per_executed_job() {
         for n_threads in [1, 4] {
             let engine = Engine::with_exact_threads(n_threads);
-            let mut graph: JobGraph<u64> = JobGraph::new(5);
-            let a = graph.add_job(&[], |ctx| ctx.rng().next_u64());
+            let mut graph: JobGraph<u64> = JobGraph::new();
+            let a = graph.add_job(&[], |_| 0);
             graph.set_job_label(a, "artifact/a");
-            for _ in 0..7 {
-                let j = graph.add_job(&[a], |ctx| ctx.rng().next_u64());
+            for i in 1..8u64 {
+                let j = graph.add_job(&[a], move |_| i);
                 graph.set_job_label(j, "eval");
             }
             graph.enable_trace("unit");
@@ -902,9 +847,9 @@ mod tests {
     fn tracing_does_not_change_results() {
         let draws = |n_threads: usize, trace: bool| -> Vec<u64> {
             let engine = Engine::with_exact_threads(n_threads);
-            let mut graph: JobGraph<u64> = JobGraph::new(123);
-            for _ in 0..16 {
-                graph.add_job(&[], |ctx| ctx.rng().next_u64());
+            let mut graph: JobGraph<u64> = JobGraph::new();
+            for i in 0..16u64 {
+                graph.add_job(&[], move |_| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             }
             if trace {
                 graph.enable_trace("ab");
@@ -921,7 +866,7 @@ mod tests {
     #[test]
     fn untraced_graph_returns_no_trace() {
         let engine = Engine::with_exact_threads(2);
-        let mut graph: JobGraph<u32> = JobGraph::new(1);
+        let mut graph: JobGraph<u32> = JobGraph::new();
         graph.add_job(&[], |_| 1);
         assert!(engine.run_graph(graph).trace.is_none());
     }
@@ -930,7 +875,7 @@ mod tests {
     fn metrics_record_job_runs_and_graph_queue_wait() {
         use crate::graph::Priority;
         let engine = Engine::with_exact_threads(2);
-        let mut graph: JobGraph<u32> = JobGraph::new(9);
+        let mut graph: JobGraph<u32> = JobGraph::new();
         graph.set_priority(Priority::Batch);
         for _ in 0..6 {
             graph.add_job(&[], |_| 1);
@@ -953,12 +898,14 @@ mod tests {
         // `stolen()` says so: another worker enqueued the task.  Chains
         // make most jobs worker-spawned, so both kinds of pick-up occur.
         let engine = Engine::with_exact_threads(4);
-        let mut graph: JobGraph<u64> = JobGraph::new(21);
-        for _ in 0..8 {
-            let mut prev = graph.add_job(&[], |ctx| ctx.rng().next_u64());
-            for _ in 0..15 {
-                prev = graph.add_job(&[prev], |ctx| {
-                    (0..200).fold(0u64, |acc, _| acc ^ ctx.rng().next_u64())
+        let mut graph: JobGraph<u64> = JobGraph::new();
+        for chain in 0..8u64 {
+            let mut prev = graph.add_job(&[], move |_| chain);
+            for link in 1..16u64 {
+                prev = graph.add_job(&[prev], move |_| {
+                    (0..200u64).fold(chain << 8 | link, |acc, j| {
+                        acc.rotate_left(7) ^ j.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    })
                 });
             }
         }
@@ -981,9 +928,9 @@ mod tests {
     #[test]
     fn disabled_metrics_record_nothing_but_results_match() {
         let run = |engine: &Engine| -> Vec<u64> {
-            let mut graph: JobGraph<u64> = JobGraph::new(7);
-            for _ in 0..8 {
-                graph.add_job(&[], |ctx| ctx.rng().next_u64());
+            let mut graph: JobGraph<u64> = JobGraph::new();
+            for i in 0..8u64 {
+                graph.add_job(&[], move |_| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
             }
             engine.run_graph(graph).expect_all("metrics A/B")
         };
@@ -1000,7 +947,7 @@ mod tests {
         use crate::cache::ArtifactKey;
         let engine = Engine::sequential();
         let key = ArtifactKey::Custom { domain: 4, key: 4 };
-        let mut graph: JobGraph<u64> = JobGraph::new(2);
+        let mut graph: JobGraph<u64> = JobGraph::new();
         let a = graph.add_job(&[], move |ctx| *ctx.cache().get_or_compute(key, || 5u64));
         graph.add_job(&[a], move |ctx| *ctx.cache().get_or_compute(key, || 5u64));
         graph.enable_trace("cache-attribution");
@@ -1028,7 +975,7 @@ mod tests {
         use crate::cache::ArtifactKey;
         let engine = Engine::with_exact_threads(2);
         let key = ArtifactKey::Custom { domain: 9, key: 1 };
-        let mut graph: JobGraph<u64> = JobGraph::new(1);
+        let mut graph: JobGraph<u64> = JobGraph::new();
         graph.add_job(&[], move |ctx| {
             let v: Arc<u64> = ctx
                 .cache()

@@ -2,22 +2,22 @@
 //!
 //! A model-selection request is modelled as a directed acyclic graph of
 //! jobs: artifact jobs (distance matrices, density hierarchies, fold
-//! closures) feed evaluation jobs (one per parameter × fold) which feed a
+//! closures) feed evaluation jobs (one per parameter) which feed a
 //! reduction job.  [`JobGraph`] builds such a graph; the engine executes it
-//! on its pool (or inline for the one-thread case).
+//! on its pool, or inline in ascending job order on a one-thread engine
+//! and for graphs submitted from inside a job.
 //!
-//! Determinism: every job receives its own RNG stream, derived from the
-//! graph's base generator and the job's *salt* via
-//! [`SeededRng::fork_stream`] — a pure function of (base state, salt), not
-//! of execution order.  Results are therefore bit-identical at any thread
-//! count; only wall-clock time changes.
+//! Determinism: the engine hands a job nothing but the artifact cache.  A
+//! job that needs randomness derives it from its own inputs (the CVCP plan
+//! forks each cell's stream from the trial's frozen base and the cell's
+//! coordinates), so results never depend on execution order, thread count
+//! or lane; only wall-clock time changes.
 //!
 //! Acyclicity is guaranteed by construction: [`JobId`]s are only handed out
 //! by [`JobGraph::add_job`], so dependency edges can only point at
 //! already-added jobs.
 
 use crate::cache::ArtifactCache;
-use cvcp_data::rng::SeededRng;
 use cvcp_obs::GraphTrace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,9 +31,9 @@ use std::sync::Arc;
 /// experiment fan-out.  Within a lane, jobs start in the order they became
 /// ready.
 ///
-/// Priority is pure scheduling: every job draws from its own salted RNG
-/// stream, so results are **bit-identical across lanes** — only waiting
-/// time changes.  Note that the lane is strict: batch work only runs while
+/// Priority is pure scheduling: the engine hands jobs no randomness, so
+/// results are **bit-identical across lanes** — only waiting time
+/// changes.  Note that the lane is strict: batch work only runs while
 /// no interactive job is queued, so a saturating interactive stream can
 /// starve batch graphs (acceptable for this workload, where interactive
 /// requests are short).
@@ -115,18 +115,9 @@ impl CancelToken {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobId(pub(crate) usize);
 
-impl JobId {
-    /// Position of the job in the graph (insertion order).
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 /// Execution context handed to every job.
 pub struct JobCtx {
     pub(crate) cache: Arc<ArtifactCache>,
-    pub(crate) rng: SeededRng,
-    pub(crate) index: usize,
 }
 
 impl JobCtx {
@@ -139,16 +130,6 @@ impl JobCtx {
     pub fn cache_arc(&self) -> Arc<ArtifactCache> {
         Arc::clone(&self.cache)
     }
-
-    /// This job's private RNG stream (independent of execution order).
-    pub fn rng(&mut self) -> &mut SeededRng {
-        &mut self.rng
-    }
-
-    /// Position of this job in its graph.
-    pub fn job_index(&self) -> usize {
-        self.index
-    }
 }
 
 pub(crate) type JobFn<T> = Box<dyn FnOnce(&mut JobCtx) -> T + Send + 'static>;
@@ -156,12 +137,10 @@ pub(crate) type JobFn<T> = Box<dyn FnOnce(&mut JobCtx) -> T + Send + 'static>;
 pub(crate) struct GraphJob<T> {
     pub(crate) f: JobFn<T>,
     pub(crate) deps: Vec<usize>,
-    pub(crate) salt: u64,
 }
 
 /// A DAG of jobs, all returning the same result type `T`.
 pub struct JobGraph<T> {
-    pub(crate) base_rng: SeededRng,
     pub(crate) jobs: Vec<GraphJob<T>>,
     pub(crate) cancel_token: Option<CancelToken>,
     pub(crate) priority: Priority,
@@ -172,18 +151,16 @@ pub struct JobGraph<T> {
     pub(crate) labels: Vec<String>,
 }
 
-impl<T> JobGraph<T> {
-    /// An empty graph whose job RNG streams derive from `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self::with_base_rng(SeededRng::new(seed))
+impl<T> Default for JobGraph<T> {
+    fn default() -> Self {
+        Self::new()
     }
+}
 
-    /// An empty graph whose job RNG streams derive from an existing
-    /// generator state (frozen at this point; the caller's generator is not
-    /// advanced).
-    pub fn with_base_rng(base_rng: SeededRng) -> Self {
+impl<T> JobGraph<T> {
+    /// An empty graph on the [`Priority::Interactive`] lane.
+    pub fn new() -> Self {
         Self {
-            base_rng,
             jobs: Vec::new(),
             cancel_token: None,
             priority: Priority::default(),
@@ -238,19 +215,9 @@ impl<T> JobGraph<T> {
         self.priority
     }
 
-    /// Adds a job depending on `deps`, salted by its insertion index.
+    /// Adds a job depending on `deps`.  Jobs are numbered in insertion
+    /// order, which is the order a one-thread engine runs ready jobs in.
     pub fn add_job<F>(&mut self, deps: &[JobId], f: F) -> JobId
-    where
-        F: FnOnce(&mut JobCtx) -> T + Send + 'static,
-    {
-        let salt = self.jobs.len() as u64;
-        self.add_salted_job(deps, salt, f)
-    }
-
-    /// Adds a job with an explicit RNG-stream salt.  Use a *structural* salt
-    /// (e.g. `param_index << 20 | fold`) when the same logical job must get
-    /// the same stream across differently-shaped graphs.
-    pub fn add_salted_job<F>(&mut self, deps: &[JobId], salt: u64, f: F) -> JobId
     where
         F: FnOnce(&mut JobCtx) -> T + Send + 'static,
     {
@@ -258,7 +225,6 @@ impl<T> JobGraph<T> {
         self.jobs.push(GraphJob {
             f: Box::new(f),
             deps: deps.iter().map(|d| d.0).collect(),
-            salt,
         });
         id
     }

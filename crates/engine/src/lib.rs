@@ -12,11 +12,10 @@
 //!
 //! * [`Engine`] — a thread pool over `std::thread` that pulls jobs from one
 //!   locked two-lane queue (interactive before batch, FIFO within a lane).
-//!   One thread means *inline* execution (the sequential path);
-//!   any thread count produces **bit-identical results**, because every job
-//!   draws from its own RNG stream derived via [`SeededRng::fork_stream`]
-//!   from the graph seed and the job's structural salt — never from
-//!   execution order.
+//!   One thread means *inline* execution of the same graph, in ascending
+//!   job order (the sequential path).  The engine hands jobs no
+//!   randomness: a job that needs it derives its stream from its own
+//!   inputs, so any thread count produces **bit-identical results**.
 //! * [`JobGraph`] — a request is modelled as a job DAG: artifact jobs feed
 //!   evaluation jobs feed a reduction job.  Failed jobs skip their
 //!   dependents without poisoning the pool; graphs can be cancelled.
@@ -27,27 +26,24 @@
 //!   serving engines run within a fixed memory budget without ever
 //!   changing results.
 //!
-//! Batch submission ([`Engine::submit`] / [`Engine::run_batch`])
-//! multiplexes many selection requests over one pool — the seam for a
-//! future serving layer.
+//! Graphs submitted with [`Engine::submit`] run concurrently over one
+//! pool; the serving front-end multiplexes its selection requests this way.
 //!
 //! ```
 //! use cvcp_engine::{Engine, JobGraph};
 //!
 //! let engine = Engine::new(4);
-//! let mut graph: JobGraph<f64> = JobGraph::new(42);
+//! let mut graph: JobGraph<f64> = JobGraph::new();
 //! let artifact = graph.add_job(&[], |_ctx| 21.0);
 //! graph.add_job(&[artifact], |ctx| {
-//!     // dependencies are guaranteed to have run; RNG streams are
-//!     // per-job and thread-count invariant
-//!     let _u = ctx.rng().uniform();
+//!     // dependencies are guaranteed to have run; the context carries the
+//!     // engine's artifact cache
+//!     let _cache = ctx.cache();
 //!     2.0
 //! });
 //! let values = engine.run_graph(graph).expect_all("demo");
 //! assert_eq!(values[0] * values[1], 42.0);
 //! ```
-//!
-//! [`SeededRng::fork_stream`]: cvcp_data::rng::SeededRng::fork_stream
 
 #![warn(missing_docs)]
 
@@ -57,8 +53,8 @@ pub mod graph;
 mod pool;
 
 pub use cache::{
-    fingerprint_indices, fingerprint_matrix, ArtifactCache, ArtifactKey, ArtifactSize, CacheConfig,
-    CacheStats, Fingerprint, FingerprintBuilder, KindLatencySnapshot,
+    fingerprint_matrix, ArtifactCache, ArtifactKey, ArtifactSize, CacheConfig, CacheStats,
+    Fingerprint, FingerprintBuilder, KindLatencySnapshot,
 };
 pub use engine::{Engine, GraphHandle};
 pub use graph::{CancelToken, GraphResult, JobCtx, JobGraph, JobId, JobOutcome, Priority, N_LANES};

@@ -496,7 +496,8 @@ impl ToJson for CurveFigure {
 }
 
 /// Generates a curve figure: one representative run on one ALOI-like data
-/// set, as in Figures 5–8.
+/// set, as in Figures 5–8.  The run is trial 0 of a one-trial experiment on
+/// the [`shared_engine`].
 pub fn curve_figure(
     title: &str,
     method: &dyn ParameterizedMethod,
@@ -505,14 +506,17 @@ pub fn curve_figure(
     mode: Mode,
 ) -> CurveFigure {
     let ds = representative_aloi();
-    let cfg = mode.config(params.to_vec(), false);
-    let outcome = cvcp_core::experiment::run_trial(method, &ds, spec, &cfg, params, 0);
+    let cfg = ExperimentConfig {
+        n_trials: 1,
+        ..mode.config(params.to_vec(), false)
+    };
+    let outcome = run_experiment(method, &ds, spec, &cfg).swap_remove(0);
     CurveFigure {
         title: title.to_string(),
         parameter: method.parameter_name(),
         params: params.to_vec(),
-        internal: outcome.internal_scores.clone(),
-        external: outcome.external_scores.clone(),
+        internal: outcome.internal_scores,
+        external: outcome.external_scores,
         correlation: outcome.correlation,
     }
 }

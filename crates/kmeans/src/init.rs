@@ -2,12 +2,13 @@
 //!
 //! * [`kmeanspp_centroids`]: the k-means++ D² seeding of Arthur &
 //!   Vassilvitskii (2007);
-//! * [`neighborhood_centroids`]: the MPCKMeans initialisation of Bilenko et
-//!   al. (2004): the must-link neighbourhood sets (transitive closure of the
-//!   must-link constraints) provide initial centroids; if there are fewer
-//!   neighbourhoods than `k`, the remaining centroids are filled with
-//!   k-means++ style draws; if there are more, the `k` largest (by weighted
-//!   farthest-first traversal) are used.
+//! * [`neighborhood_candidates`] + [`centroids_from_candidates`]: the
+//!   MPCKMeans initialisation of Bilenko et al. (2004): the must-link
+//!   neighbourhood sets (transitive closure of the must-link constraints)
+//!   provide initial centroids; if there are fewer neighbourhoods than `k`,
+//!   the remaining centroids are filled with k-means++ style draws; if
+//!   there are more, the `k` largest (by weighted farthest-first traversal)
+//!   are used.
 
 use crate::objective::{centroid_of, sq_dist};
 use cvcp_constraints::closure::must_link_components;
@@ -80,23 +81,12 @@ pub fn neighborhood_candidates(
         .collect()
 }
 
-/// MPCKMeans-style initialisation from must-link neighbourhoods.
+/// MPCKMeans-style initialisation: selects `k` centroids from precomputed
+/// must-link neighbourhood candidates (see [`neighborhood_candidates`]).
 ///
-/// Returns `k` centroids.  Ties in the farthest-first traversal are broken by
-/// neighbourhood size (larger neighbourhoods preferred), matching the
-/// "weighted" variant described by Bilenko et al.
-pub fn neighborhood_centroids(
-    data: &DataMatrix,
-    constraints: &ConstraintSet,
-    k: usize,
-    rng: &mut SeededRng,
-) -> Vec<Vec<f64>> {
-    centroids_from_candidates(data, neighborhood_candidates(data, constraints), k, rng)
-}
-
-/// Selects `k` centroids from precomputed neighbourhood candidates (see
-/// [`neighborhood_candidates`]); bit-identical to [`neighborhood_centroids`]
-/// on the same inputs.
+/// Ties in the farthest-first traversal are broken by neighbourhood size
+/// (larger neighbourhoods preferred), matching the "weighted" variant
+/// described by Bilenko et al.
 #[allow(clippy::needless_range_loop)] // dist2[i] updates in lock-step with data.row(i)
 pub fn centroids_from_candidates(
     data: &DataMatrix,
@@ -235,7 +225,8 @@ mod tests {
         cs.add_must_link(3, 4);
         cs.add_must_link(4, 5);
         let mut rng = SeededRng::new(4);
-        let centroids = neighborhood_centroids(&data, &cs, 3, &mut rng);
+        let centroids =
+            centroids_from_candidates(&data, neighborhood_candidates(&data, &cs), 3, &mut rng);
         assert_eq!(centroids.len(), 3);
         // the two neighbourhood centroids must be close to the blob means
         let blob0 = [0.1, 0.1];
@@ -252,7 +243,8 @@ mod tests {
         cs.add_must_link(3, 4);
         cs.add_must_link(6, 7);
         let mut rng = SeededRng::new(5);
-        let centroids = neighborhood_centroids(&data, &cs, 2, &mut rng);
+        let centroids =
+            centroids_from_candidates(&data, neighborhood_candidates(&data, &cs), 2, &mut rng);
         assert_eq!(centroids.len(), 2);
         // farthest-first should not pick two centroids from the same blob
         assert!(sq_dist(&centroids[0], &centroids[1]) > 5.0);
@@ -263,7 +255,8 @@ mod tests {
         let data = blob_data();
         let cs = ConstraintSet::new(8);
         let mut rng = SeededRng::new(6);
-        let centroids = neighborhood_centroids(&data, &cs, 3, &mut rng);
+        let centroids =
+            centroids_from_candidates(&data, neighborhood_candidates(&data, &cs), 3, &mut rng);
         assert_eq!(centroids.len(), 3);
     }
 }

@@ -21,9 +21,7 @@ pub mod init;
 pub mod mpck_means;
 pub mod objective;
 
-pub use init::{
-    centroids_from_candidates, kmeanspp_centroids, neighborhood_candidates, neighborhood_centroids,
-};
+pub use init::{centroids_from_candidates, kmeanspp_centroids, neighborhood_candidates};
 pub use mpck_means::{MpckMeans, MpckMeansResult, MpckSeeding};
 
 /// Convenience re-exports.

@@ -7,7 +7,8 @@
 //! * **Initialisation**: cluster centroids are seeded from the must-link
 //!   neighbourhood sets (transitive closure of the must-links), topped up /
 //!   reduced via weighted farthest-first traversal
-//!   ([`crate::init::neighborhood_centroids`]).
+//!   ([`crate::init::neighborhood_candidates`] +
+//!   [`crate::init::centroids_from_candidates`]).
 //! * **E-step**: objects are assigned greedily, in random order, to the
 //!   cluster minimising their contribution to the objective: the metric
 //!   distance to the centroid, minus the metric's log-determinant, plus

@@ -21,9 +21,9 @@
 //! `trace_event` export, wire payloads) lives upstream in `cvcp-core` and
 //! `cvcp-server`, next to the workspace's in-tree JSON emitter.
 //!
-//! Everything here is timing-only: no instrument reads or advances a job
-//! RNG stream, so enabling metrics or tracing can never change a
-//! selection result.
+//! Everything here is timing-only: no instrument reads or advances any
+//! RNG stream (jobs derive theirs from their own inputs), so enabling
+//! metrics or tracing can never change a selection result.
 
 pub mod hist;
 pub mod lock_rank;

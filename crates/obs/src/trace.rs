@@ -12,7 +12,7 @@
 //! uncontended in steady state — contention can only occur against the
 //! final drain in [`SpanRecorder::finish`], which runs after the graph
 //! completes.  Enqueue ticks are plain relaxed atomic stores into a
-//! pre-sized slot per job.  Nothing here touches job RNG streams or
+//! pre-sized slot per job.  Nothing here touches an RNG stream or
 //! execution order, so traced and untraced runs are bit-identical.
 //!
 //! The finished [`GraphTrace`] is a plain value: spans sorted by job

@@ -16,6 +16,7 @@
 //! to join them: a joining pool worker runs other queued jobs while it
 //! waits and parks once the queue is empty.
 
+use cvcp_suite::data::rng::SeededRng;
 use cvcp_suite::engine::{ArtifactCache, ArtifactKey, ArtifactSize, CacheConfig, Engine, JobCtx};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,10 +54,10 @@ struct Tally {
 }
 
 /// One job's seeded operation mix on the shared cache.
-fn run_ops(ctx: &mut JobCtx, tally: &Tally) {
+fn run_ops(ctx: &mut JobCtx, rng: &mut SeededRng, tally: &Tally) {
     for _ in 0..OPS_PER_JOB {
-        let roll = ctx.rng().index(100);
-        let k = ctx.rng().index(KEYS as usize) as u64;
+        let roll = rng.index(100);
+        let k = rng.index(KEYS as usize) as u64;
         let cache = ctx.cache_arc();
         if roll < 2 {
             cache.clear();
@@ -112,13 +113,15 @@ fn assert_at_rest(cache: &ArtifactCache, tally: &Tally, label: &str) {
 fn soak(label: &str, config: CacheConfig, seed: u64) -> (Arc<ArtifactCache>, Arc<Tally>) {
     let engine = Engine::with_cache_config_exact(WORKERS, config);
     let tally = Arc::new(Tally::default());
+    // Job `i` draws from stream `i` of the seed.
     let jobs: Vec<_> = (0..JOBS)
-        .map(|_| {
+        .map(|i| {
             let tally = Arc::clone(&tally);
-            move |ctx: &mut JobCtx| run_ops(ctx, &tally)
+            let mut rng = SeededRng::new(seed).fork_stream(i as u64);
+            move |ctx: &mut JobCtx| run_ops(ctx, &mut rng, &tally)
         })
         .collect();
-    engine.run_jobs(seed, jobs);
+    engine.run_jobs(jobs);
     let cache = Arc::clone(engine.cache());
     drop(engine);
     assert_at_rest(&cache, &tally, label);

@@ -13,9 +13,7 @@ use cvcp_suite::constraints::generate::{
     constraint_pool, sample_constraints, sample_labeled_subset,
 };
 use cvcp_suite::constraints::SideInformation;
-use cvcp_suite::core::experiment::{
-    run_experiment, run_experiment_on, run_experiment_trialwise, ExperimentConfig, SideInfoSpec,
-};
+use cvcp_suite::core::experiment::{run_experiment, ExperimentConfig, SideInfoSpec};
 use cvcp_suite::core::{select_model, select_model_with, CvcpConfig, FoscMethod, MpckMethod};
 use cvcp_suite::data::rng::SeededRng;
 use cvcp_suite::data::synthetic::separated_blobs;
@@ -132,49 +130,6 @@ fn experiments_are_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn unified_experiment_plan_is_bit_identical_to_the_trialwise_reference() {
-    // The full-grid lowering contract: `run_experiment_on` fans the whole
-    // (trial × parameter × fold) grid — plus every per-parameter final
-    // clustering — into one batch-lane job graph, and its reports must be
-    // bit-identical to the trial-only reference lowering (the pre-unified
-    // shape, one inline job per trial) at 1, 2 and 8 threads.
-    let ds = blobs(95);
-    let config = ExperimentConfig {
-        n_trials: 3,
-        cvcp: CvcpConfig {
-            n_folds: 3,
-            stratified: true,
-        },
-        params: vec![2, 3, 4],
-        seed: 23,
-        with_silhouette: true,
-        n_threads: 1, // unused: engines are built explicitly below
-    };
-    let spec = SideInfoSpec::LabelFraction(0.2);
-    let reference = run_experiment_trialwise(
-        &Engine::with_exact_threads(4),
-        &MpckMethod::default(),
-        &ds,
-        spec,
-        &config,
-    );
-    assert_eq!(reference.len(), 3);
-    for threads in [1usize, 2, 8] {
-        let unified = run_experiment_on(
-            &Engine::with_exact_threads(threads),
-            &MpckMethod::default(),
-            &ds,
-            spec,
-            &config,
-        );
-        assert_eq!(
-            unified, reference,
-            "unified plan diverged from the trialwise reference at {threads} threads"
-        );
-    }
-}
-
-#[test]
 fn artifact_cache_shares_pointer_equal_artifacts_across_folds_and_requests() {
     let ds = blobs(70);
     let side = label_side(&ds, 71);
@@ -237,7 +192,7 @@ fn failed_job_does_not_poison_the_pool() {
 
     // A graph whose middle job panics: dependents are skipped, the sibling
     // completes, and the engine remains fully usable.
-    let mut graph: JobGraph<u32> = JobGraph::new(1);
+    let mut graph: JobGraph<u32> = JobGraph::new();
     let bad = graph.add_job(&[], |_| panic!("injected failure"));
     let _skipped = graph.add_job(&[bad], |_| 1);
     let _sibling = graph.add_job(&[], |_| 2);
@@ -247,7 +202,7 @@ fn failed_job_does_not_poison_the_pool() {
     assert_eq!(result.outcomes[2], JobOutcome::Completed(2));
 
     // A cancelled graph is skipped wholesale…
-    let mut graph: JobGraph<u32> = JobGraph::new(2);
+    let mut graph: JobGraph<u32> = JobGraph::new();
     graph.add_job(&[], |_| 3);
     let handle = engine.submit(graph);
     handle.cancel();

@@ -12,13 +12,17 @@
 //! * `core_distances` for MinPts {1, 2, 3, 6, …, 24, n − 1, n, n + 5} on
 //!   the same replicas;
 //! * one reduced `run_experiment_on` (iris_like and aloi:0, FOSC and
-//!   MPCKMeans, 2 trials × 3 folds): every field of every trial outcome;
+//!   MPCKMeans, 2 trials × 3 folds) on a two-worker and on a one-thread
+//!   engine: every field of every trial outcome;
 //! * two selections through `select_model_with` on a two-worker engine
 //!   whose cache byte budget is below the working set (FOSC on aloi:0
 //!   over MinPts 3..24, MPCKMeans on iris_like over its default `k`
 //!   grid), so the graph lowering and the LRU eviction both run;
 //! * one selection served over the wire (`Server::start` plus a v2
-//!   `client::Connection`): the returned `RankedSelection`.
+//!   `client::Connection`): the returned `RankedSelection`;
+//! * the four quick-mode curve figures (Figures 5–8) as `curve_figure`
+//!   computes them for the `fig05`–`fig08` binaries: parameters, both
+//!   score series and their correlation.
 //!
 //! Each digest is FNV-1a 64 over the little-endian bytes of the result's
 //! words (`f64::to_bits` for floats), one line per case in
@@ -27,6 +31,10 @@
 //! recorded in CHANGES.md; on a mismatch the failure message prints the
 //! regenerated lines of the failing section.
 
+use cvcp_experiments::{
+    curve_figure, fosc_method, k_range, mpck_method, representative_aloi, CurveFigure, Mode,
+    MINPTS_RANGE,
+};
 use cvcp_suite::constraints::generate::constraint_pool;
 use cvcp_suite::core::{
     run_experiment_on, select_model_with, Algorithm, CvcpConfig, CvcpSelection, Engine,
@@ -149,6 +157,16 @@ fn selection_digest(selection: &CvcpSelection) -> u64 {
     h.0
 }
 
+fn curve_digest(figure: &CurveFigure) -> u64 {
+    let mut h = Fnv::new();
+    h.word(figure.params.len() as u64);
+    figure.params.iter().for_each(|&p| h.word(p as u64));
+    h.floats(&figure.internal);
+    h.floats(&figure.external);
+    h.float(figure.correlation);
+    h.0
+}
+
 fn ranked_digest(selection: &RankedSelection) -> u64 {
     let mut h = Fnv::new();
     h.word(selection.best_param as u64);
@@ -241,7 +259,14 @@ fn core_distances_match_the_frozen_digests() {
 
 #[test]
 fn reduced_experiment_matches_the_frozen_digests() {
-    let engine = Engine::new(2);
+    // The same four lines hold on a two-worker engine and on the
+    // one-thread engine, which runs the plan's graph inline.
+    for engine in [Engine::new(2), Engine::with_exact_threads(1)] {
+        check_section("run_experiment_on ", reduced_experiment(&engine));
+    }
+}
+
+fn reduced_experiment(engine: &Engine) -> Vec<(String, u64)> {
     let config = ExperimentConfig {
         n_trials: 2,
         cvcp: CvcpConfig {
@@ -267,14 +292,50 @@ fn reduced_experiment_matches_the_frozen_digests() {
     for name in ["iris_like", "aloi:0"] {
         let ds = replica_by_name(name, REPLICA_SEED).expect("registered replica");
         for (algorithm, spec) in families {
-            let outcomes = run_experiment_on(&engine, &*algorithm.method(), &ds, spec, &config);
+            let outcomes = run_experiment_on(engine, &*algorithm.method(), &ds, spec, &config);
             computed.push((
                 format!("run_experiment_on {name} {}", algorithm.name()),
                 outcome_digest(&outcomes),
             ));
         }
     }
-    check_section("run_experiment_on ", computed);
+    computed
+}
+
+#[test]
+fn curve_figures_match_the_frozen_digests() {
+    // The arguments the fig05–fig08 binaries pass in quick mode; the
+    // title does not enter the computation.
+    let mode = Mode { full: false };
+    let k = k_range(&representative_aloi());
+    let pool = SideInfoSpec::ConstraintSample {
+        pool_fraction: 0.10,
+        sample_fraction: 0.10,
+    };
+    let labels = SideInfoSpec::LabelFraction(0.10);
+    let figures = [
+        (
+            "fig05",
+            curve_figure("fig05", &fosc_method(), &MINPTS_RANGE, labels, mode),
+        ),
+        (
+            "fig06",
+            curve_figure("fig06", &mpck_method(), &k, labels, mode),
+        ),
+        (
+            "fig07",
+            curve_figure("fig07", &fosc_method(), &MINPTS_RANGE, pool, mode),
+        ),
+        (
+            "fig08",
+            curve_figure("fig08", &mpck_method(), &k, pool, mode),
+        ),
+    ];
+    let computed = figures
+        .iter()
+        .map(|(name, figure)| (format!("curve_figure {name} quick"), curve_digest(figure)))
+        .collect();
+    check_section("curve_figure ", computed);
 }
 
 #[test]

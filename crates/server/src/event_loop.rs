@@ -15,15 +15,27 @@
 //!
 //! ## How it wakes
 //!
-//! The workspace forbids `unsafe` (rule L1), which rules out
-//! `epoll`/`kqueue` FFI; instead the loop multiplexes over its
-//! [`LoopMsg`] channel with `recv_timeout` as the tick.  Channel traffic
-//! (new connections from the accept thread, responses from workers)
-//! wakes it immediately; client bytes are noticed on the next tick.  The
-//! tick adapts: [`TICK_MIN`] while traffic flows, doubling to
-//! [`TICK_MAX`] when polls come back empty, and a lazy [`TICK_IDLE`]
-//! when no connection is open at all — an idle server burns a handful of
-//! wakeups per second, not a core.
+//! The loop multiplexes over its [`LoopMsg`] channel with `recv_timeout`.
+//! Channel traffic (new connections from the accept thread, responses
+//! from workers) wakes it at once; client bytes are noticed when their
+//! connection is next polled.  Each connection keeps its own schedule: a
+//! connection quiet for time `q` (no bytes moved in either direction) is
+//! polled again after `q / 8`, clamped to [`POLL_MIN`]–[`POLL_MAX`].  An
+//! active connection is therefore noticed within about 100 µs, and one
+//! that has been quiet for 128 ms is polled every 16 ms.  Quiet
+//! connections are capped at one loop-wide slow tick that moves
+//! [`POLL_MAX`] ahead each time it passes, so however many are open they
+//! share one wake per 16 ms.  Each wake services only the connections
+//! that are due, so one busy connection does not make the loop poll the
+//! idle ones faster.  A worker's response makes its connection due at
+//! once, so it is written in the wake that received it; with no
+//! connection open the loop blocks on the channel alone.
+//!
+//! Two other designs were rejected.  Readiness notification
+//! (`epoll`/`kqueue`) needs FFI, and the workspace forbids `unsafe`
+//! (rule L1).  A blocking reader thread per connection would make each
+//! connection cost a thread, which is what the idle-connections test
+//! pins against.
 //!
 //! ## Connection state machine
 //!
@@ -57,8 +69,9 @@ use cvcp_engine::CancelToken;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Longest accepted request line, in bytes; longer frames are rejected
 /// with a `frame_too_large` error and discarded up to the next newline.
@@ -68,21 +81,23 @@ pub(crate) const MAX_FRAME_BYTES: usize = 1 << 20;
 /// client that says hello with this version or higher).
 pub(crate) const PROTOCOL_VERSION: u64 = 2;
 
-/// Poll tick while connections are actively producing work.
-const TICK_MIN: Duration = Duration::from_millis(1);
+/// Shortest wait before a connection is polled again: the wait of one
+/// that just moved bytes.
+const POLL_MIN: Duration = Duration::from_micros(100);
 
-/// Poll tick ceiling once consecutive polls come back empty.
-const TICK_MAX: Duration = Duration::from_millis(16);
+/// Longest wait before a connection is polled again, and the period of
+/// the slow tick that quiet connections share.
+const POLL_MAX: Duration = Duration::from_millis(16);
 
-/// Poll tick with no open connections (only the channel can make work).
-const TICK_IDLE: Duration = Duration::from_millis(100);
+/// A connection quiet for time `q` is polled again after `q / QUIET_DIVISOR`.
+const QUIET_DIVISOR: u32 = 8;
 
 /// Read granularity per `read` call.
 const READ_CHUNK: usize = 8 << 10;
 
-/// Cap on `read` calls per connection per tick, so one fire-hose client
+/// Cap on `read` calls per connection per poll, so one fire-hose client
 /// cannot starve its siblings within an iteration.
-const MAX_READS_PER_TICK: usize = 32;
+const MAX_READS_PER_POLL: usize = 32;
 
 /// Messages multiplexed onto the loop's wakeup channel.
 pub(crate) enum LoopMsg {
@@ -138,6 +153,18 @@ pub(crate) struct ConnGauges {
     pub(crate) in_flight: Gauge,
 }
 
+/// The loop's polling counters: statistics only (Relaxed atomics, added
+/// to once per wake; read by [`Shared::stats`]).
+#[derive(Debug, Default)]
+pub(crate) struct LoopCounters {
+    /// Times the loop woke: on a channel message or a poll deadline.
+    pub(crate) wakes: AtomicU64,
+    /// Connection service passes.
+    pub(crate) polls: AtomicU64,
+    /// Service passes that moved bytes.
+    pub(crate) polls_with_bytes: AtomicU64,
+}
+
 /// One queued-or-running request of a connection.
 struct InFlight {
     /// The wire id echoed on its responses (used for duplicate checks).
@@ -169,6 +196,10 @@ struct Conn {
     auto_id: u64,
     /// Queued-or-running requests, keyed by loop sequence number.
     in_flight: BTreeMap<u64, InFlight>,
+    /// When bytes last moved in either direction.
+    last_active: Instant,
+    /// When the loop services this connection next.
+    next_poll: Instant,
 }
 
 struct LoopState {
@@ -178,6 +209,9 @@ struct LoopState {
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
     next_seq: u64,
+    /// The loop-wide cap on every connection's next poll; it moves
+    /// [`POLL_MAX`] ahead each time it passes.
+    slow_tick: Instant,
 }
 
 /// Runs the serving loop until a [`LoopMsg::Shutdown`] arrives.
@@ -192,18 +226,16 @@ pub(crate) fn event_loop(
         conns: BTreeMap::new(),
         next_conn: 0,
         next_seq: 0,
+        slow_tick: Instant::now() + POLL_MAX,
     };
-    let mut tick = TICK_MIN;
     'run: loop {
-        let timeout = if state.conns.is_empty() {
-            TICK_IDLE
-        } else {
-            tick
+        let received = match state.conns.values().map(|c| c.next_poll).min() {
+            // With no connection open only the channel can make work.
+            None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+            Some(next_poll) => rx.recv_timeout(next_poll.saturating_duration_since(Instant::now())),
         };
-        let mut worked = false;
-        match rx.recv_timeout(timeout) {
+        match received {
             Ok(msg) => {
-                worked = true;
                 if state.handle_msg(msg) {
                     break 'run;
                 }
@@ -219,22 +251,47 @@ pub(crate) fn event_loop(
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => break 'run,
         }
-        let ids: Vec<u64> = state.conns.keys().copied().collect();
-        for id in ids {
-            if state.service(id) {
-                worked = true;
-            }
-        }
-        tick = if worked {
-            TICK_MIN
-        } else {
-            TICK_MAX.min(tick * 2)
-        };
+        state.poll_due(Instant::now());
     }
     state.shutdown_flush();
 }
 
 impl LoopState {
+    /// Services the connections whose poll is due and schedules each one's
+    /// next poll from how long it has been quiet.
+    fn poll_due(&mut self, now: Instant) {
+        if self.slow_tick <= now {
+            self.slow_tick = now + POLL_MAX;
+        }
+        let due: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, conn)| conn.next_poll <= now)
+            .map(|(&id, _)| id)
+            .collect();
+        let mut with_bytes = 0;
+        for &id in &due {
+            let moved = self.service(id);
+            with_bytes += u64::from(moved);
+            if let Some(conn) = self.conns.get_mut(&id) {
+                if moved {
+                    conn.last_active = now;
+                }
+                let wait = (now.duration_since(conn.last_active) / QUIET_DIVISOR)
+                    .clamp(POLL_MIN, POLL_MAX);
+                conn.next_poll = (now + wait).min(self.slow_tick);
+            }
+        }
+        let counters = &self.shared.loop_counters;
+        counters.wakes.fetch_add(1, Ordering::Relaxed);
+        counters
+            .polls
+            .fetch_add(due.len() as u64, Ordering::Relaxed);
+        counters
+            .polls_with_bytes
+            .fetch_add(with_bytes, Ordering::Relaxed);
+    }
+
     /// Applies one channel message; `true` means "stop the loop".
     fn handle_msg(&mut self, msg: LoopMsg) -> bool {
         match msg {
@@ -284,6 +341,7 @@ impl LoopState {
         let _ = stream.set_nodelay(true);
         let id = self.next_conn;
         self.next_conn += 1;
+        let now = Instant::now();
         self.conns.insert(
             id,
             Conn {
@@ -297,17 +355,22 @@ impl LoopState {
                 close_after_flush: false,
                 auto_id: 0,
                 in_flight: BTreeMap::new(),
+                last_active: now,
+                // Due at once: its hello may already be waiting.
+                next_poll: now,
             },
         );
         self.shared.gauges.open.inc();
     }
 
     /// Routes one worker response onto its connection (dropped when the
-    /// connection disconnected in the meantime).
+    /// connection disconnected in the meantime) and makes the connection
+    /// due, so the response is written in this wake.
     fn handle_event(&mut self, conn_id: u64, seq: u64, response: Response) {
         let Some(conn) = self.conns.get_mut(&conn_id) else {
             return;
         };
+        conn.next_poll = Instant::now();
         let terminal = matches!(response, Response::Result { .. } | Response::Error { .. });
         if terminal {
             if conn.in_flight.remove(&seq).is_none() {
@@ -329,13 +392,13 @@ impl LoopState {
     }
 
     /// One service pass over a connection: read, frame, dispatch, flush.
-    /// Returns whether any progress was made (for tick adaptation).
+    /// Returns whether bytes moved (for the connection's poll schedule).
     fn service(&mut self, id: u64) -> bool {
         let mut worked = false;
         let mut disconnected = false;
         if let Some(conn) = self.conns.get_mut(&id) {
             let mut chunk = [0u8; READ_CHUNK];
-            for _ in 0..MAX_READS_PER_TICK {
+            for _ in 0..MAX_READS_PER_POLL {
                 match conn.stream.read(&mut chunk) {
                     Ok(0) => {
                         disconnected = true;

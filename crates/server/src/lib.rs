@@ -19,7 +19,7 @@
 //! | `{"hello":{"version":2}}`      | `hello_ack` (granted version + limits)     |
 //! | `{"type":"select", …}`         | `progress`* then `result` (or `error`)     |
 //! | `{"type":"stats"}`             | `stats` (cache, queue, connections,        |
-//! |                                | request counters)                          |
+//! |                                | request and event-loop counters)           |
 //! | `{"type":"metrics"}`           | `metrics` (latency histograms, workers,    |
 //! |                                | cache latencies, last traced profile)      |
 //! | `{"type":"ping"}`              | `pong`                                     |
@@ -82,8 +82,9 @@ mod server;
 
 pub use client::Connection;
 pub use protocol::{
-    ConnectionGauges, HistogramSummary, KindLatencyMetrics, MetricsPayload, RankedEntry,
-    RankedSelection, Request, RequestStats, Response, StatsSnapshot, WireError, WorkerMetrics,
+    ConnectionGauges, EventLoopStats, HistogramSummary, KindLatencyMetrics, MetricsPayload,
+    RankedEntry, RankedSelection, Request, RequestStats, Response, StatsSnapshot, WireError,
+    WorkerMetrics,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Server, ServerConfig};

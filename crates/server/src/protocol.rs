@@ -548,6 +548,19 @@ pub struct ConnectionGauges {
     pub in_flight_requests: usize,
 }
 
+/// Polling counters of the serving front-end's event loop (statistics
+/// only: relaxed counters since startup).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EventLoopStats {
+    /// Times the loop woke: on a channel message or a poll deadline.
+    pub wakes: u64,
+    /// Connection service passes; each makes at least one non-blocking
+    /// read.
+    pub polls: u64,
+    /// Service passes that moved bytes in either direction.
+    pub polls_with_bytes: u64,
+}
+
 /// The payload of a `stats` response.
 ///
 /// On the wire its `cache` object carries the engine's [`CacheStats`]
@@ -577,6 +590,8 @@ pub struct StatsSnapshot {
     /// Connection gauges of the readiness loop (open / idle / active
     /// connections, total in-flight requests).
     pub connections: ConnectionGauges,
+    /// Polling counters of the readiness loop.
+    pub event_loop: EventLoopStats,
 }
 
 /// A server → client message.
@@ -729,6 +744,17 @@ impl Response {
                     ]),
                 ),
                 (
+                    "event_loop",
+                    Json::obj([
+                        ("wakes", stats.event_loop.wakes.to_json()),
+                        ("polls", stats.event_loop.polls.to_json()),
+                        (
+                            "polls_with_bytes",
+                            stats.event_loop.polls_with_bytes.to_json(),
+                        ),
+                    ]),
+                ),
+                (
                     "engine",
                     Json::obj([("threads", stats.engine_threads.to_json())]),
                 ),
@@ -861,6 +887,7 @@ impl Response {
                 let queue = require(&doc, "queue")?;
                 let requests = require(&doc, "requests")?;
                 let connections = require(&doc, "connections")?;
+                let event_loop = require(&doc, "event_loop")?;
                 let engine = require(&doc, "engine")?;
                 Ok(Response::Stats(StatsSnapshot {
                     cache: CacheStats {
@@ -894,6 +921,11 @@ impl Response {
                         idle: require_usize(connections, "idle")?,
                         active: require_usize(connections, "active")?,
                         in_flight_requests: require_usize(connections, "in_flight_requests")?,
+                    },
+                    event_loop: EventLoopStats {
+                        wakes: require_u64(event_loop, "wakes")?,
+                        polls: require_u64(event_loop, "polls")?,
+                        polls_with_bytes: require_u64(event_loop, "polls_with_bytes")?,
                     },
                 }))
             }
@@ -1298,6 +1330,11 @@ mod tests {
                     idle: 15,
                     active: 2,
                     in_flight_requests: 3,
+                },
+                event_loop: EventLoopStats {
+                    wakes: 62,
+                    polls: 31_000,
+                    polls_with_bytes: 7,
                 },
             }),
             Response::HelloAck {

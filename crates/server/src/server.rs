@@ -4,11 +4,12 @@
 //! ## Thread model
 //!
 //! The server runs exactly `workers + 2` threads regardless of how many
-//! clients are connected: one accept thread (blocking `accept`, hands
-//! each stream to the loop over a channel), one readiness event loop
-//! owning every connection (see [`crate::event_loop`]), and the
-//! selection workers.  Connections cost buffers, not threads — the
-//! property the idle-connections test pins.
+//! clients are connected: one accept thread `cvcp-accept` (blocking
+//! `accept`, hands each stream to the loop over a channel), one
+//! readiness event loop `cvcp-loop` owning every connection (see
+//! [`crate::event_loop`]), and the selection workers `cvcp-worker-<i>`.
+//! The engine's pool threads are `cvcp-engine-<i>`.  Connections cost
+//! buffers, not threads — the property the idle-connections test pins.
 //!
 //! ## Connection lifecycle
 //!
@@ -33,10 +34,10 @@
 //! `server_busy`) and `max_in_flight` (a v2 connection pipelining past
 //! its cap gets `in_flight_limit` errors).
 
-use crate::event_loop::{event_loop, ConnGauges, EventSink, LoopMsg};
+use crate::event_loop::{event_loop, ConnGauges, EventSink, LoopCounters, LoopMsg};
 use crate::protocol::{
-    ConnectionGauges, HistogramSummary, KindLatencyMetrics, MetricsPayload, RankedSelection,
-    RequestStats, Response, StatsSnapshot, WireError, WorkerMetrics,
+    ConnectionGauges, EventLoopStats, HistogramSummary, KindLatencyMetrics, MetricsPayload,
+    RankedSelection, RequestStats, Response, StatsSnapshot, WireError, WorkerMetrics,
 };
 use crate::queue::{BoundedQueue, PushError};
 use cvcp_core::json::Json;
@@ -178,6 +179,8 @@ pub(crate) struct Shared {
     pub(crate) max_connections: usize,
     /// Connection gauges maintained by the event loop.
     pub(crate) gauges: ConnGauges,
+    /// Polling counters maintained by the event loop.
+    pub(crate) loop_counters: LoopCounters,
     shutdown: AtomicBool,
     addr: SocketAddr,
     trace_dir: Option<PathBuf>,
@@ -216,6 +219,11 @@ impl Shared {
                 idle: open.saturating_sub(active),
                 active,
                 in_flight_requests: self.gauges.in_flight.get(),
+            },
+            event_loop: EventLoopStats {
+                wakes: self.loop_counters.wakes.load(Ordering::Relaxed),
+                polls: self.loop_counters.polls.load(Ordering::Relaxed),
+                polls_with_bytes: self.loop_counters.polls_with_bytes.load(Ordering::Relaxed),
             },
         }
     }
@@ -376,6 +384,7 @@ impl Server {
             max_in_flight: config.max_in_flight,
             max_connections: config.max_connections,
             gauges: ConnGauges::default(),
+            loop_counters: LoopCounters::default(),
             shutdown: AtomicBool::new(false),
             addr,
             trace_dir: config.trace_dir.clone(),
@@ -383,18 +392,27 @@ impl Server {
             last_profile: Mutex::new(None),
         });
         let workers = (0..config.workers)
-            .map(|_| {
+            .map(|index| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(&shared))
+                std::thread::Builder::new()
+                    .name(format!("cvcp-worker-{index}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawn selection worker: the server cannot serve without it")
             })
             .collect();
         let event = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || event_loop(shared, loop_tx, loop_rx))
+            std::thread::Builder::new()
+                .name("cvcp-loop".to_string())
+                .spawn(move || event_loop(shared, loop_tx, loop_rx))
+                .expect("spawn event loop: the server cannot serve without it")
         };
         let accept = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            std::thread::Builder::new()
+                .name("cvcp-accept".to_string())
+                .spawn(move || accept_loop(&listener, &shared))
+                .expect("spawn accept thread: the server cannot serve without it")
         };
         Ok(Server {
             shared,

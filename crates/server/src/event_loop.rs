@@ -20,16 +20,31 @@
 //! from workers) wakes it at once; client bytes are noticed when their
 //! connection is next polled.  Each connection keeps its own schedule: a
 //! connection quiet for time `q` (no bytes moved in either direction) is
-//! polled again after `q / 8`, clamped to [`POLL_MIN`]–[`POLL_MAX`].  An
-//! active connection is therefore noticed within about 100 µs, and one
-//! that has been quiet for 128 ms is polled every 16 ms.  Quiet
-//! connections are capped at one loop-wide slow tick that moves
-//! [`POLL_MAX`] ahead each time it passes, so however many are open they
-//! share one wake per 16 ms.  Each wake services only the connections
-//! that are due, so one busy connection does not make the loop poll the
-//! idle ones faster.  A worker's response makes its connection due at
-//! once, so it is written in the wake that received it; with no
-//! connection open the loop blocks on the channel alone.
+//! polled again after `q / 8`, clamped to [`POLL_MIN`]–[`POLL_MAX`].  A
+//! connection whose requests come less than about 800 µs apart is
+//! therefore noticed within about 100 µs, and one that has been quiet for
+//! 128 ms would be polled every 16 ms.
+//!
+//! Two loop-wide ticks cap that wait, so that connections share wakes:
+//!
+//! - The busy tick caps every connection that moved bytes within the last
+//!   [`WARM`].  It comes [`POLL_BUSY`] after bytes last moved on any
+//!   connection and backs off with the loop's quiet time to [`POLL_MAX`].
+//!   While traffic flows, a connection that sends now and then is thus
+//!   polled every millisecond or two, as one loop-wide tick would poll
+//!   it; without the cap, many connections each sending a few times a
+//!   second would wait about 8 ms apiece.
+//! - The slow tick caps every other connection: it moves [`POLL_MAX`]
+//!   ahead each time it passes, so however many connections sit idle,
+//!   they share one wake per 16 ms, however busy the loop is.
+//!
+//! Each wake services only the connections that are due, so one busy
+//! connection does not make the loop poll the idle ones faster.  The
+//! trade-off is the [`WARM`] horizon: a connection quiet for longer than
+//! a second waits for the slow tick, up to 16 ms, even while others keep
+//! the loop busy.  A worker's response makes its connection due at once,
+//! so it is written in the wake that received it; with no connection open
+//! the loop blocks on the channel alone.
 //!
 //! Two other designs were rejected.  Readiness notification
 //! (`epoll`/`kqueue`) needs FFI, and the workspace forbids `unsafe`
@@ -88,6 +103,13 @@ const POLL_MIN: Duration = Duration::from_micros(100);
 /// Longest wait before a connection is polled again, and the period of
 /// the slow tick that quiet connections share.
 const POLL_MAX: Duration = Duration::from_millis(16);
+
+/// The busy tick's wait right after bytes moved on any connection.
+const POLL_BUSY: Duration = Duration::from_millis(1);
+
+/// How long after its bytes last moved a connection is still capped at
+/// the busy tick rather than the slow one.
+const WARM: Duration = Duration::from_secs(1);
 
 /// A connection quiet for time `q` is polled again after `q / QUIET_DIVISOR`.
 const QUIET_DIVISOR: u32 = 8;
@@ -198,8 +220,70 @@ struct Conn {
     in_flight: BTreeMap<u64, InFlight>,
     /// When bytes last moved in either direction.
     last_active: Instant,
-    /// When the loop services this connection next.
+    /// When its own quiet-time schedule polls it next; a loop-wide tick
+    /// may come first (see [`Schedule::due_at`]).
     next_poll: Instant,
+}
+
+/// The loop-wide ticks that cap each connection's own poll schedule.
+#[derive(Debug)]
+struct Schedule {
+    /// When bytes last moved on any connection.
+    last_active: Instant,
+    /// The cap for connections that moved bytes within [`WARM`].
+    busy_tick: Instant,
+    /// The cap for every other connection.
+    slow_tick: Instant,
+}
+
+impl Schedule {
+    fn new(now: Instant) -> Schedule {
+        Schedule {
+            last_active: now,
+            busy_tick: now + POLL_MAX,
+            slow_tick: now + POLL_MAX,
+        }
+    }
+
+    /// A connection's own next poll after a service pass at `now`: a
+    /// connection quiet since `last_active` waits an eighth of that.
+    fn own_poll(now: Instant, last_active: Instant) -> Instant {
+        now + (now.duration_since(last_active) / QUIET_DIVISOR).clamp(POLL_MIN, POLL_MAX)
+    }
+
+    /// When a connection is due: its own next poll or its tick,
+    /// whichever comes first.
+    fn due_at(&self, now: Instant, last_active: Instant, next_poll: Instant) -> Instant {
+        let tick = if now.duration_since(last_active) < WARM {
+            self.busy_tick
+        } else {
+            self.slow_tick
+        };
+        next_poll.min(tick)
+    }
+
+    /// Moves the ticks on after a service pass at `now`; `moved` says
+    /// whether bytes moved on any connection.  The busy tick comes
+    /// [`POLL_BUSY`] after bytes moved and then backs off with the loop's
+    /// quiet time, never past the slow tick, so a quiet loop wakes once
+    /// per [`POLL_MAX`].
+    fn advance(&mut self, now: Instant, moved: bool) {
+        if moved {
+            self.last_active = now;
+        }
+        if self.slow_tick <= now {
+            self.slow_tick = now + POLL_MAX;
+        }
+        let wait = now
+            .duration_since(self.last_active)
+            .clamp(POLL_BUSY, POLL_MAX);
+        let busy = (now + wait).min(self.slow_tick);
+        self.busy_tick = if self.busy_tick <= now {
+            busy
+        } else {
+            self.busy_tick.min(busy)
+        };
+    }
 }
 
 struct LoopState {
@@ -209,9 +293,7 @@ struct LoopState {
     conns: BTreeMap<u64, Conn>,
     next_conn: u64,
     next_seq: u64,
-    /// The loop-wide cap on every connection's next poll; it moves
-    /// [`POLL_MAX`] ahead each time it passes.
-    slow_tick: Instant,
+    schedule: Schedule,
 }
 
 /// Runs the serving loop until a [`LoopMsg::Shutdown`] arrives.
@@ -226,13 +308,19 @@ pub(crate) fn event_loop(
         conns: BTreeMap::new(),
         next_conn: 0,
         next_seq: 0,
-        slow_tick: Instant::now() + POLL_MAX,
+        schedule: Schedule::new(Instant::now()),
     };
     'run: loop {
-        let received = match state.conns.values().map(|c| c.next_poll).min() {
+        let now = Instant::now();
+        let next_due = state
+            .conns
+            .values()
+            .map(|c| state.schedule.due_at(now, c.last_active, c.next_poll))
+            .min();
+        let received = match next_due {
             // With no connection open only the channel can make work.
             None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
-            Some(next_poll) => rx.recv_timeout(next_poll.saturating_duration_since(Instant::now())),
+            Some(due) => rx.recv_timeout(due.saturating_duration_since(now)),
         };
         match received {
             Ok(msg) => {
@@ -257,16 +345,13 @@ pub(crate) fn event_loop(
 }
 
 impl LoopState {
-    /// Services the connections whose poll is due and schedules each one's
-    /// next poll from how long it has been quiet.
+    /// Services the connections that are due, schedules each one's next
+    /// poll from how long it has been quiet, and moves the ticks on.
     fn poll_due(&mut self, now: Instant) {
-        if self.slow_tick <= now {
-            self.slow_tick = now + POLL_MAX;
-        }
         let due: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, conn)| conn.next_poll <= now)
+            .filter(|(_, c)| self.schedule.due_at(now, c.last_active, c.next_poll) <= now)
             .map(|(&id, _)| id)
             .collect();
         let mut with_bytes = 0;
@@ -277,11 +362,10 @@ impl LoopState {
                 if moved {
                     conn.last_active = now;
                 }
-                let wait = (now.duration_since(conn.last_active) / QUIET_DIVISOR)
-                    .clamp(POLL_MIN, POLL_MAX);
-                conn.next_poll = (now + wait).min(self.slow_tick);
+                conn.next_poll = Schedule::own_poll(now, conn.last_active);
             }
         }
+        self.schedule.advance(now, with_bytes > 0);
         let counters = &self.shared.loop_counters;
         counters.wakes.fetch_add(1, Ordering::Relaxed);
         counters
@@ -854,5 +938,67 @@ impl LoopState {
             }
             self.close_conn(id);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const MS: Duration = Duration::from_millis(1);
+
+    #[test]
+    fn a_connection_backs_off_with_its_own_quiet_time() {
+        let now = Instant::now() + 10 * WARM;
+        assert_eq!(Schedule::own_poll(now, now), now + POLL_MIN);
+        assert_eq!(Schedule::own_poll(now, now - 8 * MS), now + MS);
+        assert_eq!(Schedule::own_poll(now, now - 128 * MS), now + POLL_MAX);
+        assert_eq!(Schedule::own_poll(now, now - WARM), now + POLL_MAX);
+    }
+
+    #[test]
+    fn while_bytes_flow_a_recent_connection_waits_for_the_busy_tick_only() {
+        let start = Instant::now() + 10 * WARM;
+        let mut schedule = Schedule::new(start);
+        // Bytes moved on some connection just now.
+        let now = start + MS / 2;
+        schedule.advance(now, true);
+        // A connection that last sent 125 ms ago would wait 15.6 ms on
+        // its own schedule; the busy tick polls it within POLL_BUSY.
+        let sparse = now - 125 * MS;
+        let own = Schedule::own_poll(now, sparse);
+        assert_eq!(schedule.due_at(now, sparse, own), now + POLL_BUSY);
+        // A connection quiet for longer than WARM waits for the slow tick.
+        let idle = now - 2 * WARM;
+        let own = Schedule::own_poll(now, idle);
+        assert_eq!(schedule.due_at(now, idle, own), start + POLL_MAX);
+        // A connection that just moved bytes keeps its faster own poll.
+        let own = Schedule::own_poll(now, now);
+        assert_eq!(schedule.due_at(now, now, own), now + POLL_MIN);
+    }
+
+    #[test]
+    fn the_busy_tick_backs_off_to_the_slow_tick_once_the_loop_is_quiet() {
+        let start = Instant::now() + 10 * WARM;
+        let mut schedule = Schedule::new(start);
+        schedule.advance(start, true);
+        // Empty passes at each busy tick: the wait grows with the loop's
+        // quiet time until the busy tick is the slow tick.
+        let mut waits = Vec::new();
+        let mut now = start;
+        for _ in 0..12 {
+            let next = schedule.busy_tick;
+            waits.push(next - now);
+            now = next;
+            schedule.advance(now, false);
+        }
+        assert_eq!(&waits[..4], &[MS, MS, 2 * MS, 4 * MS]);
+        assert!(waits.iter().all(|&w| w <= POLL_MAX), "{waits:?}");
+        assert_eq!(schedule.busy_tick, schedule.slow_tick);
+        assert_eq!(schedule.slow_tick - now, POLL_MAX);
+        // New bytes pull the busy tick back in at once.
+        let now = now + MS;
+        schedule.advance(now, true);
+        assert_eq!(schedule.busy_tick, now + POLL_BUSY);
     }
 }

@@ -54,7 +54,9 @@ fn quiet_connections_are_polled_at_the_slow_rate() {
     );
 
     // One more connection pings every 5 ms: each ping is answered, and
-    // the quiet connections are still polled at the slow rate.
+    // the quiet connections are still polled at the slow rate.  They have
+    // been quiet for SETTLE + WINDOW by now, longer than the second after
+    // which the loop no longer polls a connection with the busy ones.
     let mut busy = Connection::connect(server.local_addr()).expect("v2 handshake");
     let (before, start) = (server.stats().event_loop, Instant::now());
     let mut pings = 0;

@@ -267,27 +267,7 @@ impl MpckMeans {
                 *slot = c;
             }
 
-            // Re-seed empty clusters with the point farthest from its centroid.
-            for c in 0..self.k {
-                if counts[c] == 0 {
-                    let (far, _) = (0..n)
-                        .map(|i| {
-                            (
-                                i,
-                                weighted_sq_dist(
-                                    data.row(i),
-                                    &centroids[next[i]],
-                                    &metrics[next[i]],
-                                ),
-                            )
-                        })
-                        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-                        .expect("non-empty data");
-                    counts[next[far]] -= 1;
-                    counts[c] += 1;
-                    next[far] = c;
-                }
-            }
+            reseed_empty(data, &centroids, &metrics, &mut counts, &mut next);
 
             // ---------------- M-step: centroids ----------------
             recompute_centroids(data, &next, &mut centroids);
@@ -521,6 +501,34 @@ impl EStep<'_> {
     }
 }
 
+/// Re-seeds each empty cluster with the object farthest from its own
+/// centroid, updating the assignment `next` and its cluster sizes `counts`.
+fn reseed_empty(
+    data: &DataMatrix,
+    centroids: &[Vec<f64>],
+    metrics: &[Vec<f64>],
+    counts: &mut [usize],
+    next: &mut [usize],
+) {
+    let n = next.len();
+    for c in 0..counts.len() {
+        if counts[c] == 0 {
+            let (far, _) = (0..n)
+                .map(|i| {
+                    (
+                        i,
+                        weighted_sq_dist(data.row(i), &centroids[next[i]], &metrics[next[i]]),
+                    )
+                })
+                .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+                .expect("non-empty data");
+            counts[next[far]] -= 1;
+            counts[c] += 1;
+            next[far] = c;
+        }
+    }
+}
+
 /// Constraint pairs `(a, b)`, `a < b`.
 type Pairs = Vec<(usize, usize)>;
 
@@ -721,8 +729,8 @@ mod tests {
     impl Instance {
         fn random(rng: &mut SeededRng) -> Self {
             let n = 6 + rng.index(30);
-            let dims = 1 + rng.index(4);
-            let k = 1 + rng.index(6);
+            let dims = 1 + rng.index(40);
+            let k = 1 + rng.index(17);
             let mut rows: Vec<Vec<f64>> = (0..n)
                 .map(|_| (0..dims).map(|_| rng.index(4) as f64 * 0.5).collect())
                 .collect();
@@ -831,6 +839,282 @@ mod tests {
             ties += tied;
         }
         assert!(ties > 0, "no exact cost tie was exercised");
+    }
+
+    /// `recompute_centroids` as it was before the fit's state became flat:
+    /// one nested `Vec` of sums per cluster.
+    fn reference_recompute_centroids(
+        data: &DataMatrix,
+        assignment: &[usize],
+        centroids: &mut [Vec<f64>],
+    ) {
+        let k = centroids.len();
+        let dims = data.n_cols();
+        let mut sums = vec![vec![0.0; dims]; k];
+        let mut counts = vec![0usize; k];
+        for (i, &c) in assignment.iter().enumerate() {
+            counts[c] += 1;
+            for (j, v) in data.row(i).iter().enumerate() {
+                sums[c][j] += v;
+            }
+        }
+        for c in 0..k {
+            if counts[c] > 0 {
+                for j in 0..dims {
+                    centroids[c][j] = sums[c][j] / counts[c] as f64;
+                }
+            }
+        }
+    }
+
+    /// `MpckMeans::update_metrics` as it was before the fit's state became
+    /// flat: nested per-cluster scatter rows, indexed per dimension.
+    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    fn reference_update_metrics(
+        mpck: &MpckMeans,
+        data: &DataMatrix,
+        assignment: &[usize],
+        centroids: &[Vec<f64>],
+        ml_pairs: &[(usize, usize)],
+        cl_pairs: &[(usize, usize)],
+        mins: &[f64],
+        maxs: &[f64],
+        metrics: &mut [Vec<f64>],
+    ) {
+        let dims = data.n_cols();
+        let k = centroids.len();
+        let mut scatter = vec![vec![0.0f64; dims]; k];
+        let mut counts = vec![0usize; k];
+        for (i, &c) in assignment.iter().enumerate() {
+            counts[c] += 1;
+            let row = data.row(i);
+            for d in 0..dims {
+                let diff = row[d] - centroids[c][d];
+                scatter[c][d] += diff * diff;
+            }
+        }
+        for &(a, b) in ml_pairs {
+            let (ca, cb) = (assignment[a], assignment[b]);
+            if ca != cb {
+                let (ra, rb) = (data.row(a), data.row(b));
+                for d in 0..dims {
+                    let diff = ra[d] - rb[d];
+                    let v = 0.5 * mpck.must_link_weight * diff * diff;
+                    scatter[ca][d] += v;
+                    scatter[cb][d] += v;
+                }
+            }
+        }
+        for &(a, b) in cl_pairs {
+            let (ca, cb) = (assignment[a], assignment[b]);
+            if ca == cb {
+                let (ra, rb) = (data.row(a), data.row(b));
+                for d in 0..dims {
+                    let diff = ra[d] - rb[d];
+                    let range = maxs[d] - mins[d];
+                    let v = mpck.cannot_link_weight * (range * range - diff * diff).max(0.0);
+                    scatter[ca][d] += v;
+                }
+            }
+        }
+        for c in 0..k {
+            if counts[c] == 0 {
+                continue;
+            }
+            for d in 0..dims {
+                let denom = scatter[c][d].max(1e-12);
+                metrics[c][d] = (counts[c] as f64 / denom).clamp(mpck.min_weight, mpck.max_weight);
+            }
+        }
+    }
+
+    /// The objective as `fit_seeded` evaluated it before the distance
+    /// table: every row's centroid term computed with `weighted_sq_dist`
+    /// from the nested centroids and metrics.
+    #[allow(clippy::too_many_arguments)]
+    fn reference_objective(
+        mpck: &MpckMeans,
+        data: &DataMatrix,
+        assignment: &[usize],
+        centroids: &[Vec<f64>],
+        metrics: &[Vec<f64>],
+        ml_pairs: &[(usize, usize)],
+        cl_pairs: &[(usize, usize)],
+        mins: &[f64],
+        maxs: &[f64],
+    ) -> f64 {
+        let mut obj = 0.0;
+        for (i, &c) in assignment.iter().enumerate() {
+            obj += weighted_sq_dist(data.row(i), &centroids[c], &metrics[c]) - log_det(&metrics[c]);
+        }
+        for &(a, b) in ml_pairs {
+            let (ca, cb) = (assignment[a], assignment[b]);
+            if ca != cb {
+                let f = 0.5
+                    * (weighted_sq_dist(data.row(a), data.row(b), &metrics[ca])
+                        + weighted_sq_dist(data.row(a), data.row(b), &metrics[cb]));
+                obj += mpck.must_link_weight * f;
+            }
+        }
+        for &(a, b) in cl_pairs {
+            let (ca, cb) = (assignment[a], assignment[b]);
+            if ca == cb {
+                let f = diameter_sq(&metrics[ca], mins, maxs)
+                    - weighted_sq_dist(data.row(a), data.row(b), &metrics[ca]);
+                obj += mpck.cannot_link_weight * f.max(0.0);
+            }
+        }
+        obj
+    }
+
+    /// The empty-cluster reseed as `fit_seeded` ran it before the distance
+    /// table: each object's distance to its own centroid computed with
+    /// `weighted_sq_dist`.
+    fn reference_reseed(
+        data: &DataMatrix,
+        centroids: &[Vec<f64>],
+        metrics: &[Vec<f64>],
+        counts: &mut [usize],
+        next: &mut [usize],
+    ) {
+        let n = next.len();
+        for c in 0..counts.len() {
+            if counts[c] == 0 {
+                let (far, _) = (0..n)
+                    .map(|i| {
+                        (
+                            i,
+                            weighted_sq_dist(data.row(i), &centroids[next[i]], &metrics[next[i]]),
+                        )
+                    })
+                    .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+                    .expect("non-empty data");
+                counts[next[far]] -= 1;
+                counts[c] += 1;
+                next[far] = c;
+            }
+        }
+    }
+
+    /// The centroids, metrics and objective after one M-step on `next`
+    /// from the instance's state: the fit's own functions when `reference`
+    /// is false, the nested references when it is true.
+    fn m_step(
+        mpck: &MpckMeans,
+        inst: &Instance,
+        next: &[usize],
+        reference: bool,
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, f64) {
+        let data = &inst.data;
+        let (ml_pairs, cl_pairs) = constraint_pairs(&inst.working);
+        let (mins, maxs) = data.column_min_max();
+        let mut centroids = inst.centroids.clone();
+        let mut metrics = inst.metrics.clone();
+        if reference {
+            reference_recompute_centroids(data, next, &mut centroids);
+            if mpck.learn_metric {
+                let (ml, cl) = (&ml_pairs, &cl_pairs);
+                reference_update_metrics(
+                    mpck,
+                    data,
+                    next,
+                    &centroids,
+                    ml,
+                    cl,
+                    &mins,
+                    &maxs,
+                    &mut metrics,
+                );
+            }
+            let objective = reference_objective(
+                mpck, data, next, &centroids, &metrics, &ml_pairs, &cl_pairs, &mins, &maxs,
+            );
+            return (centroids, metrics, objective);
+        }
+        recompute_centroids(data, next, &mut centroids);
+        if mpck.learn_metric {
+            let (ml, cl) = (&ml_pairs, &cl_pairs);
+            mpck.update_metrics(data, next, &centroids, ml, cl, &mins, &maxs, &mut metrics);
+        }
+        let terms = MetricTerms::of(&metrics, &mins, &maxs);
+        let objective = mpck.objective(
+            data, next, &centroids, &metrics, &ml_pairs, &cl_pairs, &terms,
+        );
+        (centroids, metrics, objective)
+    }
+
+    #[test]
+    fn m_step_reseed_and_objective_match_the_nested_references_bit_for_bit() {
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let mut rng = SeededRng::new(33);
+        let (mut emptied, mut ml_violated, mut cl_violated) = (0usize, 0usize, 0usize);
+        let mut learned = [0usize; 2];
+        for case in 0..150 {
+            let inst = Instance::random(&mut rng);
+            let (n, k) = (inst.data.n_rows(), inst.centroids.len());
+            // An assignment over a random subset of the clusters, so that
+            // most cases leave some clusters empty.
+            let mut open: Vec<usize> = (0..k).filter(|_| rng.bernoulli(0.6)).collect();
+            if open.is_empty() {
+                open.push(rng.index(k));
+            }
+            let next: Vec<usize> = (0..n).map(|_| open[rng.index(open.len())]).collect();
+            let mut counts = vec![0usize; k];
+            for &c in &next {
+                counts[c] += 1;
+            }
+            let (ml_pairs, cl_pairs) = constraint_pairs(&inst.working);
+            emptied += counts.iter().filter(|&&count| count == 0).count();
+            ml_violated += ml_pairs
+                .iter()
+                .filter(|&&(a, b)| next[a] != next[b])
+                .count();
+            cl_violated += cl_pairs
+                .iter()
+                .filter(|&&(a, b)| next[a] == next[b])
+                .count();
+
+            let mut got = (counts.clone(), next.clone());
+            reseed_empty(
+                &inst.data,
+                &inst.centroids,
+                &inst.metrics,
+                &mut got.0,
+                &mut got.1,
+            );
+            let mut expected = (counts.clone(), next.clone());
+            reference_reseed(
+                &inst.data,
+                &inst.centroids,
+                &inst.metrics,
+                &mut expected.0,
+                &mut expected.1,
+            );
+            assert_eq!(got, expected, "case {case}: reseed");
+
+            let mpck = MpckMeans::new(k)
+                .with_weights(inst.weights.0, inst.weights.1)
+                .with_metric_learning(rng.bernoulli(0.5));
+            learned[usize::from(mpck.learn_metric)] += 1;
+            let got = m_step(&mpck, &inst, &next, false);
+            let expected = m_step(&mpck, &inst, &next, true);
+            assert_eq!(bits(&got.0), bits(&expected.0), "case {case}: centroids");
+            assert_eq!(bits(&got.1), bits(&expected.1), "case {case}: metrics");
+            assert_eq!(
+                got.2.to_bits(),
+                expected.2.to_bits(),
+                "case {case}: objective {} vs reference {}",
+                got.2,
+                expected.2
+            );
+        }
+        assert!(emptied > 0, "no empty cluster was exercised");
+        assert!(ml_violated > 0 && cl_violated > 0, "no violated constraint");
+        assert!(learned.iter().all(|&cases| cases > 0), "{learned:?}");
     }
 
     #[test]

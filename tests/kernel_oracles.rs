@@ -200,8 +200,8 @@ proptest! {
     #[test]
     fn mpck_objective_matches_its_definition(
         n in 4usize..16,
-        dims in 1usize..5,
-        k in 1usize..6,
+        dims in 1usize..41,
+        k in 1usize..13,
         seed in 0u64..1_000_000,
         (must_link_weight, cannot_link_weight) in (0.25f64..4.0, 0.25f64..4.0),
     ) {

@@ -460,24 +460,6 @@ impl Engine {
     pub fn run_graph<T: Send + 'static>(&self, graph: JobGraph<T>) -> GraphResult<T> {
         self.submit(graph).wait()
     }
-
-    /// Convenience: runs independent jobs (no dependencies) and returns
-    /// their values in submission order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job panics.
-    pub fn run_jobs<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&mut JobCtx) -> T + Send + 'static,
-    {
-        let mut graph = JobGraph::new();
-        for f in jobs {
-            graph.add_job(&[], f);
-        }
-        self.run_graph(graph).expect_all("run_jobs")
-    }
 }
 
 #[cfg(test)]
@@ -616,16 +598,15 @@ mod tests {
     fn run_jobs_preserves_order_and_parallelises() {
         let engine = Engine::with_exact_threads(4);
         let touched = Arc::new(AtomicU64::new(0));
-        let jobs: Vec<_> = (0..32u64)
-            .map(|i| {
-                let touched = Arc::clone(&touched);
-                move |_ctx: &mut JobCtx| {
-                    touched.fetch_add(1, Ordering::SeqCst);
-                    i * 2
-                }
-            })
-            .collect();
-        let out = engine.run_jobs(jobs);
+        let mut graph = JobGraph::new();
+        for i in 0..32u64 {
+            let touched = Arc::clone(&touched);
+            graph.add_job(&[], move |_| {
+                touched.fetch_add(1, Ordering::SeqCst);
+                i * 2
+            });
+        }
+        let out = engine.run_graph(graph).expect_all("independent jobs");
         assert_eq!(out, (0..32u64).map(|i| i * 2).collect::<Vec<_>>());
         assert_eq!(touched.load(Ordering::SeqCst), 32);
     }
@@ -690,28 +671,27 @@ mod tests {
         // 1/2/8 threads.
         let run = |n_threads: usize, config: CacheConfig| -> Vec<u64> {
             let engine = Engine::with_cache_config_exact(n_threads, config);
-            let jobs: Vec<_> = (0..48u64)
-                .map(|i| {
-                    move |ctx: &mut JobCtx| {
-                        let bulk: Arc<Vec<u64>> = ctx.cache().get_or_compute(
-                            ArtifactKey::Custom {
-                                domain: 11,
-                                key: i % 7,
-                            },
-                            || (0..256).map(|j| (i % 7) * 1_000 + j).collect(),
-                        );
-                        let scalar: Arc<u64> = ctx.cache().get_or_compute(
-                            ArtifactKey::Custom {
-                                domain: 12,
-                                key: i % 5,
-                            },
-                            || (i % 5) * 31 + 7,
-                        );
-                        bulk.iter().sum::<u64>() ^ scalar.wrapping_mul(i + 1)
-                    }
-                })
-                .collect();
-            engine.run_jobs(jobs)
+            let mut graph = JobGraph::new();
+            for i in 0..48u64 {
+                graph.add_job(&[], move |ctx| {
+                    let bulk: Arc<Vec<u64>> = ctx.cache().get_or_compute(
+                        ArtifactKey::Custom {
+                            domain: 11,
+                            key: i % 7,
+                        },
+                        || (0..256).map(|j| (i % 7) * 1_000 + j).collect(),
+                    );
+                    let scalar: Arc<u64> = ctx.cache().get_or_compute(
+                        ArtifactKey::Custom {
+                            domain: 12,
+                            key: i % 5,
+                        },
+                        || (i % 5) * 31 + 7,
+                    );
+                    bulk.iter().sum::<u64>() ^ scalar.wrapping_mul(i + 1)
+                });
+            }
+            engine.run_graph(graph).expect_all("cache jobs")
         };
 
         let configs = [

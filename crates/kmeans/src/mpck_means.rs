@@ -43,7 +43,7 @@
 //! come from a flat per-fit index that lists them in constraint order.
 
 use crate::init::{centroids_from_candidates, neighborhood_candidates};
-use crate::objective::{recompute_centroids, weighted_sq_dist};
+use crate::objective::{columns_of, fill_distances, recompute_centroids, weighted_sq_dist};
 use cvcp_constraints::closure::transitive_closure;
 use cvcp_constraints::{Constraint, ConstraintKind, ConstraintSet};
 use cvcp_data::rng::SeededRng;
@@ -223,15 +223,24 @@ impl MpckMeans {
         let ml_of = Neighbours::from_pairs(n, &ml_pairs);
         let cl_of = Neighbours::from_pairs(n, &cl_pairs);
 
-        let mut centroids =
-            centroids_from_candidates(data, seeding.candidates.clone(), self.k, rng);
-        let mut metrics: Vec<Vec<f64>> = vec![vec![1.0; dims]; self.k];
+        // Row c of the k × d centroids and metrics is cluster c's, and row c
+        // of the k × n table `dist` holds every object's distance to it.
+        let mut centroids = DataMatrix::from_rows(&centroids_from_candidates(
+            data,
+            seeding.candidates.clone(),
+            self.k,
+            rng,
+        ));
+        let mut metrics = DataMatrix::from_flat(vec![1.0; self.k * dims], self.k, dims);
         let mut assignment: Vec<usize> = vec![0; n];
         let mut objective = f64::INFINITY;
         let mut iterations = 0;
 
         let (mins, maxs) = data.column_min_max();
         let mut terms = MetricTerms::of(&metrics, &mins, &maxs);
+        let columns = columns_of(data);
+        let mut dist = DataMatrix::zeros(self.k, n);
+        fill_distances(&columns, &centroids, &metrics, &mut dist);
 
         // Buffers reused across EM iterations: the visiting order, the
         // E-step's partial and complete assignments, its k-length costs and
@@ -251,7 +260,7 @@ impl MpckMeans {
             rng.shuffle(&mut order);
             EStep {
                 data,
-                centroids: &centroids,
+                dist: &dist,
                 metrics: &metrics,
                 terms: &terms,
                 ml_of: &ml_of,
@@ -267,16 +276,17 @@ impl MpckMeans {
                 *slot = c;
             }
 
-            reseed_empty(data, &centroids, &metrics, &mut counts, &mut next);
+            reseed_empty(&dist, &mut counts, &mut next);
 
             // ---------------- M-step: centroids ----------------
-            recompute_centroids(data, &next, &mut centroids);
+            recompute_centroids(data, &next, &counts, &mut centroids);
 
             // ---------------- M-step: metrics ----------------
             if self.learn_metric {
                 self.update_metrics(
                     data,
                     &next,
+                    &counts,
                     &centroids,
                     &ml_pairs,
                     &cl_pairs,
@@ -286,11 +296,12 @@ impl MpckMeans {
                 );
                 terms = MetricTerms::of(&metrics, &mins, &maxs);
             }
+            // This table serves the objective below and the next E-step.
+            fill_distances(&columns, &centroids, &metrics, &mut dist);
 
             // ---------------- Objective & convergence ----------------
-            let new_objective = self.objective(
-                data, &next, &centroids, &metrics, &ml_pairs, &cl_pairs, &terms,
-            );
+            let new_objective =
+                self.objective(data, &next, &dist, &metrics, &ml_pairs, &cl_pairs, &terms);
             let converged = next == assignment
                 || (objective - new_objective).abs() <= 1e-9 * objective.abs().max(1.0);
             std::mem::swap(&mut assignment, &mut next);
@@ -311,115 +322,111 @@ impl MpckMeans {
 
         MpckMeansResult {
             partition: Partition::from_cluster_ids(&assignment),
-            centroids,
-            metrics,
+            centroids: nested_rows(&centroids),
+            metrics: nested_rows(&metrics),
             objective,
             iterations,
             violations,
         }
     }
 
-    /// Re-estimates the per-cluster diagonal metric weights.
+    /// Re-estimates the per-cluster diagonal metric weights, the rows of
+    /// the k × d `metrics`, from an assignment whose cluster sizes are
+    /// `counts`.
     ///
     /// For cluster `h` and dimension `d`:
     /// `a_{h,d} = N_h / ( Σ_{x∈h}(x_d−μ_d)² + ½ w Σ_{violated ML touching h}(x_i,d−x_j,d)²
     ///                   + w̄ Σ_{violated CL inside h} (range_d² − (x_i,d−x_j,d)²) )`,
     /// clamped to `[min_weight, max_weight]`.
     #[allow(clippy::too_many_arguments)]
-    #[allow(clippy::needless_range_loop)] // per-dimension scatter accumulation
     fn update_metrics(
         &self,
         data: &DataMatrix,
         assignment: &[usize],
-        centroids: &[Vec<f64>],
+        counts: &[usize],
+        centroids: &DataMatrix,
         ml_pairs: &[(usize, usize)],
         cl_pairs: &[(usize, usize)],
         mins: &[f64],
         maxs: &[f64],
-        metrics: &mut [Vec<f64>],
+        metrics: &mut DataMatrix,
     ) {
-        let dims = data.n_cols();
-        let k = centroids.len();
-        let mut scatter = vec![vec![0.0f64; dims]; k];
-        let mut counts = vec![0usize; k];
-
+        let mut scatter = DataMatrix::zeros(metrics.n_rows(), metrics.n_cols());
         for (i, &c) in assignment.iter().enumerate() {
-            counts[c] += 1;
-            let row = data.row(i);
-            for d in 0..dims {
-                let diff = row[d] - centroids[c][d];
-                scatter[c][d] += diff * diff;
+            let sums = scatter.row_mut(c).iter_mut();
+            for ((sum, x), mu) in sums.zip(data.row(i)).zip(centroids.row(c)) {
+                let diff = x - mu;
+                *sum += diff * diff;
             }
         }
         // Violated must-links contribute half their scatter to both clusters.
         for &(a, b) in ml_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca != cb {
-                let (ra, rb) = (data.row(a), data.row(b));
-                for d in 0..dims {
-                    let diff = ra[d] - rb[d];
-                    let v = 0.5 * self.must_link_weight * diff * diff;
-                    scatter[ca][d] += v;
-                    scatter[cb][d] += v;
+                for c in [ca, cb] {
+                    let sums = scatter.row_mut(c).iter_mut();
+                    for ((sum, x), y) in sums.zip(data.row(a)).zip(data.row(b)) {
+                        let diff = x - y;
+                        *sum += 0.5 * self.must_link_weight * diff * diff;
+                    }
                 }
             }
         }
         // Violated cannot-links contribute (range² − diff²) to their cluster.
         for &(a, b) in cl_pairs {
-            let (ca, cb) = (assignment[a], assignment[b]);
-            if ca == cb {
-                let (ra, rb) = (data.row(a), data.row(b));
-                for d in 0..dims {
-                    let diff = ra[d] - rb[d];
-                    let range = maxs[d] - mins[d];
-                    let v = self.cannot_link_weight * (range * range - diff * diff).max(0.0);
-                    scatter[ca][d] += v;
+            let c = assignment[a];
+            if c == assignment[b] {
+                let sums = scatter.row_mut(c).iter_mut().zip(mins.iter().zip(maxs));
+                for (((sum, (lo, hi)), x), y) in sums.zip(data.row(a)).zip(data.row(b)) {
+                    let diff = x - y;
+                    let range = hi - lo;
+                    *sum += self.cannot_link_weight * (range * range - diff * diff).max(0.0);
                 }
             }
         }
 
-        for c in 0..k {
-            if counts[c] == 0 {
+        for (c, &count) in counts.iter().enumerate() {
+            if count == 0 {
                 continue;
             }
-            for d in 0..dims {
-                let denom = scatter[c][d].max(1e-12);
-                metrics[c][d] = (counts[c] as f64 / denom).clamp(self.min_weight, self.max_weight);
+            for (w, sum) in metrics.row_mut(c).iter_mut().zip(scatter.row(c)) {
+                *w = (count as f64 / sum.max(1e-12)).clamp(self.min_weight, self.max_weight);
             }
         }
     }
 
-    /// Evaluates the full MPCKMeans objective for a given state; `terms`
-    /// must hold the per-cluster terms of `metrics`.
+    /// Evaluates the full MPCKMeans objective for a given state: `dist`
+    /// must be the distance table of the state's centroids and `metrics`,
+    /// and `terms` must hold the per-cluster terms of `metrics`.
     #[allow(clippy::too_many_arguments)]
     fn objective(
         &self,
         data: &DataMatrix,
         assignment: &[usize],
-        centroids: &[Vec<f64>],
-        metrics: &[Vec<f64>],
+        dist: &DataMatrix,
+        metrics: &DataMatrix,
         ml_pairs: &[(usize, usize)],
         cl_pairs: &[(usize, usize)],
         terms: &MetricTerms,
     ) -> f64 {
         let mut obj = 0.0;
         for (i, &c) in assignment.iter().enumerate() {
-            obj += weighted_sq_dist(data.row(i), &centroids[c], &metrics[c]) - terms.log_det[c];
+            obj += dist.get(c, i) - terms.log_det[c];
         }
         for &(a, b) in ml_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca != cb {
                 let f = 0.5
-                    * (weighted_sq_dist(data.row(a), data.row(b), &metrics[ca])
-                        + weighted_sq_dist(data.row(a), data.row(b), &metrics[cb]));
+                    * (weighted_sq_dist(data.row(a), data.row(b), metrics.row(ca))
+                        + weighted_sq_dist(data.row(a), data.row(b), metrics.row(cb)));
                 obj += self.must_link_weight * f;
             }
         }
         for &(a, b) in cl_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca == cb {
-                let f =
-                    terms.cl_offset[ca] - weighted_sq_dist(data.row(a), data.row(b), &metrics[ca]);
+                let f = terms.cl_offset[ca]
+                    - weighted_sq_dist(data.row(a), data.row(b), metrics.row(ca));
                 obj += self.cannot_link_weight * f.max(0.0);
             }
         }
@@ -428,12 +435,14 @@ impl MpckMeans {
 }
 
 /// What one greedy E-step reads besides the assignment it builds: the data,
-/// the current centroids and metrics with their per-cluster terms, each
-/// object's constraint neighbours and the violation weights.
+/// the distance table of the current centroids and metrics, the metrics
+/// with their per-cluster terms, each object's constraint neighbours and
+/// the violation weights.
 struct EStep<'a> {
     data: &'a DataMatrix,
-    centroids: &'a [Vec<f64>],
-    metrics: &'a [Vec<f64>],
+    /// Row `c` holds every object's distance to centroid `c`.
+    dist: &'a DataMatrix,
+    metrics: &'a DataMatrix,
     terms: &'a MetricTerms,
     ml_of: &'a Neighbours,
     cl_of: &'a Neighbours,
@@ -475,17 +484,20 @@ impl EStep<'_> {
     /// add them, so the costs are bit-identical to it.
     fn costs(&self, i: usize, assigned: &[Option<usize>], costs: &mut [f64]) {
         let row = self.data.row(i);
-        for (c, cost) in costs.iter_mut().enumerate() {
-            *cost =
-                weighted_sq_dist(row, &self.centroids[c], &self.metrics[c]) - self.terms.log_det[c];
+        for ((cost, dist), log_det) in costs
+            .iter_mut()
+            .zip(self.dist.rows())
+            .zip(&self.terms.log_det)
+        {
+            *cost = dist[i] - log_det;
         }
         for &j in self.ml_of.of(i) {
             if let Some(cj) = assigned[j] {
                 let other = self.data.row(j);
-                let f_there = weighted_sq_dist(row, other, &self.metrics[cj]);
+                let f_there = weighted_sq_dist(row, other, self.metrics.row(cj));
                 for (c, cost) in costs.iter_mut().enumerate() {
                     if c != cj {
-                        let f_here = weighted_sq_dist(row, other, &self.metrics[c]);
+                        let f_here = weighted_sq_dist(row, other, self.metrics.row(c));
                         *cost += self.must_link_weight * 0.5 * (f_here + f_there);
                     }
                 }
@@ -494,7 +506,7 @@ impl EStep<'_> {
         for &j in self.cl_of.of(i) {
             if let Some(cj) = assigned[j] {
                 let f = self.terms.cl_offset[cj]
-                    - weighted_sq_dist(row, self.data.row(j), &self.metrics[cj]);
+                    - weighted_sq_dist(row, self.data.row(j), self.metrics.row(cj));
                 costs[cj] += self.cannot_link_weight * f.max(0.0);
             }
         }
@@ -503,23 +515,13 @@ impl EStep<'_> {
 
 /// Re-seeds each empty cluster with the object farthest from its own
 /// centroid, updating the assignment `next` and its cluster sizes `counts`.
-fn reseed_empty(
-    data: &DataMatrix,
-    centroids: &[Vec<f64>],
-    metrics: &[Vec<f64>],
-    counts: &mut [usize],
-    next: &mut [usize],
-) {
+/// `dist` is the distance table the E-step read.
+fn reseed_empty(dist: &DataMatrix, counts: &mut [usize], next: &mut [usize]) {
     let n = next.len();
     for c in 0..counts.len() {
         if counts[c] == 0 {
             let (far, _) = (0..n)
-                .map(|i| {
-                    (
-                        i,
-                        weighted_sq_dist(data.row(i), &centroids[next[i]], &metrics[next[i]]),
-                    )
-                })
+                .map(|i| (i, dist.get(next[i], i)))
                 .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
                 .expect("non-empty data");
             counts[next[far]] -= 1;
@@ -592,12 +594,19 @@ struct MetricTerms {
 }
 
 impl MetricTerms {
-    fn of(metrics: &[Vec<f64>], mins: &[f64], maxs: &[f64]) -> Self {
+    /// The terms of each row of the k × d `metrics`.
+    fn of(metrics: &DataMatrix, mins: &[f64], maxs: &[f64]) -> Self {
+        let rows = || (0..metrics.n_rows()).map(|c| metrics.row(c));
         Self {
-            log_det: metrics.iter().map(|w| log_det(w)).collect(),
-            cl_offset: metrics.iter().map(|w| diameter_sq(w, mins, maxs)).collect(),
+            log_det: rows().map(log_det).collect(),
+            cl_offset: rows().map(|w| diameter_sq(w, mins, maxs)).collect(),
         }
     }
+}
+
+/// The rows of `m`, one `Vec` each.
+fn nested_rows(m: &DataMatrix) -> Vec<Vec<f64>> {
+    (0..m.n_rows()).map(|c| m.row(c).to_vec()).collect()
 }
 
 /// Sum of log weights (log-determinant of the diagonal metric).
@@ -629,37 +638,40 @@ mod tests {
     use cvcp_metrics::{adjusted_rand_index, constraint_fmeasure};
 
     /// The E-step cost loop as `fit_seeded` ran it before the
-    /// neighbour-major rewrite: cluster by cluster, each rescanning every
-    /// constraint neighbour of the object.  Kept as the reference the
-    /// production costs must match bit for bit.
+    /// neighbour-major rewrite and the distance table: cluster by cluster,
+    /// each centroid term computed with `weighted_sq_dist` from the nested
+    /// centroids and metrics, each cluster rescanning every constraint
+    /// neighbour of the object.  Kept as the reference the production
+    /// costs must match bit for bit.
     fn reference_costs(
-        step: &EStep<'_>,
+        inst: &Instance,
         ml_of: &[Vec<usize>],
         cl_of: &[Vec<usize>],
         i: usize,
         assigned: &[Option<usize>],
     ) -> Vec<f64> {
-        let row = step.data.row(i);
-        (0..step.centroids.len())
+        let row = inst.data.row(i);
+        let (must_link_weight, cannot_link_weight) = inst.weights;
+        (0..inst.centroids.len())
             .map(|c| {
-                let w = &step.metrics[c];
-                let mut cost = weighted_sq_dist(row, &step.centroids[c], w) - step.terms.log_det[c];
+                let w = &inst.metrics[c];
+                let mut cost = weighted_sq_dist(row, &inst.centroids[c], w) - inst.terms.log_det[c];
                 for &j in &ml_of[i] {
                     if let Some(cj) = assigned[j] {
                         if cj != c {
-                            let f_here = weighted_sq_dist(row, step.data.row(j), w);
+                            let f_here = weighted_sq_dist(row, inst.data.row(j), w);
                             let f_there =
-                                weighted_sq_dist(row, step.data.row(j), &step.metrics[cj]);
-                            cost += step.must_link_weight * 0.5 * (f_here + f_there);
+                                weighted_sq_dist(row, inst.data.row(j), &inst.metrics[cj]);
+                            cost += must_link_weight * 0.5 * (f_here + f_there);
                         }
                     }
                 }
                 for &j in &cl_of[i] {
                     if let Some(cj) = assigned[j] {
                         if cj == c {
-                            let f = step.terms.cl_offset[c]
-                                - weighted_sq_dist(row, step.data.row(j), w);
-                            cost += step.cannot_link_weight * f.max(0.0);
+                            let f = inst.terms.cl_offset[c]
+                                - weighted_sq_dist(row, inst.data.row(j), w);
+                            cost += cannot_link_weight * f.max(0.0);
                         }
                     }
                 }
@@ -671,15 +683,15 @@ mod tests {
     /// The reference greedy pass: reference costs, strict `<`, first wins.
     /// Also returns how many objects met an exact tie for the least cost.
     fn reference_assign(
-        step: &EStep<'_>,
+        inst: &Instance,
         ml_of: &[Vec<usize>],
         cl_of: &[Vec<usize>],
         order: &[usize],
     ) -> (Vec<Option<usize>>, usize) {
-        let mut assigned = vec![None; step.data.n_rows()];
+        let mut assigned = vec![None; inst.data.n_rows()];
         let mut ties = 0;
         for &i in order {
-            let costs = reference_costs(step, ml_of, cl_of, i, &assigned);
+            let costs = reference_costs(inst, ml_of, cl_of, i, &assigned);
             let mut best_c = 0usize;
             let mut best_cost = f64::INFINITY;
             for (c, &cost) in costs.iter().enumerate() {
@@ -717,12 +729,17 @@ mod tests {
     /// a dense transitively closed constraint set, random centroids and
     /// metrics of which two clusters are exact copies (so that exact cost
     /// ties exercise the first-wins argmin) and random violation weights.
+    /// The references read the nested centroids and metrics; the fit's own
+    /// functions read the same metrics flat, with their terms and the
+    /// distance table filled from them.
     struct Instance {
         data: DataMatrix,
         working: ConstraintSet,
         centroids: Vec<Vec<f64>>,
         metrics: Vec<Vec<f64>>,
+        flat_metrics: DataMatrix,
         terms: MetricTerms,
+        dist: DataMatrix,
         weights: (f64, f64),
     }
 
@@ -751,14 +768,25 @@ mod tests {
                 metrics[b] = metrics[a].clone();
             }
             let (mins, maxs) = data.column_min_max();
-            let terms = MetricTerms::of(&metrics, &mins, &maxs);
+            let flat_metrics = DataMatrix::from_rows(&metrics);
+            let terms = MetricTerms::of(&flat_metrics, &mins, &maxs);
+            let mut dist = DataMatrix::zeros(k, n);
+            let flat_centroids = DataMatrix::from_rows(&centroids);
+            fill_distances(
+                &columns_of(&data),
+                &flat_centroids,
+                &flat_metrics,
+                &mut dist,
+            );
             let weights = (rng.uniform_in(0.25, 4.0), rng.uniform_in(0.25, 4.0));
             Self {
                 data,
                 working,
                 centroids,
                 metrics,
+                flat_metrics,
                 terms,
+                dist,
                 weights,
             }
         }
@@ -776,8 +804,8 @@ mod tests {
         fn step<'a>(&'a self, ml_of: &'a Neighbours, cl_of: &'a Neighbours) -> EStep<'a> {
             EStep {
                 data: &self.data,
-                centroids: &self.centroids,
-                metrics: &self.metrics,
+                dist: &self.dist,
+                metrics: &self.flat_metrics,
                 terms: &self.terms,
                 ml_of,
                 cl_of,
@@ -807,7 +835,7 @@ mod tests {
                     .collect();
                 for i in 0..n {
                     step.costs(i, &assigned, &mut costs);
-                    let expected = reference_costs(&step, &ml_of, &cl_of, i, &assigned);
+                    let expected = reference_costs(&inst, &ml_of, &cl_of, i, &assigned);
                     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                     assert_eq!(
                         bits(&costs),
@@ -834,7 +862,7 @@ mod tests {
             let mut assigned = vec![Some(usize::MAX); n];
             let mut costs = vec![f64::NAN; inst.centroids.len()];
             step.assign(&order, &mut assigned, &mut costs);
-            let (expected, tied) = reference_assign(&step, &ml_of, &cl_of, &order);
+            let (expected, tied) = reference_assign(&inst, &ml_of, &cl_of, &order);
             assert_eq!(assigned, expected, "case {case}");
             ties += tied;
         }
@@ -1031,16 +1059,33 @@ mod tests {
             );
             return (centroids, metrics, objective);
         }
-        recompute_centroids(data, next, &mut centroids);
+        let mut counts = vec![0usize; centroids.len()];
+        for &c in next {
+            counts[c] += 1;
+        }
+        let mut centroids = DataMatrix::from_rows(&centroids);
+        let mut metrics = DataMatrix::from_rows(&metrics);
+        recompute_centroids(data, next, &counts, &mut centroids);
         if mpck.learn_metric {
             let (ml, cl) = (&ml_pairs, &cl_pairs);
-            mpck.update_metrics(data, next, &centroids, ml, cl, &mins, &maxs, &mut metrics);
+            let counts = &counts;
+            mpck.update_metrics(
+                data,
+                next,
+                counts,
+                &centroids,
+                ml,
+                cl,
+                &mins,
+                &maxs,
+                &mut metrics,
+            );
         }
         let terms = MetricTerms::of(&metrics, &mins, &maxs);
-        let objective = mpck.objective(
-            data, next, &centroids, &metrics, &ml_pairs, &cl_pairs, &terms,
-        );
-        (centroids, metrics, objective)
+        let mut dist = DataMatrix::zeros(centroids.n_rows(), data.n_rows());
+        fill_distances(&columns_of(data), &centroids, &metrics, &mut dist);
+        let objective = mpck.objective(data, next, &dist, &metrics, &ml_pairs, &cl_pairs, &terms);
+        (nested_rows(&centroids), nested_rows(&metrics), objective)
     }
 
     #[test]
@@ -1079,13 +1124,7 @@ mod tests {
                 .count();
 
             let mut got = (counts.clone(), next.clone());
-            reseed_empty(
-                &inst.data,
-                &inst.centroids,
-                &inst.metrics,
-                &mut got.0,
-                &mut got.1,
-            );
+            reseed_empty(&inst.dist, &mut got.0, &mut got.1);
             let mut expected = (counts.clone(), next.clone());
             reference_reseed(
                 &inst.data,

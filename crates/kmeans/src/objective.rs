@@ -1,4 +1,11 @@
 //! Shared centroid / objective helpers for MPCKMeans and its initialisation.
+//!
+//! MPCKMeans keeps its per-cluster state flat: row `c` of a k × d
+//! [`DataMatrix`] is cluster `c`'s centroid or metric.  Its M-step sums
+//! ([`recompute_centroids`]) add each object's row element-wise into its
+//! cluster's row, so every sum sees its objects in row order, and its
+//! distance table ([`fill_distances`]) holds every object's metric
+//! distance to every centroid, bit-identical to [`weighted_sq_dist`].
 
 use cvcp_data::DataMatrix;
 
@@ -23,23 +30,64 @@ pub fn centroid_of(data: &DataMatrix, members: &[usize]) -> Vec<f64> {
     c
 }
 
-/// Recomputes all `k` centroids from an assignment vector.  Clusters with no
-/// members keep their previous centroid.
-pub fn recompute_centroids(data: &DataMatrix, assignment: &[usize], centroids: &mut [Vec<f64>]) {
-    let k = centroids.len();
-    let dims = data.n_cols();
-    let mut sums = vec![vec![0.0; dims]; k];
-    let mut counts = vec![0usize; k];
+/// Recomputes the k centroids, the rows of the k × d `centroids`, from an
+/// assignment whose cluster sizes are `counts`.  Clusters with no members
+/// keep their previous centroid.
+pub fn recompute_centroids(
+    data: &DataMatrix,
+    assignment: &[usize],
+    counts: &[usize],
+    centroids: &mut DataMatrix,
+) {
+    let mut sums = DataMatrix::zeros(centroids.n_rows(), centroids.n_cols());
     for (i, &c) in assignment.iter().enumerate() {
-        counts[c] += 1;
-        for (j, v) in data.row(i).iter().enumerate() {
-            sums[c][j] += v;
+        for (sum, v) in sums.row_mut(c).iter_mut().zip(data.row(i)) {
+            *sum += v;
         }
     }
-    for c in 0..k {
-        if counts[c] > 0 {
-            for j in 0..dims {
-                centroids[c][j] = sums[c][j] / counts[c] as f64;
+    for (c, &count) in counts.iter().enumerate() {
+        if count > 0 {
+            for (mu, sum) in centroids.row_mut(c).iter_mut().zip(sums.row(c)) {
+                *mu = sum / count as f64;
+            }
+        }
+    }
+}
+
+/// `data` copied dimension-major: row `d` of the d × n result is column
+/// `d` of `data`.
+pub fn columns_of(data: &DataMatrix) -> DataMatrix {
+    let (n, dims) = (data.n_rows(), data.n_cols());
+    let mut columns = vec![0.0; n * dims];
+    for (i, row) in data.rows().enumerate() {
+        for (d, &x) in row.iter().enumerate() {
+            columns[d * n + i] = x;
+        }
+    }
+    DataMatrix::from_flat(columns, dims, n)
+}
+
+/// Fills the k × n table `dist` with every object's metric distance to
+/// every centroid: `dist[c][i] = ‖x_i − μ_c‖²_{A_c}`, from the data's
+/// `columns` (see [`columns_of`]) and the k × d `centroids` and `metrics`.
+///
+/// The objects are the inner loop, so the compiler vectorises across
+/// them, while each entry sums its dimensions in ascending order from
+/// `0.0` with the terms of [`weighted_sq_dist`]: every entry is
+/// bit-identical to it.
+pub fn fill_distances(
+    columns: &DataMatrix,
+    centroids: &DataMatrix,
+    metrics: &DataMatrix,
+    dist: &mut DataMatrix,
+) {
+    for c in 0..dist.n_rows() {
+        let out = dist.row_mut(c);
+        out.fill(0.0);
+        for ((column, mu), w) in columns.rows().zip(centroids.row(c)).zip(metrics.row(c)) {
+            for (acc, x) in out.iter_mut().zip(column) {
+                let d = x - mu;
+                *acc += w * d * d;
             }
         }
     }
@@ -94,12 +142,29 @@ mod tests {
     #[test]
     fn recompute_handles_empty_clusters() {
         let d = data();
-        let mut centroids = vec![vec![5.0, 5.0], vec![7.0, 7.0], vec![-1.0, -1.0]];
-        recompute_centroids(&d, &[0, 0, 1, 1], &mut centroids);
-        assert_eq!(centroids[0], vec![1.0, 0.0]);
-        assert_eq!(centroids[1], vec![11.0, 10.0]);
+        let mut centroids =
+            DataMatrix::from_rows(&[vec![5.0, 5.0], vec![7.0, 7.0], vec![-1.0, -1.0]]);
+        recompute_centroids(&d, &[0, 0, 1, 1], &[2, 2, 0], &mut centroids);
+        assert_eq!(centroids.row(0), [1.0, 0.0]);
+        assert_eq!(centroids.row(1), [11.0, 10.0]);
         // cluster 2 had no members: unchanged
-        assert_eq!(centroids[2], vec![-1.0, -1.0]);
+        assert_eq!(centroids.row(2), [-1.0, -1.0]);
+    }
+
+    #[test]
+    fn distance_table_holds_each_weighted_distance() {
+        let d = data();
+        let centroids = DataMatrix::from_rows(&[vec![1.0, 0.0], vec![11.0, 10.0]]);
+        let metrics = DataMatrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 0.5]]);
+        let mut dist = DataMatrix::zeros(2, 4);
+        fill_distances(&columns_of(&d), &centroids, &metrics, &mut dist);
+        for c in 0..2 {
+            for i in 0..4 {
+                let expected = weighted_sq_dist(d.row(i), centroids.row(c), metrics.row(c));
+                assert_eq!(dist.get(c, i).to_bits(), expected.to_bits());
+            }
+        }
+        assert_eq!(dist.row(0), [1.0, 1.0, 181.0, 221.0]);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! waits and parks once the queue is empty.
 
 use cvcp_suite::data::rng::SeededRng;
-use cvcp_suite::engine::{ArtifactCache, ArtifactKey, ArtifactSize, CacheConfig, Engine, JobCtx};
+use cvcp_suite::engine::{
+    ArtifactCache, ArtifactKey, ArtifactSize, CacheConfig, Engine, JobCtx, JobGraph,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -114,14 +116,13 @@ fn soak(label: &str, config: CacheConfig, seed: u64) -> (Arc<ArtifactCache>, Arc
     let engine = Engine::with_cache_config_exact(WORKERS, config);
     let tally = Arc::new(Tally::default());
     // Job `i` draws from stream `i` of the seed.
-    let jobs: Vec<_> = (0..JOBS)
-        .map(|i| {
-            let tally = Arc::clone(&tally);
-            let mut rng = SeededRng::new(seed).fork_stream(i as u64);
-            move |ctx: &mut JobCtx| run_ops(ctx, &mut rng, &tally)
-        })
-        .collect();
-    engine.run_jobs(jobs);
+    let mut graph = JobGraph::new();
+    for i in 0..JOBS {
+        let tally = Arc::clone(&tally);
+        let mut rng = SeededRng::new(seed).fork_stream(i as u64);
+        graph.add_job(&[], move |ctx: &mut JobCtx| run_ops(ctx, &mut rng, &tally));
+    }
+    engine.run_graph(graph).expect_all("soak jobs");
     let cache = Arc::clone(engine.cache());
     drop(engine);
     assert_at_rest(&cache, &tally, label);

@@ -10,7 +10,8 @@
 //! * [`init`]: its must-link neighbourhood initialisation, with k-means++
 //!   draws filling any missing centroids;
 //! * [`objective`]: the centroid and (weighted) squared-distance helpers
-//!   both of them share.
+//!   both of them share, and the fit's flat M-step sums and distance
+//!   table.
 //!
 //! MPCKMeans consumes a [`cvcp_constraints::ConstraintSet`] (possibly empty)
 //! and produces a [`cvcp_data::Partition`] with no noise objects.

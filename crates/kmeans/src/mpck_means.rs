@@ -30,8 +30,23 @@
 //! `f_CL(i,j) = d_max²_A − ‖x_i − x_j‖²_A` (violating a cannot-link between
 //! close objects is penalised more).
 //!
+//! The fit's state is flat: row `c` of a k × d [`DataMatrix`] is cluster
+//! `c`'s centroid or metric.  The fit copies the data dimension-major once
+//! and fills one k × n distance table, row `c` holding every object's
+//! `‖x_i − μ_c‖²_{A_c}`, before the first E-step and after every M-step
+//! ([`crate::objective::fill_distances`]).  The objects are the fill's
+//! inner, vectorised loop, and each entry sums its dimensions in ascending
+//! order from `0.0`, exactly as `weighted_sq_dist` does, so it is
+//! bit-identical to it.  The table filled after an iteration's M-step
+//! serves that iteration's objective (`dist[c_i][i]`) and the next
+//! iteration's E-step; the empty-cluster reseed reads the table of the
+//! centroids the E-step used (`dist[next_i][i]`).  The M-step sums add each
+//! object's row element-wise into its cluster's row of a k × d buffer, in
+//! row order and with the association of the nested loops they replaced.
+//!
 //! The E-step produces an object's k costs neighbour by neighbour rather
-//! than cluster by cluster.  It first takes every cluster's centroid term.
+//! than cluster by cluster.  It first takes every cluster's centroid term,
+//! `dist[c][i] − log det A_c`, from the table.
 //! Then one walk over the object's already-assigned must-link partners
 //! computes `f_there` once per partner and adds the must-link term to
 //! every cluster but the partner's.  Finally one walk over its
@@ -725,7 +740,8 @@ mod tests {
         (ml_of, cl_of)
     }
 
-    /// A random E-step input: rows on a coarse grid with an exact duplicate,
+    /// A random E-step input: rows on a coarse grid or, half the time,
+    /// uniform (whose sums depend on their order) with an exact duplicate,
     /// a dense transitively closed constraint set, random centroids and
     /// metrics of which two clusters are exact copies (so that exact cost
     /// ties exercise the first-wins argmin) and random violation weights.
@@ -748,8 +764,16 @@ mod tests {
             let n = 6 + rng.index(30);
             let dims = 1 + rng.index(40);
             let k = 1 + rng.index(17);
+            let on_grid = rng.bernoulli(0.5);
             let mut rows: Vec<Vec<f64>> = (0..n)
-                .map(|_| (0..dims).map(|_| rng.index(4) as f64 * 0.5).collect())
+                .map(|_| {
+                    (0..dims)
+                        .map(|_| match on_grid {
+                            true => rng.index(4) as f64 * 0.5,
+                            false => rng.uniform_in(0.0, 1.5),
+                        })
+                        .collect()
+                })
                 .collect();
             rows[n - 1] = rows[0].clone();
             let data = DataMatrix::from_rows(&rows);

@@ -1,11 +1,12 @@
 //! Shared centroid / objective helpers for MPCKMeans and its initialisation.
 //!
 //! MPCKMeans keeps its per-cluster state flat: row `c` of a k × d
-//! [`DataMatrix`] is cluster `c`'s centroid or metric.  Its M-step sums
-//! ([`recompute_centroids`]) add each object's row element-wise into its
-//! cluster's row, so every sum sees its objects in row order, and its
-//! distance table ([`fill_distances`]) holds every object's metric
-//! distance to every centroid, bit-identical to [`weighted_sq_dist`].
+//! [`DataMatrix`] is cluster `c`'s centroid or metric.
+//! [`recompute_centroids`] adds each object's row element-wise into its
+//! cluster's row, so every sum sees its objects in row order.
+//! [`fill_distances`] fills the fit's k × n table of every object's metric
+//! distance to every centroid from the data copied dimension-major
+//! ([`columns_of`]); every entry is bit-identical to [`weighted_sq_dist`].
 
 use cvcp_data::DataMatrix;
 

@@ -34,7 +34,7 @@
 //! `c`'s centroid or metric.  The fit copies the data dimension-major once
 //! and fills one k × n distance table, row `c` holding every object's
 //! `‖x_i − μ_c‖²_{A_c}`, before the first E-step and after every M-step
-//! ([`crate::objective::fill_distances`]).  The objects are the fill's
+//! (`objective::fill_distances`).  The objects are the fill's
 //! inner, vectorised loop, and each entry sums its dimensions in ascending
 //! order from `0.0`, exactly as `weighted_sq_dist` does, so it is
 //! bit-identical to it.  The table filled after an iteration's M-step
@@ -1048,58 +1048,29 @@ mod tests {
         }
     }
 
-    /// The centroids, metrics and objective after one M-step on `next`
-    /// from the instance's state: the fit's own functions when `reference`
-    /// is false, the nested references when it is true.
+    /// The centroids, metrics and objective after one M-step on `next`,
+    /// whose cluster sizes are `counts`, from the instance's state, through
+    /// the fit's own functions.
     fn m_step(
         mpck: &MpckMeans,
         inst: &Instance,
         next: &[usize],
-        reference: bool,
+        counts: &[usize],
     ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, f64) {
         let data = &inst.data;
         let (ml_pairs, cl_pairs) = constraint_pairs(&inst.working);
         let (mins, maxs) = data.column_min_max();
-        let mut centroids = inst.centroids.clone();
-        let mut metrics = inst.metrics.clone();
-        if reference {
-            reference_recompute_centroids(data, next, &mut centroids);
-            if mpck.learn_metric {
-                let (ml, cl) = (&ml_pairs, &cl_pairs);
-                reference_update_metrics(
-                    mpck,
-                    data,
-                    next,
-                    &centroids,
-                    ml,
-                    cl,
-                    &mins,
-                    &maxs,
-                    &mut metrics,
-                );
-            }
-            let objective = reference_objective(
-                mpck, data, next, &centroids, &metrics, &ml_pairs, &cl_pairs, &mins, &maxs,
-            );
-            return (centroids, metrics, objective);
-        }
-        let mut counts = vec![0usize; centroids.len()];
-        for &c in next {
-            counts[c] += 1;
-        }
-        let mut centroids = DataMatrix::from_rows(&centroids);
-        let mut metrics = DataMatrix::from_rows(&metrics);
-        recompute_centroids(data, next, &counts, &mut centroids);
+        let mut centroids = DataMatrix::from_rows(&inst.centroids);
+        let mut metrics = inst.flat_metrics.clone();
+        recompute_centroids(data, next, counts, &mut centroids);
         if mpck.learn_metric {
-            let (ml, cl) = (&ml_pairs, &cl_pairs);
-            let counts = &counts;
             mpck.update_metrics(
                 data,
                 next,
                 counts,
                 &centroids,
-                ml,
-                cl,
+                &ml_pairs,
+                &cl_pairs,
                 &mins,
                 &maxs,
                 &mut metrics,
@@ -1110,6 +1081,37 @@ mod tests {
         fill_distances(&columns_of(data), &centroids, &metrics, &mut dist);
         let objective = mpck.objective(data, next, &dist, &metrics, &ml_pairs, &cl_pairs, &terms);
         (nested_rows(&centroids), nested_rows(&metrics), objective)
+    }
+
+    /// The same M-step and objective through the nested references.
+    fn reference_m_step(
+        mpck: &MpckMeans,
+        inst: &Instance,
+        next: &[usize],
+    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, f64) {
+        let data = &inst.data;
+        let (ml_pairs, cl_pairs) = constraint_pairs(&inst.working);
+        let (mins, maxs) = data.column_min_max();
+        let mut centroids = inst.centroids.clone();
+        let mut metrics = inst.metrics.clone();
+        reference_recompute_centroids(data, next, &mut centroids);
+        if mpck.learn_metric {
+            reference_update_metrics(
+                mpck,
+                data,
+                next,
+                &centroids,
+                &ml_pairs,
+                &cl_pairs,
+                &mins,
+                &maxs,
+                &mut metrics,
+            );
+        }
+        let objective = reference_objective(
+            mpck, data, next, &centroids, &metrics, &ml_pairs, &cl_pairs, &mins, &maxs,
+        );
+        (centroids, metrics, objective)
     }
 
     #[test]
@@ -1163,8 +1165,8 @@ mod tests {
                 .with_weights(inst.weights.0, inst.weights.1)
                 .with_metric_learning(rng.bernoulli(0.5));
             learned[usize::from(mpck.learn_metric)] += 1;
-            let got = m_step(&mpck, &inst, &next, false);
-            let expected = m_step(&mpck, &inst, &next, true);
+            let got = m_step(&mpck, &inst, &next, &counts);
+            let expected = reference_m_step(&mpck, &inst, &next);
             assert_eq!(bits(&got.0), bits(&expected.0), "case {case}: centroids");
             assert_eq!(bits(&got.1), bits(&expected.1), "case {case}: metrics");
             assert_eq!(

@@ -4,9 +4,9 @@
 //! [`DataMatrix`] is cluster `c`'s centroid or metric.
 //! [`recompute_centroids`] adds each object's row element-wise into its
 //! cluster's row, so every sum sees its objects in row order.
-//! [`fill_distances`] fills the fit's k × n table of every object's metric
+//! `fill_distances` fills the fit's k × n table of every object's metric
 //! distance to every centroid from the data copied dimension-major
-//! ([`columns_of`]); every entry is bit-identical to [`weighted_sq_dist`].
+//! (`columns_of`); every entry is bit-identical to [`weighted_sq_dist`].
 
 use cvcp_data::DataMatrix;
 
@@ -57,7 +57,7 @@ pub fn recompute_centroids(
 
 /// `data` copied dimension-major: row `d` of the d × n result is column
 /// `d` of `data`.
-pub fn columns_of(data: &DataMatrix) -> DataMatrix {
+pub(crate) fn columns_of(data: &DataMatrix) -> DataMatrix {
     let (n, dims) = (data.n_rows(), data.n_cols());
     let mut columns = vec![0.0; n * dims];
     for (i, row) in data.rows().enumerate() {
@@ -70,13 +70,13 @@ pub fn columns_of(data: &DataMatrix) -> DataMatrix {
 
 /// Fills the k × n table `dist` with every object's metric distance to
 /// every centroid: `dist[c][i] = ‖x_i − μ_c‖²_{A_c}`, from the data's
-/// `columns` (see [`columns_of`]) and the k × d `centroids` and `metrics`.
+/// `columns` (see `columns_of`) and the k × d `centroids` and `metrics`.
 ///
 /// The objects are the inner loop, so the compiler vectorises across
 /// them, while each entry sums its dimensions in ascending order from
 /// `0.0` with the terms of [`weighted_sq_dist`]: every entry is
 /// bit-identical to it.
-pub fn fill_distances(
+pub(crate) fn fill_distances(
     columns: &DataMatrix,
     centroids: &DataMatrix,
     metrics: &DataMatrix,

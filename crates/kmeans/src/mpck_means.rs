@@ -648,6 +648,7 @@ fn diameter_sq(weights: &[f64], mins: &[f64], maxs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::neighborhood_candidates;
     use cvcp_constraints::generate::constraint_pool;
     use cvcp_data::synthetic::{gaussian_mixture, separated_blobs, ClusterSpec};
     use cvcp_metrics::{adjusted_rand_index, constraint_fmeasure};
@@ -791,10 +792,23 @@ mod tests {
                 centroids[b] = centroids[a].clone();
                 metrics[b] = metrics[a].clone();
             }
+            let weights = (rng.uniform_in(0.25, 4.0), rng.uniform_in(0.25, 4.0));
+            Self::new(data, working, centroids, metrics, weights)
+        }
+
+        /// The instance of one state: its metric terms and its whole
+        /// distance table computed from the nested centroids and metrics.
+        fn new(
+            data: DataMatrix,
+            working: ConstraintSet,
+            centroids: Vec<Vec<f64>>,
+            metrics: Vec<Vec<f64>>,
+            weights: (f64, f64),
+        ) -> Self {
             let (mins, maxs) = data.column_min_max();
             let flat_metrics = DataMatrix::from_rows(&metrics);
             let terms = MetricTerms::of(&flat_metrics, &mins, &maxs);
-            let mut dist = DataMatrix::zeros(k, n);
+            let mut dist = DataMatrix::zeros(centroids.len(), data.n_rows());
             let flat_centroids = DataMatrix::from_rows(&centroids);
             fill_distances(
                 &columns_of(&data),
@@ -802,7 +816,6 @@ mod tests {
                 &flat_metrics,
                 &mut dist,
             );
-            let weights = (rng.uniform_in(0.25, 4.0), rng.uniform_in(0.25, 4.0));
             Self {
                 data,
                 working,
@@ -1180,6 +1193,195 @@ mod tests {
         assert!(emptied > 0, "no empty cluster was exercised");
         assert!(ml_violated > 0 && cl_violated > 0, "no violated constraint");
         assert!(learned.iter().all(|&cases| cases > 0), "{learned:?}");
+    }
+
+    /// What the whole-fit reference met over its fits.
+    #[derive(Default)]
+    struct FitEvents {
+        /// Clusters whose members stayed put in an iteration after the
+        /// first in which some other cluster gained or lost an object.
+        unchanged: usize,
+        /// Clusters the E-step left empty.
+        reseeded: usize,
+        /// Objects without any constraint.
+        unconstrained: usize,
+        /// Must-links and cannot-links violated by an iteration's
+        /// assignment.
+        ml_violated: usize,
+        cl_violated: usize,
+        /// Fits without and with metric learning.
+        learned: [usize; 2],
+    }
+
+    /// `fit_seeded` as it ran before it recomputed only what an iteration
+    /// changed: every EM iteration builds the whole state (every metric
+    /// term and the whole distance table), runs `reference_assign` over
+    /// the whole shuffled order, then `reference_reseed`,
+    /// `reference_recompute_centroids`, `reference_update_metrics` and
+    /// `reference_objective`, with the fit's initialisation, RNG draws and
+    /// convergence test.
+    fn reference_fit(
+        mpck: &MpckMeans,
+        data: &DataMatrix,
+        seeding: &MpckSeeding,
+        rng: &mut SeededRng,
+        events: &mut FitEvents,
+    ) -> MpckMeansResult {
+        let (n, dims, k) = (data.n_rows(), data.n_cols(), mpck.k);
+        let (ml_pairs, cl_pairs) = constraint_pairs(&seeding.working);
+        let (ml_of, cl_of) = neighbour_lists(n, &seeding.working);
+        let (mins, maxs) = data.column_min_max();
+        events.learned[usize::from(mpck.learn_metric)] += 1;
+        events.unconstrained += (0..n)
+            .filter(|&i| ml_of[i].is_empty() && cl_of[i].is_empty())
+            .count();
+        let mut centroids = centroids_from_candidates(data, seeding.candidates.clone(), k, rng);
+        let mut metrics = vec![vec![1.0; dims]; k];
+        let mut assignment = vec![0usize; n];
+        let mut objective = f64::INFINITY;
+        let mut iterations = 0;
+        for it in 0..mpck.max_iter {
+            iterations = it + 1;
+            let inst = Instance::new(
+                data.clone(),
+                seeding.working.clone(),
+                centroids.clone(),
+                metrics.clone(),
+                (mpck.must_link_weight, mpck.cannot_link_weight),
+            );
+            let mut order: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut order);
+            let (assigned, _) = reference_assign(&inst, &ml_of, &cl_of, &order);
+            let mut next: Vec<usize> = assigned.iter().map(|a| a.expect("assigned")).collect();
+            let mut counts = vec![0usize; k];
+            for &c in &next {
+                counts[c] += 1;
+            }
+            events.reseeded += counts.iter().filter(|&&count| count == 0).count();
+            reference_reseed(data, &centroids, &metrics, &mut counts, &mut next);
+            if it > 0 && next != assignment {
+                let mut moved = vec![false; k];
+                for (&was, &now) in assignment.iter().zip(&next) {
+                    if was != now {
+                        moved[was] = true;
+                        moved[now] = true;
+                    }
+                }
+                events.unchanged += moved.iter().filter(|&&m| !m).count();
+            }
+            events.ml_violated += ml_pairs
+                .iter()
+                .filter(|&&(a, b)| next[a] != next[b])
+                .count();
+            events.cl_violated += cl_pairs
+                .iter()
+                .filter(|&&(a, b)| next[a] == next[b])
+                .count();
+            reference_recompute_centroids(data, &next, &mut centroids);
+            if mpck.learn_metric {
+                reference_update_metrics(
+                    mpck,
+                    data,
+                    &next,
+                    &centroids,
+                    &ml_pairs,
+                    &cl_pairs,
+                    &mins,
+                    &maxs,
+                    &mut metrics,
+                );
+            }
+            let new_objective = reference_objective(
+                mpck, data, &next, &centroids, &metrics, &ml_pairs, &cl_pairs, &mins, &maxs,
+            );
+            let converged = next == assignment
+                || (objective - new_objective).abs() <= 1e-9 * objective.abs().max(1.0);
+            assignment = next;
+            objective = new_objective;
+            if converged && it > 0 {
+                break;
+            }
+        }
+        let violations = ml_pairs
+            .iter()
+            .filter(|&&(a, b)| assignment[a] != assignment[b])
+            .count()
+            + cl_pairs
+                .iter()
+                .filter(|&&(a, b)| assignment[a] == assignment[b])
+                .count();
+        MpckMeansResult {
+            partition: Partition::from_cluster_ids(&assignment),
+            centroids,
+            metrics,
+            objective,
+            iterations,
+            violations,
+        }
+    }
+
+    #[test]
+    fn fit_matches_the_recompute_everything_reference_bit_for_bit() {
+        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|r| r.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let mut rng = SeededRng::new(34);
+        let mut events = FitEvents::default();
+        for case in 0..120 {
+            let inst = Instance::random(&mut rng);
+            let k = inst.centroids.len().min(inst.data.n_rows());
+            let seeding = MpckSeeding {
+                candidates: neighborhood_candidates(&inst.data, &inst.working),
+                working: inst.working.clone(),
+            };
+            let mpck = MpckMeans::new(k)
+                .with_weights(inst.weights.0, inst.weights.1)
+                .with_metric_learning(rng.bernoulli(0.5));
+            let seed = rng.next_u64();
+            let got = mpck.fit_seeded(&inst.data, &seeding, &mut SeededRng::new(seed));
+            let expected = reference_fit(
+                &mpck,
+                &inst.data,
+                &seeding,
+                &mut SeededRng::new(seed),
+                &mut events,
+            );
+            assert_eq!(got.partition, expected.partition, "case {case}: partition");
+            assert_eq!(
+                bits(&got.centroids),
+                bits(&expected.centroids),
+                "case {case}: centroids"
+            );
+            assert_eq!(
+                bits(&got.metrics),
+                bits(&expected.metrics),
+                "case {case}: metrics"
+            );
+            assert_eq!(
+                got.objective.to_bits(),
+                expected.objective.to_bits(),
+                "case {case}: objective {} vs reference {}",
+                got.objective,
+                expected.objective
+            );
+            assert_eq!(got.iterations, expected.iterations, "case {case}");
+            assert_eq!(got.violations, expected.violations, "case {case}");
+        }
+        let FitEvents {
+            unchanged,
+            reseeded,
+            unconstrained,
+            ml_violated,
+            cl_violated,
+            learned,
+        } = events;
+        assert!(unchanged > 0, "no iteration left a cluster unchanged");
+        assert!(reseeded > 0, "no empty cluster was reseeded");
+        assert!(unconstrained > 0, "no unconstrained object");
+        assert!(ml_violated > 0 && cl_violated > 0, "no violated constraint");
+        assert!(learned.iter().all(|&fits| fits > 0), "{learned:?}");
     }
 
     #[test]

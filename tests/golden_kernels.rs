@@ -9,6 +9,8 @@
 //! * `MpckMeans::fit_seeded` on the six `grid_batch` replicas (the five
 //!   UCI replicas and `aloi:0`), over each replica's default `k` grid and
 //!   two RNG seeds: partition, centroids, metrics, objective, iterations;
+//!   and three more fits on the same pools whose E-step empties a
+//!   cluster, which pin the object the reseed moves into it;
 //! * `core_distances` for MinPts {1, 2, 3, 6, …, 24, n − 1, n, n + 5} on
 //!   the same replicas;
 //! * one reduced `run_experiment_on` (iris_like and aloi:0, FOSC and
@@ -56,6 +58,14 @@ use std::sync::Arc;
 const REPLICA_SEED: u64 = 20_140_324;
 const CONSTRAINT_SEED: u64 = 0x60_1D;
 const FIT_SEEDS: [u64; 2] = [1, 2];
+/// Fits on the same constraint pools whose E-step empties a cluster, so
+/// that the digest pins which object the reseed moves into it: `(replica,
+/// k, seed)`.
+const RESEED_FITS: [(&str, usize, u64); 3] = [
+    ("ecoli_like", 9, 5),
+    ("zyeast_like", 6, 9),
+    ("aloi_k5_000", 10, 10),
+];
 const EXPERIMENT_SEED: u64 = 0xC5C9;
 const SELECTION_SEED: u64 = 0x5E1EC7;
 const GOLDEN: &str = include_str!("golden/kernels.txt");
@@ -222,15 +232,20 @@ fn mpck_fit_seeded_matches_the_frozen_digests() {
         let grid = Algorithm::MpckMeans
             .method()
             .default_parameter_range(ds.n_classes());
-        for &k in &grid {
-            for seed in FIT_SEEDS {
-                let result =
-                    suite_mpck(k).fit_seeded(ds.matrix(), &seeding, &mut SeededRng::new(seed));
-                computed.push((
-                    format!("mpck.fit_seeded {} k={k} seed={seed}", ds.name()),
-                    mpck_digest(&result),
-                ));
-            }
+        let grid_fits = grid
+            .iter()
+            .flat_map(|&k| FIT_SEEDS.map(|seed| (k, seed)))
+            .map(|(k, seed)| (String::new(), k, seed));
+        let reseed_fits = RESEED_FITS
+            .iter()
+            .filter(|(name, ..)| *name == ds.name())
+            .map(|&(_, k, seed)| ("reseed ".to_string(), k, seed));
+        for (kind, k, seed) in grid_fits.chain(reseed_fits) {
+            let result = suite_mpck(k).fit_seeded(ds.matrix(), &seeding, &mut SeededRng::new(seed));
+            computed.push((
+                format!("mpck.fit_seeded {kind}{} k={k} seed={seed}", ds.name()),
+                mpck_digest(&result),
+            ));
         }
     }
     check_section("mpck.fit_seeded ", computed);

@@ -42,7 +42,7 @@ pub mod synthetic;
 pub use dataset::{ClassSummary, Dataset};
 pub use distance::{Distance, Euclidean, SquaredEuclidean};
 pub use fingerprint::{Fingerprint, FingerprintBuilder};
-pub use matrix::DataMatrix;
+pub use matrix::{ColumnView, DataMatrix};
 pub use partition::{Assignment, Partition};
 
 /// Convenience re-exports for downstream crates.

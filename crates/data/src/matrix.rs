@@ -3,10 +3,11 @@
 //! The matrix is intentionally simple: a `Vec<f64>` with explicit row/column
 //! counts.  Every clustering algorithm in this workspace accesses data
 //! through row slices, which keeps cache behaviour predictable and avoids a
-//! heavyweight linear-algebra dependency.
+//! heavyweight linear-algebra dependency.  Kernels that want a dimension as
+//! a contiguous slice read the matrix's memoised [`ColumnView`] instead.
 
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::fingerprint::{Fingerprint, FingerprintBuilder};
 
@@ -14,12 +15,15 @@ use crate::fingerprint::{Fingerprint, FingerprintBuilder};
 ///
 /// Rows are observations (objects), columns are features (attributes).
 ///
-/// The content [`fingerprint`](DataMatrix::fingerprint) is memoised per
-/// instance: the first call hashes every value, later calls read the
-/// stored key.  The three `&mut self` methods, [`set`](DataMatrix::set),
-/// [`row_mut`](DataMatrix::row_mut) and [`push_row`](DataMatrix::push_row),
-/// reset it.  A clone carries it, and equality ignores it: two matrices
-/// are equal when their shapes and values are.
+/// Two derived values are memoised per instance: the content
+/// [`fingerprint`](DataMatrix::fingerprint) and the
+/// [`column_view`](DataMatrix::column_view), the columns copied
+/// dimension-major with their bounds.  The first call computes each, later
+/// calls read the stored value.  The three `&mut self` methods,
+/// [`set`](DataMatrix::set), [`row_mut`](DataMatrix::row_mut) and
+/// [`push_row`](DataMatrix::push_row), reset both.  A clone carries the
+/// fingerprint and shares the column view, and equality ignores both: two
+/// matrices are equal when their shapes and values are.
 ///
 /// ```
 /// use cvcp_data::DataMatrix;
@@ -37,10 +41,12 @@ pub struct DataMatrix {
     n_cols: usize,
     /// The memoised [`DataMatrix::fingerprint`]; empty until first read.
     fingerprint: OnceLock<Fingerprint>,
+    /// The memoised [`DataMatrix::column_view`]; empty until first read.
+    columns: OnceLock<Arc<ColumnView>>,
 }
 
 impl PartialEq for DataMatrix {
-    /// Shape and values; the fingerprint memo is not content.
+    /// Shape and values; the memos are not content.
     fn eq(&self, other: &Self) -> bool {
         self.n_rows == other.n_rows && self.n_cols == other.n_cols && self.values == other.values
     }
@@ -66,6 +72,7 @@ impl DataMatrix {
             n_rows,
             n_cols,
             fingerprint: OnceLock::new(),
+            columns: OnceLock::new(),
         }
     }
 
@@ -95,6 +102,7 @@ impl DataMatrix {
             n_rows: rows.len(),
             n_cols,
             fingerprint: OnceLock::new(),
+            columns: OnceLock::new(),
         }
     }
 
@@ -105,6 +113,7 @@ impl DataMatrix {
             n_rows,
             n_cols,
             fingerprint: OnceLock::new(),
+            columns: OnceLock::new(),
         }
     }
 
@@ -148,7 +157,7 @@ impl DataMatrix {
             row < self.n_rows && col < self.n_cols,
             "index out of bounds"
         );
-        self.fingerprint.take();
+        self.forget_memos();
         self.values[row * self.n_cols + col] = value;
     }
 
@@ -175,7 +184,7 @@ impl DataMatrix {
             "row index {i} out of bounds ({})",
             self.n_rows
         );
-        self.fingerprint.take();
+        self.forget_memos();
         &mut self.values[i * self.n_cols..(i + 1) * self.n_cols]
     }
 
@@ -212,7 +221,7 @@ impl DataMatrix {
             self.n_cols = row.len();
         }
         assert_eq!(row.len(), self.n_cols, "row length mismatch");
-        self.fingerprint.take();
+        self.forget_memos();
         self.values.extend_from_slice(row);
         self.n_rows += 1;
     }
@@ -297,6 +306,77 @@ impl DataMatrix {
             }
             h.finish()
         })
+    }
+
+    /// The columns copied dimension-major, with each column's bounds.
+    /// Memoised per instance, as the type-level docs describe.
+    pub fn column_view(&self) -> &ColumnView {
+        self.columns.get_or_init(|| Arc::new(ColumnView::of(self)))
+    }
+
+    /// Resets the memoised derived values; every `&mut self` method that
+    /// can change a value or the shape calls it.
+    fn forget_memos(&mut self) {
+        self.fingerprint.take();
+        self.columns.take();
+    }
+}
+
+/// A matrix's columns copied dimension-major, with each column's least and
+/// greatest value: what [`DataMatrix::column_view`] memoises.
+#[derive(Debug)]
+pub struct ColumnView {
+    /// Column `j` is `values[j * n_rows..(j + 1) * n_rows]`.
+    values: Vec<f64>,
+    n_rows: usize,
+    mins: Vec<f64>,
+    maxs: Vec<f64>,
+}
+
+impl ColumnView {
+    /// Transposes `m` and takes its [`DataMatrix::column_min_max`].
+    fn of(m: &DataMatrix) -> Self {
+        let n_rows = m.n_rows;
+        let mut values = vec![0.0; m.values.len()];
+        for (i, row) in m.rows().enumerate() {
+            for (j, &x) in row.iter().enumerate() {
+                values[j * n_rows + i] = x;
+            }
+        }
+        let (mins, maxs) = m.column_min_max();
+        Self {
+            values,
+            n_rows,
+            mins,
+            maxs,
+        }
+    }
+
+    /// Column `j`: every row's value in dimension `j`, in row order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not a column of the matrix.
+    pub fn column(&self, j: usize) -> &[f64] {
+        assert!(j < self.mins.len(), "column index {j} out of bounds");
+        &self.values[j * self.n_rows..(j + 1) * self.n_rows]
+    }
+
+    /// The columns in dimension order.
+    pub fn columns(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        (0..self.mins.len()).map(|j| self.column(j))
+    }
+
+    /// Each column's least value, as [`DataMatrix::column_min_max`]
+    /// returns it.
+    pub fn mins(&self) -> &[f64] {
+        &self.mins
+    }
+
+    /// Each column's greatest value, as [`DataMatrix::column_min_max`]
+    /// returns it.
+    pub fn maxs(&self) -> &[f64] {
+        &self.maxs
     }
 }
 
@@ -525,6 +605,98 @@ mod tests {
             for reader in readers {
                 assert_eq!(reader.join().expect("reader thread"), expected);
             }
+        }
+    }
+
+    /// `m`'s columns as the per-call [`DataMatrix::column`] returns them,
+    /// and its per-call [`DataMatrix::column_min_max`], as bit patterns.
+    fn fresh_columns_and_bounds(m: &DataMatrix) -> (Vec<Vec<u64>>, Vec<u64>, Vec<u64>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mins, maxs) = m.column_min_max();
+        let columns = (0..m.n_cols()).map(|j| bits(&m.column(j))).collect();
+        (columns, bits(&mins), bits(&maxs))
+    }
+
+    /// The memoised view of `m`, as bit patterns.
+    fn memoised_columns_and_bounds(m: &DataMatrix) -> (Vec<Vec<u64>>, Vec<u64>, Vec<u64>) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let view = m.column_view();
+        let columns: Vec<Vec<u64>> = view.columns().map(bits).collect();
+        assert_eq!(columns.len(), m.n_cols());
+        for (j, column) in columns.iter().enumerate() {
+            assert_eq!(bits(view.column(j)), *column);
+        }
+        (columns, bits(view.mins()), bits(view.maxs()))
+    }
+
+    #[test]
+    fn column_view_matches_a_fresh_transpose_and_bounds() {
+        let mut rng = SeededRng::new(23);
+        let cases: Vec<DataMatrix> = [
+            DataMatrix::zeros(0, 0),
+            DataMatrix::from_flat(vec![], 0, 3),
+            DataMatrix::zeros(3, 0),
+            DataMatrix::from_rows(&[vec![1.5, -0.0, 0.0, f64::INFINITY]]),
+            DataMatrix::from_rows(&vec![vec![2.0]; 7]),
+            iris_like(7).matrix().clone(),
+            wine_like(7).matrix().clone(),
+            ionosphere_like(7).matrix().clone(),
+            ecoli_like(7).matrix().clone(),
+            zyeast_like(7).matrix().clone(),
+            aloi_k5_dataset(7, 0).matrix().clone(),
+        ]
+        .into_iter()
+        .chain((0..200).map(|_| random_matrix(&mut rng)))
+        .collect();
+        for m in &cases {
+            let expected = fresh_columns_and_bounds(m);
+            let before = m.clone();
+            assert_eq!(
+                memoised_columns_and_bounds(m),
+                expected,
+                "first read of {m}"
+            );
+            assert_eq!(
+                memoised_columns_and_bounds(m),
+                expected,
+                "second read of {m}"
+            );
+            let after = m.clone();
+            assert_eq!(
+                memoised_columns_and_bounds(&before),
+                expected,
+                "clone taken before the first read"
+            );
+            assert!(
+                std::ptr::eq(after.column_view(), m.column_view()),
+                "a clone taken after the first read shares the view"
+            );
+            // Equality ignores the memo (NaN is never equal to itself).
+            let twin = DataMatrix::from_flat(m.as_slice().to_vec(), m.n_rows(), m.n_cols());
+            assert_eq!(*m == twin, m.as_slice().iter().all(|v| !v.is_nan()));
+        }
+        // Each mutator resets the memo: the view read afterwards is the
+        // mutated matrix's, on the matrix and on a clone taken after it.
+        type Mutator = fn(&mut DataMatrix);
+        let mutators: [(&str, Mutator); 3] = [
+            ("set", |m| m.set(1, 2, -7.25)),
+            ("row_mut", |m| m.row_mut(0)[1] = f64::NEG_INFINITY),
+            ("push_row", |m| m.push_row(&[-1e9, 3.0, 1e9])),
+        ];
+        for (name, mutate) in mutators {
+            let mut m = DataMatrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, -5.0, 6.0]]);
+            let _ = m.column_view();
+            mutate(&mut m);
+            assert_eq!(
+                memoised_columns_and_bounds(&m),
+                fresh_columns_and_bounds(&m),
+                "`{name}` left a stale column view"
+            );
+            assert_eq!(
+                memoised_columns_and_bounds(&m.clone()),
+                fresh_columns_and_bounds(&m),
+                "clone after `{name}`"
+            );
         }
     }
 

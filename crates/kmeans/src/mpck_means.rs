@@ -58,11 +58,11 @@
 //! come from a flat per-fit index that lists them in constraint order.
 
 use crate::init::{centroids_from_candidates, neighborhood_candidates};
-use crate::objective::{columns_of, fill_distances, recompute_centroids, weighted_sq_dist};
+use crate::objective::{fill_distance_row, fill_distances, recompute_centroids, weighted_sq_dist};
 use cvcp_constraints::closure::transitive_closure;
 use cvcp_constraints::{Constraint, ConstraintKind, ConstraintSet};
 use cvcp_data::rng::SeededRng;
-use cvcp_data::{DataMatrix, Partition};
+use cvcp_data::{ColumnView, DataMatrix, Partition};
 use cvcp_engine::ArtifactSize;
 
 /// The `k`-invariant seeding structures of an MPCKMeans run: the (optionally
@@ -238,8 +238,10 @@ impl MpckMeans {
         let ml_of = Neighbours::from_pairs(n, &ml_pairs);
         let cl_of = Neighbours::from_pairs(n, &cl_pairs);
 
-        // Row c of the k × d centroids and metrics is cluster c's, and row c
-        // of the k × n table `dist` holds every object's distance to it.
+        // Row c of the k × d centroids and metrics is cluster c's, row c of
+        // the k × n table `dist` holds every object's distance to it, and
+        // row c of the must-link pair table every must-link's distance
+        // under its metric.
         let mut centroids = DataMatrix::from_rows(&centroids_from_candidates(
             data,
             seeding.candidates.clone(),
@@ -251,17 +253,24 @@ impl MpckMeans {
         let mut objective = f64::INFINITY;
         let mut iterations = 0;
 
-        let (mins, maxs) = data.column_min_max();
-        let mut terms = MetricTerms::of(&metrics, &mins, &maxs);
-        let columns = columns_of(data);
+        // A cluster changed when an object entered or left it; every
+        // cluster counts as changed before the first iteration.
+        let mut changed = vec![true; self.k];
+        let columns = data.column_view();
+        let (mins, maxs) = (columns.mins(), columns.maxs());
+        let mut terms = MetricTerms::of(&metrics, mins, maxs);
         let mut dist = DataMatrix::zeros(self.k, n);
-        fill_distances(&columns, &centroids, &metrics, &mut dist);
+        fill_distances(columns, &centroids, &metrics, &changed, &mut dist);
+        let mut pair_dist = PairTable::new(columns, &ml_pairs, self.k);
+        pair_dist.fill(&metrics, &changed);
 
         // Buffers reused across EM iterations: the visiting order, the
-        // E-step's partial and complete assignments, its k-length costs and
-        // the cluster sizes.
+        // E-step's partial assignment of the constrained objects, its
+        // least costs so far and k-length costs, the complete assignment
+        // and the cluster sizes.
         let mut order: Vec<usize> = Vec::with_capacity(n);
         let mut assigned: Vec<Option<usize>> = vec![None; n];
+        let mut least = vec![0.0f64; n];
         let mut costs = vec![0.0f64; self.k];
         let mut next: Vec<usize> = vec![0; n];
         let mut counts = vec![0usize; self.k];
@@ -276,6 +285,7 @@ impl MpckMeans {
             EStep {
                 data,
                 dist: &dist,
+                pair_dist: &pair_dist,
                 metrics: &metrics,
                 terms: &terms,
                 ml_of: &ml_of,
@@ -283,40 +293,51 @@ impl MpckMeans {
                 must_link_weight: self.must_link_weight,
                 cannot_link_weight: self.cannot_link_weight,
             }
-            .assign(&order, &mut assigned, &mut costs);
+            .assign(&order, &mut assigned, &mut least, &mut costs, &mut next);
             counts.fill(0);
-            for (slot, a) in next.iter_mut().zip(&assigned) {
-                let c = a.expect("assigned");
+            for &c in &next {
                 counts[c] += 1;
-                *slot = c;
             }
 
             reseed_empty(&dist, &mut counts, &mut next);
+            if it > 0 {
+                changed.fill(false);
+                for (&was, &now) in assignment.iter().zip(&next) {
+                    if was != now {
+                        changed[was] = true;
+                        changed[now] = true;
+                    }
+                }
+            }
 
-            // ---------------- M-step: centroids ----------------
-            recompute_centroids(data, &next, &counts, &mut centroids);
-
-            // ---------------- M-step: metrics ----------------
+            // ------ M-step: the changed clusters' centroids and metrics ------
+            // A cluster whose members stayed put keeps its centroid, its
+            // metric (whose violated constraints are the pairs with one or
+            // both ends among its members) and its rows of both tables.
+            recompute_centroids(data, &next, &counts, &changed, &mut centroids);
             if self.learn_metric {
                 self.update_metrics(
                     data,
                     &next,
                     &counts,
+                    &changed,
                     &centroids,
                     &ml_pairs,
                     &cl_pairs,
-                    &mins,
-                    &maxs,
+                    mins,
+                    maxs,
                     &mut metrics,
                 );
-                terms = MetricTerms::of(&metrics, &mins, &maxs);
+                terms.update(&metrics, mins, maxs, &changed);
+                pair_dist.fill(&metrics, &changed);
             }
-            // This table serves the objective below and the next E-step.
-            fill_distances(&columns, &centroids, &metrics, &mut dist);
+            // These tables serve the objective below and the next E-step.
+            fill_distances(columns, &centroids, &metrics, &changed, &mut dist);
 
             // ---------------- Objective & convergence ----------------
-            let new_objective =
-                self.objective(data, &next, &dist, &metrics, &ml_pairs, &cl_pairs, &terms);
+            let new_objective = self.objective(
+                data, &next, &dist, &pair_dist, &metrics, &ml_pairs, &cl_pairs, &terms,
+            );
             let converged = next == assignment
                 || (objective - new_objective).abs() <= 1e-9 * objective.abs().max(1.0);
             std::mem::swap(&mut assignment, &mut next);
@@ -345,9 +366,9 @@ impl MpckMeans {
         }
     }
 
-    /// Re-estimates the per-cluster diagonal metric weights, the rows of
-    /// the k × d `metrics`, from an assignment whose cluster sizes are
-    /// `counts`.
+    /// Re-estimates the diagonal metric weights of the `changed` clusters,
+    /// rows of the k × d `metrics`, from an assignment whose cluster sizes
+    /// are `counts`.  Every other row is left as it is.
     ///
     /// For cluster `h` and dimension `d`:
     /// `a_{h,d} = N_h / ( Σ_{x∈h}(x_d−μ_d)² + ½ w Σ_{violated ML touching h}(x_i,d−x_j,d)²
@@ -359,6 +380,7 @@ impl MpckMeans {
         data: &DataMatrix,
         assignment: &[usize],
         counts: &[usize],
+        changed: &[bool],
         centroids: &DataMatrix,
         ml_pairs: &[(usize, usize)],
         cl_pairs: &[(usize, usize)],
@@ -368,6 +390,9 @@ impl MpckMeans {
     ) {
         let mut scatter = DataMatrix::zeros(metrics.n_rows(), metrics.n_cols());
         for (i, &c) in assignment.iter().enumerate() {
+            if !changed[c] {
+                continue;
+            }
             let sums = scatter.row_mut(c).iter_mut();
             for ((sum, x), mu) in sums.zip(data.row(i)).zip(centroids.row(c)) {
                 let diff = x - mu;
@@ -378,7 +403,7 @@ impl MpckMeans {
         for &(a, b) in ml_pairs {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca != cb {
-                for c in [ca, cb] {
+                for c in [ca, cb].into_iter().filter(|&c| changed[c]) {
                     let sums = scatter.row_mut(c).iter_mut();
                     for ((sum, x), y) in sums.zip(data.row(a)).zip(data.row(b)) {
                         let diff = x - y;
@@ -390,7 +415,7 @@ impl MpckMeans {
         // Violated cannot-links contribute (range² − diff²) to their cluster.
         for &(a, b) in cl_pairs {
             let c = assignment[a];
-            if c == assignment[b] {
+            if c == assignment[b] && changed[c] {
                 let sums = scatter.row_mut(c).iter_mut().zip(mins.iter().zip(maxs));
                 for (((sum, (lo, hi)), x), y) in sums.zip(data.row(a)).zip(data.row(b)) {
                     let diff = x - y;
@@ -401,7 +426,7 @@ impl MpckMeans {
         }
 
         for (c, &count) in counts.iter().enumerate() {
-            if count == 0 {
+            if count == 0 || !changed[c] {
                 continue;
             }
             for (w, sum) in metrics.row_mut(c).iter_mut().zip(scatter.row(c)) {
@@ -411,14 +436,16 @@ impl MpckMeans {
     }
 
     /// Evaluates the full MPCKMeans objective for a given state: `dist`
-    /// must be the distance table of the state's centroids and `metrics`,
-    /// and `terms` must hold the per-cluster terms of `metrics`.
+    /// and `pair_dist` must be the distance and must-link pair tables of
+    /// the state's centroids and `metrics`, and `terms` must hold the
+    /// per-cluster terms of `metrics`.
     #[allow(clippy::too_many_arguments)]
     fn objective(
         &self,
         data: &DataMatrix,
         assignment: &[usize],
         dist: &DataMatrix,
+        pair_dist: &PairTable,
         metrics: &DataMatrix,
         ml_pairs: &[(usize, usize)],
         cl_pairs: &[(usize, usize)],
@@ -428,12 +455,10 @@ impl MpckMeans {
         for (i, &c) in assignment.iter().enumerate() {
             obj += dist.get(c, i) - terms.log_det[c];
         }
-        for &(a, b) in ml_pairs {
+        for (p, &(a, b)) in ml_pairs.iter().enumerate() {
             let (ca, cb) = (assignment[a], assignment[b]);
             if ca != cb {
-                let f = 0.5
-                    * (weighted_sq_dist(data.row(a), data.row(b), metrics.row(ca))
-                        + weighted_sq_dist(data.row(a), data.row(b), metrics.row(cb)));
+                let f = 0.5 * (pair_dist.get(ca, p) + pair_dist.get(cb, p));
                 obj += self.must_link_weight * f;
             }
         }
@@ -450,13 +475,14 @@ impl MpckMeans {
 }
 
 /// What one greedy E-step reads besides the assignment it builds: the data,
-/// the distance table of the current centroids and metrics, the metrics
-/// with their per-cluster terms, each object's constraint neighbours and
-/// the violation weights.
+/// the distance and must-link pair tables of the current centroids and
+/// metrics, the metrics with their per-cluster terms, each object's
+/// constraint neighbours and the violation weights.
 struct EStep<'a> {
     data: &'a DataMatrix,
     /// Row `c` holds every object's distance to centroid `c`.
     dist: &'a DataMatrix,
+    pair_dist: &'a PairTable,
     metrics: &'a DataMatrix,
     terms: &'a MetricTerms,
     ml_of: &'a Neighbours,
@@ -466,13 +492,43 @@ struct EStep<'a> {
 }
 
 impl EStep<'_> {
-    /// The greedy ordered assignment: each object of `order` goes to the
-    /// cluster of least cost given the objects assigned before it, the
-    /// lowest cluster index winning exact ties.  `costs` is a k-length
-    /// work buffer.
-    fn assign(&self, order: &[usize], assigned: &mut [Option<usize>], costs: &mut [f64]) {
+    /// The greedy ordered assignment, into `next`: each object of `order`
+    /// goes to the cluster of least cost given the objects assigned before
+    /// it, the lowest cluster index winning exact ties.
+    ///
+    /// It runs in two parts.  An object without constraints costs its
+    /// centroid term alone, whoever came before it, so one pass over the
+    /// table, cluster by cluster, takes every object's argmin of
+    /// `dist[c][i] − log det A_c`, with the same strict `<` (`least` holds
+    /// the running minima).  Then the greedy walk visits only the
+    /// constrained objects, in `order`: their costs read only constrained
+    /// partners, so skipping the others changes no cost.  `assigned` holds
+    /// the walk's partial assignment and `costs` is a k-length buffer.
+    fn assign(
+        &self,
+        order: &[usize],
+        assigned: &mut [Option<usize>],
+        least: &mut [f64],
+        costs: &mut [f64],
+        next: &mut [usize],
+    ) {
+        least.fill(f64::INFINITY);
+        next.fill(0);
+        for (c, (dist, log_det)) in self.dist.rows().zip(&self.terms.log_det).enumerate() {
+            for ((best_cost, best_c), d) in least.iter_mut().zip(next.iter_mut()).zip(dist) {
+                let cost = d - log_det;
+                if cost < *best_cost {
+                    *best_cost = cost;
+                    *best_c = c;
+                }
+            }
+        }
+
         assigned.fill(None);
         for &i in order {
+            if self.ml_of.of(i).is_empty() && self.cl_of.of(i).is_empty() {
+                continue;
+            }
             self.costs(i, assigned, costs);
             let mut best_c = 0usize;
             let mut best_cost = f64::INFINITY;
@@ -483,6 +539,7 @@ impl EStep<'_> {
                 }
             }
             assigned[i] = Some(best_c);
+            next[i] = best_c;
         }
     }
 
@@ -493,10 +550,11 @@ impl EStep<'_> {
     ///
     /// The terms are produced neighbour by neighbour: one walk over `i`'s
     /// assigned must-link partners adds a term to every cluster but the
-    /// partner's, and one walk over its assigned cannot-link partners adds
-    /// a term to the partner's cluster alone.  Each cluster's cost still
-    /// receives its terms in the order a cluster-by-cluster rescan would
-    /// add them, so the costs are bit-identical to it.
+    /// partner's, reading the pair's distances from the pair table, and
+    /// one walk over its assigned cannot-link partners adds a term to the
+    /// partner's cluster alone.  Each cluster's cost still receives its
+    /// terms in the order a cluster-by-cluster rescan would add them, so
+    /// the costs are bit-identical to it.
     fn costs(&self, i: usize, assigned: &[Option<usize>], costs: &mut [f64]) {
         let row = self.data.row(i);
         for ((cost, dist), log_det) in costs
@@ -506,25 +564,76 @@ impl EStep<'_> {
         {
             *cost = dist[i] - log_det;
         }
-        for &j in self.ml_of.of(i) {
+        for &(j, p) in self.ml_of.of(i) {
             if let Some(cj) = assigned[j] {
-                let other = self.data.row(j);
-                let f_there = weighted_sq_dist(row, other, self.metrics.row(cj));
+                let f_there = self.pair_dist.get(cj, p);
                 for (c, cost) in costs.iter_mut().enumerate() {
                     if c != cj {
-                        let f_here = weighted_sq_dist(row, other, self.metrics.row(c));
+                        let f_here = self.pair_dist.get(c, p);
                         *cost += self.must_link_weight * 0.5 * (f_here + f_there);
                     }
                 }
             }
         }
-        for &j in self.cl_of.of(i) {
+        for &(j, _) in self.cl_of.of(i) {
             if let Some(cj) = assigned[j] {
                 let f = self.terms.cl_offset[cj]
                     - weighted_sq_dist(row, self.data.row(j), self.metrics.row(cj));
                 costs[cj] += self.cannot_link_weight * f.max(0.0);
             }
         }
+    }
+}
+
+/// The fit's must-link pair table: row `c` holds every must-link's metric
+/// distance under cluster `c`'s metric, `‖x_a − x_b‖²_{A_c}` for the pair
+/// `(a, b)`.
+///
+/// It is filled from the pairs' differences `x_a − x_b`, taken once per
+/// fit and held dimension-major, as their distance from the origin
+/// (`x − 0.0` is `x` exactly), with the pairs as the vectorised inner loop.
+/// Each entry is bit-identical to `weighted_sq_dist(x_a, x_b, A_c)`, and
+/// also to `weighted_sq_dist(x_b, x_a, A_c)`: negating a difference
+/// changes no bit of `w · d · d`.
+struct PairTable {
+    /// Row `d` holds every pair's difference in dimension `d`.
+    diffs: DataMatrix,
+    origin: Vec<f64>,
+    dist: DataMatrix,
+}
+
+impl PairTable {
+    /// An unfilled table of `pairs` for `k` clusters.
+    fn new(columns: &ColumnView, pairs: &[(usize, usize)], k: usize) -> Self {
+        let dims = columns.mins().len();
+        let mut diffs = DataMatrix::zeros(dims, pairs.len());
+        for (d, column) in columns.columns().enumerate() {
+            for (diff, &(a, b)) in diffs.row_mut(d).iter_mut().zip(pairs) {
+                *diff = column[a] - column[b];
+            }
+        }
+        Self {
+            diffs,
+            origin: vec![0.0; dims],
+            dist: DataMatrix::zeros(k, pairs.len()),
+        }
+    }
+
+    /// Refills the rows of the `changed` clusters from the k × d `metrics`.
+    fn fill(&mut self, metrics: &DataMatrix, changed: &[bool]) {
+        for c in (0..self.dist.n_rows()).filter(|&c| changed[c]) {
+            fill_distance_row(
+                self.diffs.rows(),
+                &self.origin,
+                metrics.row(c),
+                self.dist.row_mut(c),
+            );
+        }
+    }
+
+    /// Pair `p`'s distance under cluster `c`'s metric.
+    fn get(&self, c: usize, p: usize) -> f64 {
+        self.dist.get(c, p)
     }
 }
 
@@ -563,11 +672,11 @@ fn constraint_pairs(working: &ConstraintSet) -> (Pairs, Pairs) {
 }
 
 /// Each object's partners under one kind of constraint, flat: object `i`'s
-/// partners are `partners[start[i]..start[i + 1]]`, in the order of the
-/// pairs they come from.
+/// partners are `partners[start[i]..start[i + 1]]`, each with the index of
+/// the pair it comes from, in pair order.
 struct Neighbours {
     start: Vec<usize>,
-    partners: Vec<usize>,
+    partners: Vec<(usize, usize)>,
 }
 
 impl Neighbours {
@@ -582,25 +691,26 @@ impl Neighbours {
             start[i + 1] += start[i];
         }
         let mut fill = start.clone();
-        let mut partners = vec![0usize; 2 * pairs.len()];
-        for &(a, b) in pairs {
-            partners[fill[a]] = b;
+        let mut partners = vec![(0usize, 0usize); 2 * pairs.len()];
+        for (p, &(a, b)) in pairs.iter().enumerate() {
+            partners[fill[a]] = (b, p);
             fill[a] += 1;
-            partners[fill[b]] = a;
+            partners[fill[b]] = (a, p);
             fill[b] += 1;
         }
         Self { start, partners }
     }
 
-    /// Object `i`'s partners.
-    fn of(&self, i: usize) -> &[usize] {
+    /// Object `i`'s partners, as `(partner, pair index)`.
+    fn of(&self, i: usize) -> &[(usize, usize)] {
         &self.partners[self.start[i]..self.start[i + 1]]
     }
 }
 
 /// The terms of the objective that depend on a cluster's metric alone.
-/// Metrics change only in the M-step, so `fit_seeded` computes these once
-/// per EM iteration rather than once per (object × cluster) pair.
+/// Metrics change only in the M-step, so `fit_seeded` updates these once
+/// per EM iteration, for the changed clusters, rather than once per
+/// (object × cluster) pair.
 struct MetricTerms {
     /// `log det A_h` per cluster.
     log_det: Vec<f64>,
@@ -615,6 +725,14 @@ impl MetricTerms {
         Self {
             log_det: rows().map(log_det).collect(),
             cl_offset: rows().map(|w| diameter_sq(w, mins, maxs)).collect(),
+        }
+    }
+
+    /// Recomputes the terms of the `changed` rows of `metrics`.
+    fn update(&mut self, metrics: &DataMatrix, mins: &[f64], maxs: &[f64], changed: &[bool]) {
+        for c in (0..metrics.n_rows()).filter(|&c| changed[c]) {
+            self.log_det[c] = log_det(metrics.row(c));
+            self.cl_offset[c] = diameter_sq(metrics.row(c), mins, maxs);
         }
     }
 }
@@ -696,16 +814,17 @@ mod tests {
             .collect()
     }
 
-    /// The reference greedy pass: reference costs, strict `<`, first wins.
-    /// Also returns how many objects met an exact tie for the least cost.
+    /// The reference greedy pass: reference costs, strict `<`, first wins,
+    /// over the whole order.  Also returns which objects met an exact tie
+    /// for the least cost.
     fn reference_assign(
         inst: &Instance,
         ml_of: &[Vec<usize>],
         cl_of: &[Vec<usize>],
         order: &[usize],
-    ) -> (Vec<Option<usize>>, usize) {
+    ) -> (Vec<Option<usize>>, Vec<bool>) {
         let mut assigned = vec![None; inst.data.n_rows()];
-        let mut ties = 0;
+        let mut tied = vec![false; inst.data.n_rows()];
         for &i in order {
             let costs = reference_costs(inst, ml_of, cl_of, i, &assigned);
             let mut best_c = 0usize;
@@ -716,12 +835,10 @@ mod tests {
                     best_c = c;
                 }
             }
-            if costs.iter().filter(|&&cost| cost == best_cost).count() > 1 {
-                ties += 1;
-            }
+            tied[i] = costs.iter().filter(|&&cost| cost == best_cost).count() > 1;
             assigned[i] = Some(best_c);
         }
-        (assigned, ties)
+        (assigned, tied)
     }
 
     /// Each object's must-link and cannot-link partners, one `Vec` per
@@ -747,8 +864,9 @@ mod tests {
     /// metrics of which two clusters are exact copies (so that exact cost
     /// ties exercise the first-wins argmin) and random violation weights.
     /// The references read the nested centroids and metrics; the fit's own
-    /// functions read the same metrics flat, with their terms and the
-    /// distance table filled from them.
+    /// functions read the same metrics flat, with their terms, the distance
+    /// table and the must-link pair table filled from them as the fit
+    /// fills them.
     struct Instance {
         data: DataMatrix,
         working: ConstraintSet,
@@ -757,6 +875,7 @@ mod tests {
         flat_metrics: DataMatrix,
         terms: MetricTerms,
         dist: DataMatrix,
+        pair_dist: PairTable,
         weights: (f64, f64),
     }
 
@@ -797,7 +916,8 @@ mod tests {
         }
 
         /// The instance of one state: its metric terms and its whole
-        /// distance table computed from the nested centroids and metrics.
+        /// distance and pair tables computed from the nested centroids and
+        /// metrics.
         fn new(
             data: DataMatrix,
             working: ConstraintSet,
@@ -805,17 +925,17 @@ mod tests {
             metrics: Vec<Vec<f64>>,
             weights: (f64, f64),
         ) -> Self {
+            let k = centroids.len();
             let (mins, maxs) = data.column_min_max();
             let flat_metrics = DataMatrix::from_rows(&metrics);
             let terms = MetricTerms::of(&flat_metrics, &mins, &maxs);
-            let mut dist = DataMatrix::zeros(centroids.len(), data.n_rows());
+            let mut dist = DataMatrix::zeros(k, data.n_rows());
             let flat_centroids = DataMatrix::from_rows(&centroids);
-            fill_distances(
-                &columns_of(&data),
-                &flat_centroids,
-                &flat_metrics,
-                &mut dist,
-            );
+            let every = vec![true; k];
+            let columns = data.column_view();
+            fill_distances(columns, &flat_centroids, &flat_metrics, &every, &mut dist);
+            let mut pair_dist = PairTable::new(columns, &constraint_pairs(&working).0, k);
+            pair_dist.fill(&flat_metrics, &every);
             Self {
                 data,
                 working,
@@ -824,6 +944,7 @@ mod tests {
                 flat_metrics,
                 terms,
                 dist,
+                pair_dist,
                 weights,
             }
         }
@@ -842,6 +963,7 @@ mod tests {
             EStep {
                 data: &self.data,
                 dist: &self.dist,
+                pair_dist: &self.pair_dist,
                 metrics: &self.flat_metrics,
                 terms: &self.terms,
                 ml_of,
@@ -887,7 +1009,9 @@ mod tests {
     #[test]
     fn greedy_pass_matches_the_cluster_major_reference() {
         let mut rng = SeededRng::new(32);
-        let mut ties = 0usize;
+        // Objects that met an exact tie for the least cost, without and
+        // with constraints.
+        let mut ties = [0usize; 2];
         for case in 0..150 {
             let inst = Instance::random(&mut rng);
             let n = inst.data.n_rows();
@@ -897,13 +1021,21 @@ mod tests {
             let mut order: Vec<usize> = (0..n).collect();
             rng.shuffle(&mut order);
             let mut assigned = vec![Some(usize::MAX); n];
+            let mut least = vec![f64::NAN; n];
             let mut costs = vec![f64::NAN; inst.centroids.len()];
-            step.assign(&order, &mut assigned, &mut costs);
+            let mut next = vec![usize::MAX; n];
+            step.assign(&order, &mut assigned, &mut least, &mut costs, &mut next);
             let (expected, tied) = reference_assign(&inst, &ml_of, &cl_of, &order);
-            assert_eq!(assigned, expected, "case {case}");
-            ties += tied;
+            let expected: Vec<usize> = expected.iter().map(|a| a.expect("assigned")).collect();
+            assert_eq!(next, expected, "case {case}");
+            for i in (0..n).filter(|&i| tied[i]) {
+                ties[usize::from(!ml_of[i].is_empty() || !cl_of[i].is_empty())] += 1;
+            }
         }
-        assert!(ties > 0, "no exact cost tie was exercised");
+        assert!(
+            ties.iter().all(|&t| t > 0),
+            "ties without / with constraints: {ties:?}"
+        );
     }
 
     /// `recompute_centroids` as it was before the fit's state became flat:
@@ -1075,12 +1207,14 @@ mod tests {
         let (mins, maxs) = data.column_min_max();
         let mut centroids = DataMatrix::from_rows(&inst.centroids);
         let mut metrics = inst.flat_metrics.clone();
-        recompute_centroids(data, next, counts, &mut centroids);
+        let every = vec![true; counts.len()];
+        recompute_centroids(data, next, counts, &every, &mut centroids);
         if mpck.learn_metric {
             mpck.update_metrics(
                 data,
                 next,
                 counts,
+                &every,
                 &centroids,
                 &ml_pairs,
                 &cl_pairs,
@@ -1091,8 +1225,12 @@ mod tests {
         }
         let terms = MetricTerms::of(&metrics, &mins, &maxs);
         let mut dist = DataMatrix::zeros(centroids.n_rows(), data.n_rows());
-        fill_distances(&columns_of(data), &centroids, &metrics, &mut dist);
-        let objective = mpck.objective(data, next, &dist, &metrics, &ml_pairs, &cl_pairs, &terms);
+        fill_distances(data.column_view(), &centroids, &metrics, &every, &mut dist);
+        let mut pair_dist = PairTable::new(data.column_view(), &ml_pairs, counts.len());
+        pair_dist.fill(&metrics, &every);
+        let objective = mpck.objective(
+            data, next, &dist, &pair_dist, &metrics, &ml_pairs, &cl_pairs, &terms,
+        );
         (nested_rows(&centroids), nested_rows(&metrics), objective)
     }
 

@@ -3,12 +3,15 @@
 //! MPCKMeans keeps its per-cluster state flat: row `c` of a k × d
 //! [`DataMatrix`] is cluster `c`'s centroid or metric.
 //! [`recompute_centroids`] adds each object's row element-wise into its
-//! cluster's row, so every sum sees its objects in row order.
-//! `fill_distances` fills the fit's k × n table of every object's metric
-//! distance to every centroid from the data copied dimension-major
-//! (`columns_of`); every entry is bit-identical to [`weighted_sq_dist`].
+//! cluster's row, so every sum sees its objects in row order, and it
+//! recomputes only the clusters it is told changed.  `fill_distances`
+//! fills rows of the fit's k × n table of every object's metric distance
+//! to every centroid from the data's memoised dimension-major copy
+//! ([`DataMatrix::column_view`]); every entry is bit-identical to
+//! [`weighted_sq_dist`].  The fit fills its must-link pair table with the
+//! same loop (`fill_distance_row`).
 
-use cvcp_data::DataMatrix;
+use cvcp_data::{ColumnView, DataMatrix};
 
 /// Computes the centroid (mean vector) of the given objects.
 ///
@@ -31,23 +34,27 @@ pub fn centroid_of(data: &DataMatrix, members: &[usize]) -> Vec<f64> {
     c
 }
 
-/// Recomputes the k centroids, the rows of the k × d `centroids`, from an
-/// assignment whose cluster sizes are `counts`.  Clusters with no members
-/// keep their previous centroid.
+/// Recomputes the centroids of the `changed` clusters, rows of the k × d
+/// `centroids`, from an assignment whose cluster sizes are `counts`.
+/// Clusters with no members, and clusters not marked in `changed`, keep
+/// their previous centroid.
 pub fn recompute_centroids(
     data: &DataMatrix,
     assignment: &[usize],
     counts: &[usize],
+    changed: &[bool],
     centroids: &mut DataMatrix,
 ) {
     let mut sums = DataMatrix::zeros(centroids.n_rows(), centroids.n_cols());
     for (i, &c) in assignment.iter().enumerate() {
-        for (sum, v) in sums.row_mut(c).iter_mut().zip(data.row(i)) {
-            *sum += v;
+        if changed[c] {
+            for (sum, v) in sums.row_mut(c).iter_mut().zip(data.row(i)) {
+                *sum += v;
+            }
         }
     }
     for (c, &count) in counts.iter().enumerate() {
-        if count > 0 {
+        if count > 0 && changed[c] {
             for (mu, sum) in centroids.row_mut(c).iter_mut().zip(sums.row(c)) {
                 *mu = sum / count as f64;
             }
@@ -55,41 +62,47 @@ pub fn recompute_centroids(
     }
 }
 
-/// `data` copied dimension-major: row `d` of the d × n result is column
-/// `d` of `data`.
-pub(crate) fn columns_of(data: &DataMatrix) -> DataMatrix {
-    let (n, dims) = (data.n_rows(), data.n_cols());
-    let mut columns = vec![0.0; n * dims];
-    for (i, row) in data.rows().enumerate() {
-        for (d, &x) in row.iter().enumerate() {
-            columns[d * n + i] = x;
-        }
+/// Fills the rows of the `changed` clusters of the k × n table `dist`
+/// with every object's metric distance to their centroid:
+/// `dist[c][i] = ‖x_i − μ_c‖²_{A_c}`, from the data's `columns` and the
+/// k × d `centroids` and `metrics`.  Every entry is bit-identical to
+/// [`weighted_sq_dist`] (see [`fill_distance_row`]).
+pub(crate) fn fill_distances(
+    columns: &ColumnView,
+    centroids: &DataMatrix,
+    metrics: &DataMatrix,
+    changed: &[bool],
+    dist: &mut DataMatrix,
+) {
+    for c in (0..dist.n_rows()).filter(|&c| changed[c]) {
+        fill_distance_row(
+            columns.columns(),
+            centroids.row(c),
+            metrics.row(c),
+            dist.row_mut(c),
+        );
     }
-    DataMatrix::from_flat(columns, dims, n)
 }
 
-/// Fills the k × n table `dist` with every object's metric distance to
-/// every centroid: `dist[c][i] = ‖x_i − μ_c‖²_{A_c}`, from the data's
-/// `columns` (see `columns_of`) and the k × d `centroids` and `metrics`.
+/// Sets `out[i] = Σ_d weights[d] · (columns[d][i] − point[d])²`: the
+/// metric distance from `point` of every entry of the dimension-major
+/// `columns`.
 ///
-/// The objects are the inner loop, so the compiler vectorises across
+/// The entries are the inner loop, so the compiler vectorises across
 /// them, while each entry sums its dimensions in ascending order from
 /// `0.0` with the terms of [`weighted_sq_dist`]: every entry is
 /// bit-identical to it.
-pub(crate) fn fill_distances(
-    columns: &DataMatrix,
-    centroids: &DataMatrix,
-    metrics: &DataMatrix,
-    dist: &mut DataMatrix,
+pub(crate) fn fill_distance_row<'a>(
+    columns: impl Iterator<Item = &'a [f64]>,
+    point: &[f64],
+    weights: &[f64],
+    out: &mut [f64],
 ) {
-    for c in 0..dist.n_rows() {
-        let out = dist.row_mut(c);
-        out.fill(0.0);
-        for ((column, mu), w) in columns.rows().zip(centroids.row(c)).zip(metrics.row(c)) {
-            for (acc, x) in out.iter_mut().zip(column) {
-                let d = x - mu;
-                *acc += w * d * d;
-            }
+    out.fill(0.0);
+    for ((column, mu), w) in columns.zip(point).zip(weights) {
+        for (acc, x) in out.iter_mut().zip(column) {
+            let d = x - mu;
+            *acc += w * d * d;
         }
     }
 }
@@ -145,11 +158,21 @@ mod tests {
         let d = data();
         let mut centroids =
             DataMatrix::from_rows(&[vec![5.0, 5.0], vec![7.0, 7.0], vec![-1.0, -1.0]]);
-        recompute_centroids(&d, &[0, 0, 1, 1], &[2, 2, 0], &mut centroids);
+        recompute_centroids(&d, &[0, 0, 1, 1], &[2, 2, 0], &[true; 3], &mut centroids);
         assert_eq!(centroids.row(0), [1.0, 0.0]);
         assert_eq!(centroids.row(1), [11.0, 10.0]);
         // cluster 2 had no members: unchanged
         assert_eq!(centroids.row(2), [-1.0, -1.0]);
+        // Only the clusters marked as changed are recomputed.
+        recompute_centroids(
+            &d,
+            &[1, 1, 0, 0],
+            &[2, 2, 0],
+            &[false, true, true],
+            &mut centroids,
+        );
+        assert_eq!(centroids.row(0), [1.0, 0.0]);
+        assert_eq!(centroids.row(1), [1.0, 0.0]);
     }
 
     #[test]
@@ -158,7 +181,7 @@ mod tests {
         let centroids = DataMatrix::from_rows(&[vec![1.0, 0.0], vec![11.0, 10.0]]);
         let metrics = DataMatrix::from_rows(&[vec![1.0, 1.0], vec![2.0, 0.5]]);
         let mut dist = DataMatrix::zeros(2, 4);
-        fill_distances(&columns_of(&d), &centroids, &metrics, &mut dist);
+        fill_distances(d.column_view(), &centroids, &metrics, &[true; 2], &mut dist);
         for c in 0..2 {
             for i in 0..4 {
                 let expected = weighted_sq_dist(d.row(i), centroids.row(c), metrics.row(c));
@@ -166,6 +189,12 @@ mod tests {
             }
         }
         assert_eq!(dist.row(0), [1.0, 1.0, 181.0, 221.0]);
+        // Only the rows of the clusters marked as changed are refilled.
+        let stale = dist.row(1).to_vec();
+        let moved = DataMatrix::from_rows(&[vec![0.0, 0.0], vec![0.0, 0.0]]);
+        fill_distances(d.column_view(), &moved, &metrics, &[true, false], &mut dist);
+        assert_eq!(dist.row(0), [0.0, 4.0, 200.0, 244.0]);
+        assert_eq!(dist.row(1), stale);
     }
 
     #[test]

@@ -220,15 +220,20 @@ fn interactive_request_completes_while_batch_graph_is_in_flight() {
     };
     let server = Server::start(&config, Arc::new(Engine::new(2))).expect("bind loopback");
 
-    // The batch request: a heavyweight full-k-grid MPCKMeans selection on
-    // the 125×144 ALOI replica (tens of engine jobs).
+    // The batch request: a heavyweight MPCKMeans selection over k = 2..=41
+    // on the 125×144 ALOI replica, half its objects labelled, 10 folds: 40
+    // engine jobs of 5 to 40 ms in a release build, about 1 s in all, some
+    // 30 times the admission wait below plus the interactive request (which
+    // waits for a worker to finish its current job).  With the default k
+    // grid, 20% labels and 5 folds it ran for under 10 ms and often
+    // finished first.
     let batch = SelectionRequest {
         id: "big-batch".to_string(),
         dataset: "aloi:0".to_string(),
         algorithm: Algorithm::MpckMeans,
-        params: vec![],
-        side_info: SideInfoSpec::LabelFraction(0.2),
-        n_folds: 5,
+        params: (2..=41).collect(),
+        side_info: SideInfoSpec::LabelFraction(0.5),
+        n_folds: 10,
         stratified: true,
         seed: 11,
         priority: Some(Priority::Batch),

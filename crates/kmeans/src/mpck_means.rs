@@ -31,31 +31,54 @@
 //! close objects is penalised more).
 //!
 //! The fit's state is flat: row `c` of a k × d [`DataMatrix`] is cluster
-//! `c`'s centroid or metric.  The fit copies the data dimension-major once
-//! and fills one k × n distance table, row `c` holding every object's
-//! `‖x_i − μ_c‖²_{A_c}`, before the first E-step and after every M-step
-//! (`objective::fill_distances`).  The objects are the fill's
-//! inner, vectorised loop, and each entry sums its dimensions in ascending
-//! order from `0.0`, exactly as `weighted_sq_dist` does, so it is
-//! bit-identical to it.  The table filled after an iteration's M-step
-//! serves that iteration's objective (`dist[c_i][i]`) and the next
-//! iteration's E-step; the empty-cluster reseed reads the table of the
-//! centroids the E-step used (`dist[next_i][i]`).  The M-step sums add each
-//! object's row element-wise into its cluster's row of a k × d buffer, in
-//! row order and with the association of the nested loops they replaced.
+//! `c`'s centroid or metric.  It reads the data dimension-major from the
+//! matrix's memoised [`DataMatrix::column_view`], which also holds the
+//! column bounds behind the cannot-link offset, and keeps two tables:
 //!
-//! The E-step produces an object's k costs neighbour by neighbour rather
-//! than cluster by cluster.  It first takes every cluster's centroid term,
-//! `dist[c][i] − log det A_c`, from the table.
-//! Then one walk over the object's already-assigned must-link partners
-//! computes `f_there` once per partner and adds the must-link term to
-//! every cluster but the partner's.  Finally one walk over its
-//! already-assigned cannot-link partners adds the cannot-link term to the
-//! partner's cluster alone.  Each cluster's cost therefore receives the
-//! same terms in the same order as a rescan of every partner for each
-//! cluster in turn, so every cost, and with the strict-`<`, first-wins
-//! argmin every assignment, is bit-identical to that loop.  The partners
-//! come from a flat per-fit index that lists them in constraint order.
+//! * the k × n distance table, row `c` holding every object's
+//!   `‖x_i − μ_c‖²_{A_c}` (`objective::fill_distances`);
+//! * the k × |ML| must-link pair table, row `c` holding every must-link
+//!   pair's `‖x_a − x_b‖²_{A_c}` (`PairTable`), filled from the pairs'
+//!   differences copied dimension-major once per fit.
+//!
+//! Both fills run the entries as their inner, vectorised loop, and each
+//! entry sums its dimensions in ascending order from `0.0`, exactly as
+//! `weighted_sq_dist` does, so it is bit-identical to it.  The tables
+//! filled after an iteration's M-step serve that iteration's objective
+//! (`dist[c_i][i]` and the violated must-links' pair distances) and the
+//! next iteration's E-step; the empty-cluster reseed reads the distance
+//! table of the centroids the E-step used (`dist[next_i][i]`).
+//!
+//! **What an iteration recomputes.**  After the reseed, a cluster counts as
+//! changed when an object entered or left it; before the first iteration
+//! every cluster does.  Only the changed clusters get new centroid sums,
+//! metric scatter and metric terms, and new rows in both tables.  A
+//! cluster whose members stayed put would get the same bits again: its
+//! centroid sums the same rows in the same order, and its metric sums the
+//! same scatter plus the same violated constraints, those with one end
+//! (must-links) or both ends (cannot-links) among its members, in the same
+//! order.  The M-step sums add each object's row element-wise into its
+//! cluster's row of a k × d buffer, in row order and with the association
+//! of the nested loops they replaced.
+//!
+//! **The E-step** runs in two parts.  An object without any constraint
+//! costs its centroid term alone, `dist[c][i] − log det A_c`, whatever was
+//! assigned before it, so one pass over the distance table, cluster by
+//! cluster, takes every such object's strict-`<`, first-wins argmin.
+//! Then the greedy walk visits the constrained objects in the shuffled
+//! order (the whole order is still shuffled, so the RNG draws are the
+//! same).  It produces an object's k costs neighbour by neighbour rather
+//! than cluster by cluster: every cluster's centroid term from the table,
+//! then one walk over the object's already-assigned must-link partners,
+//! which reads the pair's distances from the pair table and adds the
+//! must-link term to every cluster but the partner's, and finally one walk
+//! over its already-assigned cannot-link partners, which adds the
+//! cannot-link term to the partner's cluster alone.  Each cluster's cost
+//! therefore receives the same terms in the same order as a rescan of every
+//! partner for each cluster in turn, so every cost, and with the
+//! strict-`<`, first-wins argmin every assignment, is bit-identical to that
+//! loop.  The partners come from a flat per-fit index that lists them, with
+//! their pair's index, in constraint order.
 
 use crate::init::{centroids_from_candidates, neighborhood_candidates};
 use crate::objective::{fill_distance_row, fill_distances, recompute_centroids, weighted_sq_dist};

@@ -221,11 +221,11 @@ fn interactive_request_completes_while_batch_graph_is_in_flight() {
     let server = Server::start(&config, Arc::new(Engine::new(2))).expect("bind loopback");
 
     // The batch request: a heavyweight MPCKMeans selection over k = 2..=41
-    // on the 125×144 ALOI replica, half its objects labelled, 10 folds: 40
-    // engine jobs of 5 to 40 ms in a release build, about 1 s in all, some
-    // 30 times the admission wait below plus the interactive request (which
-    // waits for a worker to finish its current job).  With the default k
-    // grid, 20% labels and 5 folds it ran for under 10 ms and often
+    // on the 125×144 ALOI replica, half its objects labelled, 10 folds.  It
+    // must outlast the admission wait below plus the interactive request,
+    // which waits for a worker to finish its current job: in a release
+    // build it runs for about 1.3 s as 40 jobs of at most a few tens of
+    // milliseconds, some 30 times that.  A batch of under 10 ms often
     // finished first.
     let batch = SelectionRequest {
         id: "big-batch".to_string(),

@@ -11,6 +11,11 @@
 //! * a 300 ms quiet gap before its connection's next request, longer than
 //!   a quiet connection takes to reach the slowest poll rate.
 //!
+//! Beside them a cancellation storm admits paper-sized selections
+//! (`aloi:0` over each method's default grid), waits for each one's first
+//! progress event, so its graph is running, and drops the connection,
+//! many times over.
+//!
 //! While the clients run, every request on a connection that stays open
 //! must get exactly one terminal response, and every served result must
 //! be bit-identical to `realize()?.select(&Engine::sequential())`.  Then
@@ -56,6 +61,8 @@ const REST_DEADLINE: Duration = Duration::from_secs(10);
 /// CPU the whole process may use while one connection idles at rest.
 const QUIET_WINDOW: Duration = Duration::from_millis(500);
 const QUIET_CPU_SHARE: f64 = 0.25;
+/// Selections the cancellation storm admits and abandons mid-run.
+const STORM_ROUNDS: usize = 12;
 
 /// Reads this process's live thread count from `/proc/self/status`.
 fn thread_count() -> usize {
@@ -102,6 +109,28 @@ fn shapes() -> Vec<SelectionRequest> {
     ]
 }
 
+/// The paper-sized shapes of the cancellation storm: `aloi:0` over each
+/// method's default parameter grid.
+fn storm_shapes() -> Vec<SelectionRequest> {
+    let shape = |algorithm: Algorithm, seed: u64| SelectionRequest {
+        id: String::new(),
+        dataset: "aloi:0".to_string(),
+        algorithm,
+        params: Vec::new(),
+        side_info: SideInfoSpec::LabelFraction(0.2),
+        n_folds: 5,
+        stratified: true,
+        seed,
+        priority: None,
+        trace: false,
+    };
+    vec![
+        shape(Algorithm::MpckMeans, 3),
+        shape(Algorithm::Fosc, 3),
+        shape(Algorithm::MpckMeans, 4),
+    ]
+}
+
 fn assert_bit_identical(id: &str, served: &RankedSelection, reference: &RankedSelection) {
     let bits = |s: &RankedSelection| {
         let entries = |v: &[cvcp_server::RankedEntry]| {
@@ -133,6 +162,8 @@ struct Tally {
     parse_errors: AtomicU64,
     garbage_sent: AtomicU64,
     bursts: AtomicU64,
+    /// Storm selections abandoned after their first progress event.
+    storm_disconnects: AtomicU64,
 }
 
 /// One client socket with a read deadline, so an unanswered request fails
@@ -399,6 +430,34 @@ impl Mix<'_> {
     }
 }
 
+/// The cancellation storm: each round admits one paper-sized selection on
+/// a fresh v2 connection, reads up to its first progress event (a
+/// `queue_full` refusal is retried) and drops the connection while the
+/// rest of its graph runs.
+fn cancellation_storm(addr: SocketAddr, tally: &Tally) {
+    let shapes = storm_shapes();
+    let mut rng = SeededRng::new(0x5702);
+    for round in 0..STORM_ROUNDS {
+        let mut request = shapes[rng.index(shapes.len())].clone();
+        request.id = format!("storm-{round}");
+        loop {
+            let mut client = Client::connect_v2(addr);
+            client.write(&line(&Request::Select(request.clone())));
+            let running = match client.next() {
+                Some(Response::Progress { .. }) => true,
+                Some(Response::Error { error, .. }) if error.code == "queue_full" => false,
+                other => panic!("{}: expected a progress event, got {other:?}", request.id),
+            };
+            let _ = client.writer.shutdown(Shutdown::Both);
+            if running {
+                tally.storm_disconnects.fetch_add(1, Ordering::Relaxed);
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+}
+
 #[test]
 fn server_returns_to_rest_after_a_seeded_mix_of_clients() {
     let shapes = shapes();
@@ -443,6 +502,7 @@ fn server_returns_to_rest_after_a_seeded_mix_of_clients() {
             };
             scope.spawn(move || mix.run());
         }
+        scope.spawn(|| cancellation_storm(addr, &tally));
     });
 
     // The mix exercised what the invariants guard.
@@ -455,6 +515,7 @@ fn server_returns_to_rest_after_a_seeded_mix_of_clients() {
         "a burst of {} past a window of {MAX_IN_FLIGHT} must be refused at least twice",
         MAX_IN_FLIGHT + 2
     );
+    assert_eq!(count(&tally.storm_disconnects), STORM_ROUNDS as u64);
 
     // Everything admitted has ended and only the rest of the clients'
     // sockets may still be closing.

@@ -71,7 +71,7 @@ pub fn rule_catalogue() -> Vec<(&'static str, &'static str)> {
         ),
         (
             "C1",
-            "static lock-nesting graph over engine/server/obs/core obeys server-queue(10) < pool-state(20) < cache-shard(30), acyclic, no unregistered lock sites",
+            "static lock-nesting graph over engine/server/obs/core obeys server-queue(10) < pool-state(20) < cache(30), acyclic, no unregistered lock sites",
         ),
         (
             "L1",

@@ -56,9 +56,12 @@ pub fn registry() -> BTreeMap<(&'static str, &'static str), LockClass> {
         // same lock, so there is no second pool rank.
         (("cvcp-engine", "state"), ranked("pool-state", 20)),
         // The artifact cache's one map lock (innermost).
-        (("cvcp-engine", "map"), ranked("cache-shard", 30)),
-        // Leaf locks: completion plumbing and observability buffers.
-        (("cvcp-engine", "done_tx"), leaf("engine-done-tx")),
+        (("cvcp-engine", "map"), ranked("cache", 30)),
+        // Leaf locks: a graph's ready set and observability buffers.
+        // The ready set (one per executing graph, with the condvar its
+        // waiting thread parks on) is held only to insert or pop jobs and
+        // flip the parked flag; tokens are queued after it is released.
+        (("cvcp-engine", "ready"), leaf("engine-ready-set")),
         // Per-job closure and outcome slots (one mutex per job; a slot is
         // locked only for a take/store, never across another acquisition).
         (("cvcp-engine", "jobs"), leaf("engine-job-slot")),
@@ -145,7 +148,7 @@ pub fn rule_c1(
                         file: site.file.clone(),
                         line: site.line,
                         message: format!(
-                            "acquires `{}` (rank {n}) while holding `{}` (rank {h}) — violates the declared order server-queue(10) < pool-state(20) < cache-shard(30), and equal ranks never nest",
+                            "acquires `{}` (rank {n}) while holding `{}` (rank {h}) — violates the declared order server-queue(10) < pool-state(20) < cache(30), and equal ranks never nest",
                             site.class.name, held.name
                         ),
                     });
@@ -489,7 +492,7 @@ mod tests {
     fn in_order_nesting_is_clean() {
         let out = run(
             "cvcp-engine",
-            "fn f(s: &S) {\n    let state = s.state.lock().expect(\"pool\");\n    let m = s.map.lock().expect(\"shard\");\n}\n",
+            "fn f(s: &S) {\n    let state = s.state.lock().expect(\"pool\");\n    let m = s.map.lock().expect(\"cache\");\n}\n",
         );
         assert!(out.is_empty(), "{out:?}");
     }
@@ -498,7 +501,7 @@ mod tests {
     fn reversed_nesting_is_flagged() {
         let out = run(
             "cvcp-engine",
-            "fn f(s: &S) {\n    let m = s.map.lock().expect(\"shard\");\n    let state = s.state.lock().expect(\"pool\");\n}\n",
+            "fn f(s: &S) {\n    let m = s.map.lock().expect(\"cache\");\n    let state = s.state.lock().expect(\"pool\");\n}\n",
         );
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(
@@ -571,11 +574,11 @@ mod tests {
 
     #[test]
     fn leaf_cycle_is_detected() {
-        // done_tx -> jobs in one function, jobs -> done_tx in another: no
+        // ready -> jobs in one function, jobs -> ready in another: no
         // rank order violated, but the graph has a cycle.
         let out = run(
             "cvcp-engine",
-            "fn f(s: &S) {\n    let a = s.done_tx.lock().unwrap();\n    let b = s.jobs.lock().unwrap();\n}\nfn g(s: &S) {\n    let b = s.jobs.lock().unwrap();\n    let a = s.done_tx.lock().unwrap();\n}\n",
+            "fn f(s: &S) {\n    let a = s.ready.lock().unwrap();\n    let b = s.jobs.lock().unwrap();\n}\nfn g(s: &S) {\n    let b = s.jobs.lock().unwrap();\n    let a = s.ready.lock().unwrap();\n}\n",
         );
         assert!(
             out.iter()

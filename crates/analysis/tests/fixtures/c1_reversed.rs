@@ -1,6 +1,6 @@
-// Fixture: cache-shard lock held while taking the pool lock (rule C1).
+// Fixture: cache lock held while taking the pool lock (rule C1).
 pub fn reversed(s: &Shared) {
-    let map = s.map.lock().expect("shard");
+    let map = s.map.lock().expect("cache");
     let state = s.state.lock().expect("pool");
     let _ = (map, state);
 }

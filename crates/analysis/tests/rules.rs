@@ -190,7 +190,7 @@ fn c1_fixture_flags_reversed_nesting() {
         .collect();
     assert_eq!(c1.len(), 1, "{:?}", report.violations);
     assert!(
-        c1[0].message.contains("while holding `cache-shard`"),
+        c1[0].message.contains("while holding `cache`"),
         "{}",
         c1[0].message
     );

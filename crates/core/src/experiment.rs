@@ -21,7 +21,7 @@
 //! [`JobGraph`](cvcp_engine::JobGraph) through the unified
 //! [`crate::plan::ExecutionPlan`], so even a few-trial run saturates the
 //! pool with (parameter × fold) parallelism; a one-thread engine runs the
-//! same graph inline.  The figure curves of one representative run are a
+//! same graph on the calling thread alone.  The figure curves of one representative run are a
 //! one-trial experiment.  Every cell derives all of its randomness from
 //! the experiment seed and its own (trial, parameter, fold) coordinates —
 //! so results are bit-identical at any thread count and on either

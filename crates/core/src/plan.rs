@@ -14,8 +14,10 @@
 //!   clustering — fans out as one [`JobGraph`] instead of one opaque job
 //!   per trial.
 //!
-//! There is no other executor: a one-thread engine runs the same graph
-//! inline, in ascending job order.
+//! There is no other executor.  The thread that runs the plan waits for
+//! its graph by running the graph's ready jobs itself, beside the
+//! engine's pool workers; a one-thread engine runs the same graph on that
+//! thread alone, in ascending job order.
 //!
 //! ## Determinism
 //!

@@ -6,7 +6,7 @@
 //! Both entry points are thin wrappers over the unified
 //! [`crate::plan::ExecutionPlan`]: they realize a single-trial plan (the
 //! folds and the frozen grid RNG base) and hand it to the plan's one
-//! lowering, which a one-thread engine runs inline.
+//! lowering, which a one-thread engine runs on the calling thread alone.
 
 use crate::algorithm::{ParameterizedMethod, SemiSupervisedClusterer};
 use crate::crossval::{build_folds, CvcpConfig, ParameterEvaluation};

@@ -8,7 +8,7 @@
 //!
 //! Layout: one process (pid 0) per graph, one thread row per pool worker
 //! (tid = worker index) plus an `off-pool` row (tid = `n_workers`) for
-//! spans executed inline.  Every executed job becomes one complete (`"X"`)
+//! spans the waiting thread ran.  Every executed job becomes one complete (`"X"`)
 //! event whose `args` carry the job's structural coordinates — job index,
 //! lane, queue wait, cache hits/misses, steal attribution — so the timeline
 //! can be filtered and aggregated inside the viewer.

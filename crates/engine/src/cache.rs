@@ -17,7 +17,7 @@
 //!
 //! ## One lock, ordered eviction
 //!
-//! The whole store sits behind one mutex (rank [`CACHE_SHARD`], the
+//! The whole store sits behind one mutex (rank [`CACHE`], the
 //! innermost lock of the workspace).  It is held for an index lookup and
 //! an O(1) list splice, never while an artifact is computed, so unrelated
 //! keys never serialise behind each other's computations.  Committed
@@ -45,7 +45,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use cvcp_data::DataMatrix;
-use cvcp_obs::lock_rank::CACHE_SHARD;
+use cvcp_obs::lock_rank::CACHE;
 use cvcp_obs::{HistogramSnapshot, LogHistogram, RankedCondvar, RankedMutex};
 
 thread_local! {
@@ -534,7 +534,7 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct ArtifactCache {
     config: CacheConfig,
-    /// Rank [`CACHE_SHARD`]: never held across a compute, and no other
+    /// Rank [`CACHE`]: never held across a compute, and no other
     /// lock is taken while it is held.
     map: RankedMutex<LruMap>,
     /// Parks joiners of in-flight computations (companion to `map`).
@@ -602,7 +602,7 @@ impl ArtifactCache {
     pub fn with_config(config: CacheConfig) -> Self {
         Self {
             config,
-            map: RankedMutex::new(&CACHE_SHARD, LruMap::default()),
+            map: RankedMutex::new(&CACHE, LruMap::default()),
             join_cv: RankedCondvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),

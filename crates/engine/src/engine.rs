@@ -1,15 +1,63 @@
-//! The engine proper: graph submission onto the pool and the inline
-//! executor that runs one-thread engines and nested graphs.
+//! The engine proper: graph submission, the tokens a graph queues on the
+//! pool, and the waiting loop in which the thread that waits for a graph
+//! runs the graph's jobs itself.
+//!
+//! **Who runs a job.** A graph's ready jobs sit in one ascending-index set
+//! per graph, behind the graph's own leaf lock.  Two kinds of thread take
+//! jobs from it: the thread waiting for the graph ([`GraphHandle::wait`])
+//! and pool workers holding one of the graph's tokens.  A *token* is a
+//! pool task that pops and runs one ready job of its graph if one is left;
+//! a token that finds the set empty is counted as an empty pick-up and
+//! does nothing else.  In the coloured-Petri-net reading of the pool docs,
+//! the waiting thread fires its own graph's enabled transitions, and a
+//! token is a pool worker's permission to fire one of them.
+//!
+//! **How many tokens.** Jobs become ready when the graph is submitted and
+//! when a job completes.  The waiting thread keeps one of the jobs it
+//! made ready for itself and queues tokens only for the surplus, so a
+//! chain of dependent jobs never leaves its thread.  A pool worker that
+//! makes jobs ready while the waiting thread is parked hands one of them
+//! to that thread and queues tokens for the rest; otherwise it queues a
+//! token per job.  [`Engine::submit`] queues a token for every initially
+//! ready job, because its caller may wait later or never;
+//! [`Engine::run_graph`], whose caller waits at once, keeps one.
+//!
+//! **Why a waiting thread never sleeps while its graph has a ready job.**
+//! It parks on the graph's condvar only after finding the set empty under
+//! the set's lock, that is while every remaining job runs elsewhere.  A
+//! job made ready after that is either handed to it (the worker that made
+//! it ready saw it parked, under the same lock) or covered by a token, and
+//! the completion that finishes the graph wakes it to return.
+//!
+//! A one-thread engine, and a graph submitted from inside one of the
+//! pool's own jobs, queue no tokens: the waiting thread runs every job, in
+//! ascending index order, through the same loop.  A pool worker blocked
+//! on a nested graph queued on the pool could leave no thread to run it.
+//!
+//! Results do not depend on which thread runs a job: the engine hands a
+//! job nothing but the artifact cache, and a job that needs randomness
+//! forks it from its own plan coordinates.
 
 use crate::cache::{ArtifactCache, CacheConfig, CacheStats};
 use crate::graph::{CancelToken, GraphResult, JobCtx, JobFn, JobGraph, JobOutcome, N_LANES};
-use crate::pool::{PoolHandle, Task, ThreadPool};
+use crate::pool::{current_worker_in, PoolHandle, ThreadPool};
 use cvcp_obs::{EngineMetrics, MetricsSnapshot, SpanRecorder};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
+
+/// A graph's ready jobs and its waiting thread's state, behind the
+/// graph's one leaf lock.
+struct ReadySet {
+    /// Ready, unclaimed jobs in ascending index order, each with the pool
+    /// worker that made it ready (`None` when the submitter or the
+    /// waiting thread did, off the pool).
+    jobs: BTreeMap<usize, Option<usize>>,
+    /// Whether the waiting thread is parked on [`ExecState::wake`].
+    parked: bool,
+}
 
 /// Shared state of one executing graph.
 struct ExecState<T> {
@@ -20,9 +68,18 @@ struct ExecState<T> {
     outcomes: Vec<Mutex<Option<JobOutcome<T>>>>,
     pending: AtomicUsize,
     cancelled: CancelToken,
-    done_tx: Mutex<Option<mpsc::Sender<()>>>,
+    /// The graph's ready jobs; the lock is a leaf (nothing else is taken
+    /// while it is held).
+    ready: Mutex<ReadySet>,
+    /// Wakes the parked waiting thread: a job was handed to it, or the
+    /// graph finished.
+    wake: Condvar,
+    /// Where the graph's tokens are queued; `None` when the waiting
+    /// thread runs every job (one-thread engines, graphs submitted from
+    /// inside a pool job).
+    tokens: Option<PoolHandle>,
     cache: Arc<ArtifactCache>,
-    /// The pool lane the graph's jobs are queued on (from the graph's
+    /// The pool lane the graph's tokens are queued on (from the graph's
     /// [`crate::graph::Priority`]).
     lane: usize,
     /// The engine's always-on metrics registry.
@@ -31,8 +88,8 @@ struct ExecState<T> {
     submitted_at: Instant,
     /// Latch for the first job start (records the graph's queue wait once).
     started: AtomicBool,
-    /// Identity of the engine's pool, for worker attribution in spans
-    /// (`None` on a sequential engine).
+    /// Identity of the engine's pool, for worker attribution in spans,
+    /// task counts and steals (`None` on a sequential engine).
     pool_id: Option<u64>,
     /// Opt-in span recorder — present only when the graph was submitted
     /// with [`JobGraph::enable_trace`].
@@ -40,10 +97,12 @@ struct ExecState<T> {
 }
 
 /// Records `outcome` for job `idx`, propagates skips through the DAG and
-/// returns the indices of jobs that just became ready to run.
+/// returns the indices of jobs that just became ready to run.  The
+/// completion that finishes the graph wakes its waiting thread.
 fn complete_job<T>(state: &ExecState<T>, idx: usize, outcome: JobOutcome<T>) -> Vec<usize> {
     let mut ready = Vec::new();
     let mut worklist = vec![(idx, outcome)];
+    let mut finished = false;
     while let Some((job, outcome)) = worklist.pop() {
         let ok = outcome.is_completed();
         {
@@ -67,10 +126,14 @@ fn complete_job<T>(state: &ExecState<T>, idx: usize, outcome: JobOutcome<T>) -> 
                 }
             }
         }
-        if state.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            if let Some(tx) = state.done_tx.lock().expect("done lock").take() {
-                let _ = tx.send(());
-            }
+        finished |= state.pending.fetch_sub(1, Ordering::SeqCst) == 1;
+    }
+    if finished {
+        // The waiting thread reads `pending` under this lock before it
+        // parks, so it either sees 0 or is parked by now.
+        let parked = std::mem::take(&mut state.ready.lock().expect("ready lock").parked);
+        if parked {
+            state.wake.notify_one();
         }
     }
     ready
@@ -116,7 +179,7 @@ fn run_job<T>(state: &ExecState<T>, idx: usize) -> JobOutcome<T> {
     }
     if let (Some(r), Some(start_ns)) = (recorder, start_tick) {
         let (hits, misses) = crate::cache::take_thread_cache_events();
-        let worker = state.pool_id.and_then(crate::pool::current_worker_in);
+        let worker = state.pool_id.and_then(current_worker_in);
         r.record_span(idx, worker, state.lane, start_ns, r.now_ns(), hits, misses);
     }
     outcome
@@ -132,44 +195,107 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Recursively schedules `idx` and, transitively, every job its completion
-/// unblocks, onto the pool.
-fn spawn_job<T: Send + 'static>(state: Arc<ExecState<T>>, pool: PoolHandle, idx: usize) {
-    if let Some(recorder) = &state.recorder {
-        // The enqueuing worker (None when submitted from outside the pool)
-        // is what the pool records as the task's spawner too, so span
-        // steal attribution matches the pool's steal counters.
-        recorder.mark_enqueue(idx, state.pool_id.and_then(crate::pool::current_worker_in));
-    }
-    let task_pool = pool.clone();
-    let lane = state.lane;
-    let task: Task = Box::new(move || {
-        let outcome = run_job(&state, idx);
-        for next in complete_job(&state, idx, outcome) {
-            spawn_job(Arc::clone(&state), task_pool.clone(), next);
-        }
-    });
-    pool.spawn(task, lane);
+/// Runs claimed job `idx` on the calling thread, records its outcome and
+/// publishes the jobs its completion made ready.  `waiting` says whether
+/// the caller is the graph's waiting thread.
+fn run_claimed<T: Send + 'static>(state: &Arc<ExecState<T>>, idx: usize, waiting: bool) {
+    let outcome = run_job(state, idx);
+    let next = complete_job(state, idx, outcome);
+    publish(state, &next, waiting);
 }
 
-/// How a submitted graph will be driven to completion.
-enum HandleMode {
-    /// Already running on the pool; `wait` just blocks on the done channel.
-    Pool,
-    /// Executed inline, in deterministic ascending-index order, when `wait`
-    /// is called: the one-thread (sequential) path, and graphs submitted
-    /// from inside one of the engine's own jobs.
-    Inline { ready: BTreeSet<usize> },
+/// Puts newly ready `jobs` into the graph's set and queues a token for
+/// each one no thread is bound to take: the waiting thread keeps one of
+/// the jobs it made ready, and takes one that a worker made ready while it
+/// was parked.
+fn publish<T: Send + 'static>(state: &Arc<ExecState<T>>, jobs: &[usize], waiting: bool) {
+    if jobs.is_empty() {
+        return;
+    }
+    let by = state.pool_id.and_then(current_worker_in);
+    if let Some(recorder) = &state.recorder {
+        // The same enqueuer the steal count reads, so span steal
+        // attribution matches the per-worker counters.
+        for &job in jobs {
+            recorder.mark_enqueue(job, by);
+        }
+    }
+    let (kept, hand_over) = {
+        let mut ready = state.ready.lock().expect("ready lock");
+        ready.jobs.extend(jobs.iter().map(|&job| (job, by)));
+        let hand_over = !waiting && std::mem::take(&mut ready.parked);
+        (usize::from(waiting || hand_over), hand_over)
+    };
+    if hand_over {
+        state.wake.notify_one();
+    }
+    queue_tokens(state, jobs.len() - kept);
+}
+
+/// Queues `n` tokens for the graph on its pool lane (none when the
+/// waiting thread runs every job).
+fn queue_tokens<T: Send + 'static>(state: &Arc<ExecState<T>>, n: usize) {
+    let Some(pool) = &state.tokens else {
+        return;
+    };
+    for _ in 0..n {
+        let token = Arc::clone(state);
+        pool.spawn(Box::new(move || run_token(&token)), state.lane);
+    }
+}
+
+/// A token's body, on a pool worker: pops and runs the graph's lowest
+/// ready job, or counts an empty pick-up when none is left.
+fn run_token<T: Send + 'static>(state: &Arc<ExecState<T>>) {
+    let me = state
+        .pool_id
+        .and_then(current_worker_in)
+        .expect("tokens run on the pool's workers");
+    let claimed = state.ready.lock().expect("ready lock").jobs.pop_first();
+    let Some((idx, by)) = claimed else {
+        state.metrics.record_empty_pickup(me);
+        return;
+    };
+    // Counted before the job runs: the job may finish the graph, and a
+    // thread that snapshots the metrics right after must see the count.
+    state
+        .metrics
+        .record_task_start(me, by.is_some_and(|from| from != me));
+    // cvcp: allow(D2, reason = "worker busy-time metrics; observability only")
+    let busy_from = state.metrics.is_enabled().then(Instant::now);
+    run_claimed(state, idx, false);
+    if let Some(from) = busy_from {
+        state
+            .metrics
+            .record_task_busy(me, from.elapsed().as_nanos() as u64);
+    }
+}
+
+/// The waiting thread's next job: the graph's lowest ready job, parking
+/// while the set is empty and jobs still run elsewhere; `None` once every
+/// job has finished.
+fn claim<T>(state: &ExecState<T>) -> Option<usize> {
+    let mut ready = state.ready.lock().expect("ready lock");
+    loop {
+        if let Some((idx, _)) = ready.jobs.pop_first() {
+            ready.parked = false;
+            return Some(idx);
+        }
+        if state.pending.load(Ordering::SeqCst) == 0 {
+            ready.parked = false;
+            return None;
+        }
+        ready.parked = true;
+        ready = state.wake.wait(ready).expect("ready condvar");
+    }
 }
 
 /// Handle to a submitted graph.
 pub struct GraphHandle<T> {
     state: Arc<ExecState<T>>,
-    done_rx: mpsc::Receiver<()>,
-    mode: HandleMode,
 }
 
-impl<T> GraphHandle<T> {
+impl<T: Send + 'static> GraphHandle<T> {
     /// Requests cancellation: jobs that have not started yet are skipped;
     /// running jobs finish normally.
     pub fn cancel(&self) {
@@ -185,30 +311,23 @@ impl<T> GraphHandle<T> {
         self.state.cancelled.clone()
     }
 
-    /// Blocks until the graph has finished and returns all outcomes.
+    /// Runs the graph's ready jobs on the calling thread until every job
+    /// has finished, and returns all outcomes.  The thread parks only
+    /// while every remaining job runs on a pool worker (see the module
+    /// docs).
     pub fn wait(self) -> GraphResult<T> {
-        match self.mode {
-            HandleMode::Pool => {
-                if self.state.pending.load(Ordering::SeqCst) > 0 {
-                    // The sender lives until the final completion, so this
-                    // only errors if every worker died — a bug worth loud.
-                    self.done_rx.recv().expect("engine workers alive");
-                }
-            }
-            HandleMode::Inline { mut ready } => {
-                while let Some(idx) = ready.pop_first() {
-                    let outcome = run_job(&self.state, idx);
-                    for next in complete_job(&self.state, idx, outcome) {
-                        if let Some(recorder) = &self.state.recorder {
-                            recorder.mark_enqueue(next, None);
-                        }
-                        ready.insert(next);
-                    }
-                }
+        let state = &self.state;
+        while let Some(idx) = claim(state) {
+            // cvcp: allow(D2, reason = "busy-time metrics of the waiting thread; observability only")
+            let busy_from = state.metrics.is_enabled().then(Instant::now);
+            run_claimed(state, idx, true);
+            if let Some(from) = busy_from {
+                state
+                    .metrics
+                    .record_waiting_job(from.elapsed().as_nanos() as u64);
             }
         }
-        let outcomes = self
-            .state
+        let outcomes = state
             .outcomes
             .iter()
             .map(|slot| {
@@ -220,7 +339,7 @@ impl<T> GraphHandle<T> {
             .collect();
         GraphResult {
             outcomes,
-            trace: self.state.recorder.as_ref().map(SpanRecorder::finish),
+            trace: state.recorder.as_ref().map(SpanRecorder::finish),
         }
     }
 }
@@ -246,16 +365,19 @@ fn host_parallelism(requested: usize) -> usize {
 impl Engine {
     /// An engine with **up to** `n_threads` workers (clamped to ≥ 1 and to
     /// the host's available parallelism).  With one effective thread no
-    /// worker is spawned at all: graphs run inline on the calling thread in
-    /// deterministic ascending-index order — the sequential path.
+    /// worker is spawned at all: the thread waiting for a graph runs every
+    /// job, in deterministic ascending-index order — the sequential path.
     ///
     /// The upper clamp exists because CPU-bound workers beyond the host's
     /// hardware threads add only context-switch churn and busy-time
     /// inflation (every runnable worker accrues wall-clock while
     /// descheduled) — results are thread-count invariant, so trimming
-    /// workers is pure scheduling.  Tests and profilers that study the
-    /// oversubscribed schedule itself can pin the count with
-    /// [`Engine::with_exact_threads`] / [`Engine::with_cache_config_exact`].
+    /// workers is pure scheduling.  The clamp bounds the pool only:
+    /// threads waiting for graphs run jobs beside the workers, so a host
+    /// can run as many jobs at once as it has workers plus waiting threads.
+    /// Tests and profilers that study the oversubscribed schedule itself
+    /// can pin the count with [`Engine::with_exact_threads`] /
+    /// [`Engine::with_cache_config_exact`].
     pub fn new(n_threads: usize) -> Self {
         Self::with_cache(n_threads, Arc::new(ArtifactCache::new()))
     }
@@ -335,7 +457,7 @@ impl Engine {
         self.metrics.snapshot()
     }
 
-    /// The sequential engine: one thread, inline execution.
+    /// The sequential engine: one thread, the waiting thread runs every job.
     pub fn sequential() -> Self {
         Self::new(1)
     }
@@ -367,17 +489,33 @@ impl Engine {
 
     /// Submits a graph for execution and returns a handle.
     ///
-    /// On a multi-threaded engine the graph starts running immediately; on
-    /// the sequential engine it runs inline, in ascending job order, when
-    /// [`GraphHandle::wait`] is called.  Jobs receive no randomness from the
-    /// engine, so either way results depend only on the jobs themselves.
+    /// On a multi-threaded engine the graph starts at once: a token is
+    /// queued on the pool for each initially ready job, so the graph runs
+    /// even before [`GraphHandle::wait`] is called.  On the sequential
+    /// engine it runs when `wait` is called, in ascending job order.  Jobs
+    /// receive no randomness from the engine, so either way results depend
+    /// only on the jobs themselves.
     ///
     /// Re-entrancy: submitting from inside one of this engine's own jobs
-    /// is safe — the nested graph is executed inline on the submitting
-    /// worker when its handle is waited on (scheduling it on the pool and
-    /// blocking could leave every worker waiting on a nested graph with no
-    /// thread left to run it).
+    /// is safe.  A graph submitted from a pool worker's job queues no
+    /// tokens and runs on that worker when its handle is waited on
+    /// (queueing it on the pool and blocking could leave every worker
+    /// waiting on a nested graph with no thread left to run it); a graph
+    /// submitted from a job the waiting thread runs is run like any other.
     pub fn submit<T: Send + 'static>(&self, graph: JobGraph<T>) -> GraphHandle<T> {
+        self.start(graph, false)
+    }
+
+    /// Submits a graph and runs it on the calling thread, helped by the
+    /// pool's workers, until it finishes.  The calling thread keeps one
+    /// initially ready job for itself and queues tokens only for the rest.
+    pub fn run_graph<T: Send + 'static>(&self, graph: JobGraph<T>) -> GraphResult<T> {
+        self.start(graph, true).wait()
+    }
+
+    /// Builds the graph's execution state and queues its initial tokens;
+    /// `waits_now` says whether the caller waits for it right away.
+    fn start<T: Send + 'static>(&self, graph: JobGraph<T>, waits_now: bool) -> GraphHandle<T> {
         let n = graph.jobs.len();
         let lane = graph.priority.lane_index();
         let cancelled = graph.cancel_token.unwrap_or_default();
@@ -397,7 +535,11 @@ impl Engine {
         let mut deps_remaining = Vec::with_capacity(n);
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         let mut jobs = Vec::with_capacity(n);
+        let mut initial = BTreeMap::new();
         for (idx, job) in graph.jobs.into_iter().enumerate() {
+            if job.deps.is_empty() {
+                initial.insert(idx, None);
+            }
             deps_remaining.push(AtomicUsize::new(job.deps.len()));
             for &d in &job.deps {
                 debug_assert!(d < idx, "dependency edges point backwards by construction");
@@ -405,7 +547,14 @@ impl Engine {
             }
             jobs.push(Mutex::new(Some(job.f)));
         }
-        let (done_tx, done_rx) = mpsc::channel();
+        let n_initial = initial.len();
+        // A graph submitted from one of the pool's own workers queues no
+        // tokens (see the module docs).
+        let tokens = self
+            .pool
+            .as_ref()
+            .filter(|pool| !pool.is_worker_thread())
+            .map(ThreadPool::handle);
         let state = Arc::new(ExecState {
             jobs,
             deps_remaining,
@@ -414,7 +563,12 @@ impl Engine {
             outcomes: (0..n).map(|_| Mutex::new(None)).collect(),
             pending: AtomicUsize::new(n),
             cancelled,
-            done_tx: Mutex::new(Some(done_tx)),
+            ready: Mutex::new(ReadySet {
+                jobs: initial,
+                parked: false,
+            }),
+            wake: Condvar::new(),
+            tokens,
             cache: Arc::clone(&self.cache),
             lane,
             metrics: Arc::clone(&self.metrics),
@@ -424,41 +578,8 @@ impl Engine {
             pool_id: self.pool.as_ref().map(ThreadPool::id),
             recorder,
         });
-        let ready: BTreeSet<usize> = (0..n)
-            .filter(|&i| state.deps_remaining[i].load(Ordering::SeqCst) == 0)
-            .collect();
-        match &self.pool {
-            // A graph submitted from one of this engine's own workers must
-            // not be scheduled back onto the pool: with every worker
-            // blocked in `wait()` on a nested graph, no thread would be
-            // left to run the nested jobs — a deadlock.  Inline execution
-            // keeps nesting safe and stays deterministic.
-            Some(pool) if pool.is_worker_thread() => GraphHandle {
-                state,
-                done_rx,
-                mode: HandleMode::Inline { ready },
-            },
-            Some(pool) => {
-                for idx in ready {
-                    spawn_job(Arc::clone(&state), pool.handle(), idx);
-                }
-                GraphHandle {
-                    state,
-                    done_rx,
-                    mode: HandleMode::Pool,
-                }
-            }
-            None => GraphHandle {
-                state,
-                done_rx,
-                mode: HandleMode::Inline { ready },
-            },
-        }
-    }
-
-    /// Submits a graph and blocks until it finishes.
-    pub fn run_graph<T: Send + 'static>(&self, graph: JobGraph<T>) -> GraphResult<T> {
-        self.submit(graph).wait()
+        queue_tokens(&state, n_initial.saturating_sub(usize::from(waits_now)));
+        GraphHandle { state }
     }
 }
 
@@ -466,6 +587,7 @@ impl Engine {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::mpsc;
 
     #[test]
     fn dependencies_run_before_dependents() {
@@ -614,8 +736,9 @@ mod tests {
     #[test]
     fn nested_submission_from_worker_jobs_does_not_deadlock() {
         // Every worker occupies itself with an outer job that submits and
-        // waits on a nested graph; without the inline re-entrancy guard
-        // this deadlocks (all workers blocked, nested jobs unrunnable).
+        // waits on a nested graph; if nested graphs queued tokens on the
+        // pool this could deadlock (all workers blocked, nested jobs
+        // waiting for a token no worker is free to pick up).
         let engine = Arc::new(Engine::with_exact_threads(2));
         let mut outer: JobGraph<u64> = JobGraph::new();
         for i in 0..4u64 {
@@ -630,6 +753,109 @@ mod tests {
         }
         let out = engine.run_graph(outer).expect_all("outer");
         assert_eq!(out, vec![0, 11, 22, 33]);
+    }
+
+    #[test]
+    fn run_graph_runs_a_dependent_chain_on_the_waiting_thread() {
+        // Each job unblocks exactly one successor, which the waiting
+        // thread keeps for itself: no token is queued, so no pool worker
+        // runs any link of the chain.
+        let engine = Engine::with_exact_threads(2);
+        let mut graph: JobGraph<u64> = JobGraph::new();
+        let mut prev = graph.add_job(&[], |_| 0);
+        for link in 1..16u64 {
+            prev = graph.add_job(&[prev], move |_| link);
+        }
+        graph.enable_trace("chain");
+        let result = engine.run_graph(graph);
+        assert!(result.all_completed());
+        let trace = result.trace.expect("tracing was enabled");
+        assert_eq!(trace.spans.len(), 16);
+        for span in &trace.spans {
+            assert_eq!(span.worker, None, "job {} ran on a pool worker", span.job);
+        }
+    }
+
+    #[test]
+    fn a_graph_completes_while_every_worker_sits_in_a_gated_batch_job() {
+        // Both pool workers block inside batch jobs; a graph run from a
+        // second thread must still finish, because the thread waiting for
+        // it runs its jobs.  The gates open only after the check, so a
+        // graph that waits for a worker fails by timing out, not by
+        // hanging the test.
+        use crate::graph::Priority;
+        use std::time::Duration;
+        let engine = Arc::new(Engine::with_exact_threads(2));
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        let mut batch: JobGraph<u32> = JobGraph::new();
+        batch.set_priority(Priority::Batch);
+        for _ in 0..2 {
+            let started_tx = started_tx.clone();
+            let release_rx = Arc::clone(&release_rx);
+            batch.add_job(&[], move |_| {
+                started_tx.send(()).expect("watcher alive");
+                release_rx
+                    .lock()
+                    .expect("release lock")
+                    .recv()
+                    .expect("release signal");
+                0
+            });
+        }
+        let batch_handle = engine.submit(batch);
+        started_rx.recv().expect("first gate reached");
+        started_rx.recv().expect("second gate reached");
+
+        let (done_tx, done_rx) = mpsc::channel();
+        let caller = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || {
+                let mut graph: JobGraph<u64> = JobGraph::new();
+                let a = graph.add_job(&[], |_| 1);
+                let b = graph.add_job(&[], |_| 2);
+                graph.add_job(&[a, b], |_| 3);
+                let values = engine.run_graph(graph).expect_all("graph beside the gates");
+                let _ = done_tx.send(values);
+            })
+        };
+        let finished = done_rx.recv_timeout(Duration::from_secs(10));
+        release_tx.send(()).expect("gate alive");
+        release_tx.send(()).expect("gate alive");
+        caller.join().expect("caller thread");
+        assert!(batch_handle.wait().all_completed());
+        assert_eq!(
+            finished.expect("the graph must finish while both workers are gated"),
+            vec![1, 2, 3]
+        );
+    }
+
+    #[test]
+    fn a_job_run_by_the_waiting_thread_may_run_a_nested_graph() {
+        // Two tokens cover three outer jobs, so the waiting thread runs
+        // at least one of them itself, and that job waits for a graph of
+        // its own.
+        let engine = Arc::new(Engine::with_exact_threads(2));
+        let mut outer: JobGraph<u64> = JobGraph::new();
+        for i in 0..3u64 {
+            let engine = Arc::clone(&engine);
+            outer.add_job(&[], move |_| {
+                let mut inner: JobGraph<u64> = JobGraph::new();
+                let a = inner.add_job(&[], move |_| i);
+                let b = inner.add_job(&[], move |_| i + 1);
+                inner.add_job(&[a, b], move |_| i * 10);
+                engine.run_graph(inner).expect_all("nested").iter().sum()
+            });
+        }
+        outer.enable_trace("nested-on-the-waiting-thread");
+        let mut result = engine.run_graph(outer);
+        let trace = result.trace.take().expect("tracing was enabled");
+        assert!(
+            trace.spans.iter().any(|s| s.worker.is_none()),
+            "the waiting thread ran no outer job"
+        );
+        assert_eq!(result.expect_all("outer"), vec![1, 13, 25]);
     }
 
     #[test]
@@ -869,14 +1095,19 @@ mod tests {
         assert_eq!(snap.graph_queue_wait[batch].count(), 1);
         assert_eq!(snap.workers.len(), 2);
         let tasks: u64 = snap.workers.iter().map(|w| w.tasks).sum();
-        assert_eq!(tasks, 6);
+        assert_eq!(
+            tasks + snap.waiting.jobs,
+            6,
+            "each job runs once, on a worker's token or on the waiting thread"
+        );
     }
 
     #[test]
     fn worker_task_and_steal_counts_match_the_traced_spans() {
-        // The pool counts a pick-up as a steal exactly when the span's
-        // `stolen()` says so: another worker enqueued the task.  Chains
-        // make most jobs worker-spawned, so both kinds of pick-up occur.
+        // A token counts a steal exactly when the span's `stolen()` says
+        // so: another worker made the job ready.  Eight chains on four
+        // workers make most jobs worker-published, so both kinds of
+        // pick-up occur, and the waiting thread runs jobs too.
         let engine = Engine::with_exact_threads(4);
         let mut graph: JobGraph<u64> = JobGraph::new();
         for chain in 0..8u64 {
@@ -897,7 +1128,16 @@ mod tests {
         let tasks: u64 = snap.workers.iter().map(|w| w.tasks).sum();
         let steals: u64 = snap.workers.iter().map(|w| w.steals).sum();
         assert_eq!(trace.spans.len(), 8 * 16);
-        assert_eq!(tasks, trace.spans.len() as u64, "one task per span");
+        assert_eq!(
+            tasks + snap.waiting.jobs,
+            trace.spans.len() as u64,
+            "one token that ran a job, or one waiting-thread job, per span"
+        );
+        assert_eq!(
+            snap.waiting.jobs,
+            trace.spans.iter().filter(|s| s.worker.is_none()).count() as u64,
+            "the waiting thread's jobs are the off-pool spans"
+        );
         assert_eq!(
             steals,
             trace.spans.iter().filter(|s| s.stolen()).count() as u64,

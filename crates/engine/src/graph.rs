@@ -3,9 +3,10 @@
 //! A model-selection request is modelled as a directed acyclic graph of
 //! jobs: artifact jobs (distance matrices, density hierarchies, fold
 //! closures) feed evaluation jobs (one per parameter) which feed a
-//! reduction job.  [`JobGraph`] builds such a graph; the engine executes it
-//! on its pool, or inline in ascending job order on a one-thread engine
-//! and for graphs submitted from inside a job.
+//! reduction job.  [`JobGraph`] builds such a graph; the engine runs it on
+//! the thread that waits for it, helped by its pool's workers, or on that
+//! thread alone, in ascending job order, on a one-thread engine and for
+//! graphs submitted from inside a pool worker's job.
 //!
 //! Determinism: the engine hands a job nothing but the artifact cache.  A
 //! job that needs randomness derives it from its own inputs (the CVCP plan
@@ -24,12 +25,14 @@ use std::sync::Arc;
 
 /// Scheduling lane of a submitted graph.
 ///
-/// The engine's worker pool keeps one FIFO queue per lane and always
-/// drains the [`Priority::Interactive`] lane first: jobs of an interactive
-/// graph overtake *queued* (not yet started) jobs of any batch graph, so a
+/// The engine's worker pool keeps one FIFO queue of graph tokens per lane
+/// and always drains the [`Priority::Interactive`] lane first: tokens of an
+/// interactive graph overtake *queued* tokens of any batch graph, so a
 /// latency-sensitive selection request is never stuck behind a large
-/// experiment fan-out.  Within a lane, jobs start in the order they became
-/// ready.
+/// experiment fan-out.  The thread waiting for a graph runs its jobs too,
+/// so an interactive graph does not wait for a worker to finish a running
+/// batch job either.  Within a lane, tokens are picked up in the order
+/// they were queued.
 ///
 /// Priority is pure scheduling: the engine hands jobs no randomness, so
 /// results are **bit-identical across lanes** — only waiting time

@@ -10,10 +10,11 @@
 //! of the grid.  This crate provides the three pieces that turn that grid
 //! into hardware-speed throughput:
 //!
-//! * [`Engine`] — a thread pool over `std::thread` that pulls jobs from one
+//! * [`Engine`] — the thread waiting for a graph runs its ready jobs, and
+//!   a thread pool over `std::thread` helps through tokens pulled from one
 //!   locked two-lane queue (interactive before batch, FIFO within a lane).
-//!   One thread means *inline* execution of the same graph, in ascending
-//!   job order (the sequential path).  The engine hands jobs no
+//!   One thread means the waiting thread runs the whole graph, in
+//!   ascending job order (the sequential path).  The engine hands jobs no
 //!   randomness: a job that needs it derives its stream from its own
 //!   inputs, so any thread count produces **bit-identical results**.
 //! * [`JobGraph`] — a request is modelled as a job DAG: artifact jobs feed
@@ -26,8 +27,9 @@
 //!   serving engines run within a fixed memory budget without ever
 //!   changing results.
 //!
-//! Graphs submitted with [`Engine::submit`] run concurrently over one
-//! pool; the serving front-end multiplexes its selection requests this way.
+//! Graphs run concurrently over one pool, each also on its own waiting
+//! thread; the serving front-end multiplexes its selection requests this
+//! way, one selection worker per running request.
 //!
 //! ```
 //! use cvcp_engine::{Engine, JobGraph};
@@ -65,7 +67,7 @@ pub use graph::{CancelToken, GraphResult, JobCtx, JobGraph, JobId, JobOutcome, P
 pub use cvcp_obs as obs;
 pub use cvcp_obs::{
     EngineMetrics, GraphProfile, GraphTrace, HistogramSnapshot, JobSpan, MetricsSnapshot,
-    SpanRecorder, WorkerOccupancy, WorkerSnapshot,
+    SpanRecorder, WaitingSnapshot, WorkerOccupancy, WorkerSnapshot,
 };
 
 /// Convenience re-exports.

@@ -1,6 +1,17 @@
 //! The engine's thread pool: `std::thread` workers over **one locked
 //! two-lane queue**.
 //!
+//! **What a task is.** Every task the engine queues is a graph's *token*:
+//! permission to pop and run one ready job of that graph, if one is left
+//! by the time a worker picks the token up (see [`crate::engine`]).  The
+//! thread waiting for a graph runs the graph's jobs too, so a token may
+//! find nothing to do; the engine counts that as an empty pick-up and
+//! counts the worker's `tasks`, busy time and steals only for tokens that
+//! ran a job.  A steal is a job run by a worker other than the one that
+//! made it ready, the rule trace spans apply too (`JobSpan::stolen`), so
+//! the per-worker `steals` counters and a profile's steal ratio count the
+//! same events.
+//!
 //! **One queue.** The whole scheduler state — one FIFO per priority lane
 //! and the shutdown flag — sits behind a single [`RankedMutex`] at rank
 //! `POOL_STATE`, and one [`RankedCondvar`] waits on that same lock.
@@ -12,18 +23,12 @@
 //! wakes the parked worker: no wake-up is lost.
 //!
 //! **Strict priority.** Read as a coloured Petri net with priorities, each
-//! lane is a place holding ready tasks and "pop" is one transition per
-//! lane; the interactive transition has strictly higher priority, so the
-//! batch pop fires only while the interactive lane is empty.  An
-//! interactive graph submitted while a large batch graph is queued
-//! therefore overtakes every batch job that has not started yet (see
+//! lane is a place holding tokens and "pop" is one transition per lane;
+//! the interactive transition has strictly higher priority, so the batch
+//! pop fires only while the interactive lane is empty.  An interactive
+//! graph's tokens therefore overtake every queued batch token, and its
+//! waiting thread runs its jobs without waiting for a worker at all (see
 //! [`crate::graph::Priority`]).  Within a lane, tasks run in spawn order.
-//!
-//! **Steals.** Each queued task remembers the worker that spawned it
-//! (`None` when it came from outside the pool).  A pick-up counts as a
-//! steal when a *different* worker spawned the task — the rule trace spans
-//! apply too (`JobSpan::stolen`), so the per-worker `steals` counters and a
-//! profile's steal ratio count the same events.
 //!
 //! **Cooperative helping.** A worker that must wait for a result someone
 //! else is producing (an in-flight artifact-cache computation) can run one
@@ -44,16 +49,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
 
-/// A queued task and the worker that spawned it (`None` from outside).
-type Queued = (Task, Option<usize>);
-
 /// Source of unique pool identities (so a worker thread can tell *which*
-/// pool it belongs to — the engine uses this to run graphs submitted from
-/// its own workers inline instead of deadlocking the pool).
+/// pool it belongs to — the engine queues no tokens for graphs submitted
+/// from its own workers, which run them themselves instead of deadlocking
+/// the pool).
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Cap on nested [`help_run_one_task`] frames per thread: a helped task may
@@ -72,8 +74,8 @@ thread_local! {
 
 /// Index of the calling thread's worker *within the pool identified by
 /// `pool_id`* — `None` on non-worker threads and on workers of other
-/// pools.  Used to attribute trace spans to the right lane of the right
-/// pool's timeline.
+/// pools.  Used to attribute trace spans, task counts and steals to the
+/// right worker of the right pool.
 pub(crate) fn current_worker_in(pool_id: u64) -> Option<usize> {
     WORKER
         .with(Cell::get)
@@ -94,14 +96,14 @@ pub(crate) fn help_run_one_task() -> bool {
     else {
         return false;
     };
-    let Some(me) = current_worker_in(inner.id) else {
+    if current_worker_in(inner.id).is_none() {
         return false;
-    };
-    let Some((task, spawner)) = inner.state.lock().expect("pool lock").pop() else {
+    }
+    let Some(task) = inner.state.lock().expect("pool lock").pop() else {
         return false;
     };
     HELP_DEPTH.with(|depth| depth.set(depth.get() + 1));
-    inner.run_task(me, task, spawner);
+    run_task(task);
     HELP_DEPTH.with(|depth| depth.set(depth.get() - 1));
     true
 }
@@ -109,13 +111,13 @@ pub(crate) fn help_run_one_task() -> bool {
 /// The scheduler state behind the pool's one lock.
 struct Queue {
     /// One FIFO per lane, interactive (index 0) first.
-    lanes: [VecDeque<Queued>; N_LANES],
+    lanes: [VecDeque<Task>; N_LANES],
     shutdown: bool,
 }
 
 impl Queue {
     /// The oldest task of the highest-priority non-empty lane.
-    fn pop(&mut self) -> Option<Queued> {
+    fn pop(&mut self) -> Option<Task> {
         self.lanes.iter_mut().find_map(VecDeque::pop_front)
     }
 }
@@ -127,23 +129,11 @@ struct Inner {
     metrics: Arc<EngineMetrics>,
 }
 
-impl Inner {
-    fn run_task(&self, me: usize, task: Task, spawner: Option<usize>) {
-        // Count the pick-up before executing: the task body may publish
-        // the result a snapshotting thread is waiting on, and post-hoc
-        // counters would race that snapshot.
-        self.metrics
-            .record_task_start(me, spawner.is_some_and(|from| from != me));
-        // cvcp: allow(D2, reason = "worker busy-time metrics; observability only")
-        let busy_from = self.metrics.is_enabled().then(Instant::now);
-        // Backstop: graph jobs catch their own panics to record a Failed
-        // outcome; this guard keeps the worker alive even for raw tasks.
-        let _ = catch_unwind(AssertUnwindSafe(task));
-        if let Some(from) = busy_from {
-            self.metrics
-                .record_task_busy(me, from.elapsed().as_nanos() as u64);
-        }
-    }
+/// Runs one task on the calling worker.  Backstop: graph jobs catch their
+/// own panics to record a Failed outcome; this guard keeps the worker
+/// alive even for raw tasks.
+fn run_task(task: Task) {
+    let _ = catch_unwind(AssertUnwindSafe(task));
 }
 
 /// Cloneable submission handle onto a pool's queue.
@@ -158,24 +148,23 @@ impl PoolHandle {
     pub(crate) fn spawn(&self, task: Task, lane: usize) {
         debug_assert!(lane < N_LANES);
         let inner = &self.inner;
-        let spawner = current_worker_in(inner.id);
-        inner.state.lock().expect("pool lock").lanes[lane].push_back((task, spawner));
+        inner.state.lock().expect("pool lock").lanes[lane].push_back(task);
         inner.work_available.notify_one();
     }
 }
 
 /// A fixed-size worker pool.  Dropping the pool shuts it down after draining
-/// already-queued tasks is *not* guaranteed — callers track completion via
-/// their own channels (the graph executor does).
+/// already-queued tasks is *not* guaranteed — callers track completion
+/// themselves (a graph's waiting thread does).
 pub(crate) struct ThreadPool {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl ThreadPool {
-    /// Spawns `n_threads` workers (at least one).  Worker activity (tasks
-    /// executed, busy time, steals, parks) is recorded into `metrics`,
-    /// which must have been built for at least `n_threads` workers.
+    /// Spawns `n_threads` workers (at least one).  Workers record their
+    /// parks into `metrics`, which must have been built for at least
+    /// `n_threads` workers; the engine's tokens record the rest.
     pub(crate) fn new(n_threads: usize, metrics: Arc<EngineMetrics>) -> Self {
         let n = n_threads.max(1);
         debug_assert!(metrics.n_workers() >= n, "metrics sized for the pool");
@@ -256,10 +245,10 @@ fn worker_loop(inner: &Arc<Inner>, me: usize) {
             }
         };
         // The lock is released here: the task runs without it.
-        let Some((task, spawner)) = next else {
+        let Some(task) = next else {
             return;
         };
-        inner.run_task(me, task, spawner);
+        run_task(task);
     }
 }
 
@@ -328,7 +317,7 @@ mod tests {
         let inner_handle = handle.clone();
         handle.spawn(
             Box::new(move || {
-                // spawned from a worker: the spawner is recorded
+                // spawned from a worker
                 inner_handle.spawn(Box::new(move || tx.send(7).unwrap()), BATCH);
             }),
             BATCH,

@@ -8,9 +8,7 @@
 //! 2. the real engine paths (pool scheduling, cache sharing, eviction)
 //!    run clean under the guard, i.e. the declared order matches reality.
 
-use cvcp_engine::obs::lock_rank::{
-    checking_enabled, RankedMutex, CACHE_SHARD, POOL_STATE, SERVER_QUEUE,
-};
+use cvcp_engine::obs::lock_rank::{checking_enabled, RankedMutex, CACHE, POOL_STATE, SERVER_QUEUE};
 use cvcp_engine::{ArtifactKey, CacheConfig, Engine, JobGraph};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -19,7 +17,7 @@ use std::sync::Arc;
 /// locks in reversed rank order under `debug_assertions` and assert the
 /// guard panics.  The mutexes here are stand-ins, but the *ranks* are the
 /// very statics the engine's pool (`POOL_STATE`) and artifact cache
-/// (`CACHE_SHARD`) register themselves under, so this pins the deployed
+/// (`CACHE`) register themselves under, so this pins the deployed
 /// order, not a copy.
 #[test]
 fn reversed_engine_lock_order_panics_in_debug_builds() {
@@ -28,13 +26,13 @@ fn reversed_engine_lock_order_panics_in_debug_builds() {
         return;
     }
     let pool_like = RankedMutex::new(&POOL_STATE, ());
-    let shard_like = RankedMutex::new(&CACHE_SHARD, ());
+    let cache_like = RankedMutex::new(&CACHE, ());
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let _shard_first = shard_like.lock().unwrap();
+        let _cache_first = cache_like.lock().unwrap();
         let _pool_second = pool_like.lock().unwrap(); // rank 20 under rank 30: violation
     }));
     let message = *result
-        .expect_err("acquiring pool-state under cache-shard must panic")
+        .expect_err("acquiring pool-state under cache must panic")
         .downcast::<String>()
         .expect("panic carries a message");
     assert!(message.contains("lock-rank violation"), "{message}");
@@ -65,9 +63,9 @@ fn nesting_two_pool_deque_locks_panics_in_debug_builds() {
 }
 
 #[test]
-fn declared_order_is_queue_pool_shard() {
+fn declared_order_is_queue_pool_cache() {
     assert!(SERVER_QUEUE.rank < POOL_STATE.rank);
-    assert!(POOL_STATE.rank < CACHE_SHARD.rank);
+    assert!(POOL_STATE.rank < CACHE.rank);
 }
 
 /// A real multi-worker engine run over a bounded, eviction-active cache: every ranked lock in the engine fires many times.  If any actual

@@ -33,6 +33,6 @@ pub mod trace;
 
 pub use hist::{HistogramSnapshot, LogHistogram, N_BUCKETS};
 pub use lock_rank::{LockRank, RankedCondvar, RankedMutex, RankedMutexGuard};
-pub use metrics::{EngineMetrics, Gauge, MetricsSnapshot, WorkerSnapshot};
+pub use metrics::{EngineMetrics, Gauge, MetricsSnapshot, WaitingSnapshot, WorkerSnapshot};
 pub use profile::{GraphProfile, WorkerOccupancy};
 pub use trace::{GraphTrace, JobSpan, SpanRecorder};

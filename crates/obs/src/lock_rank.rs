@@ -5,7 +5,7 @@
 //! a lexical pass over the engine/server/obs sources extracts every
 //! `Mutex`/`Condvar` acquisition site, builds the nesting graph and fails
 //! CI on cycles.  Static analysis can only see *lexical* nesting, though —
-//! a job closure that takes a cache-shard lock while a pool worker drives
+//! a job closure that takes a cache lock while a pool worker drives
 //! it is invisible to a token scanner.  [`RankedMutex`] closes that gap
 //! dynamically: each guarded mutex carries a [`LockRank`], a thread-local
 //! stack records the ranks currently held, and acquiring a lock whose rank
@@ -19,7 +19,7 @@
 //! |------|------|--------|
 //! | 10 | [`SERVER_QUEUE`] | `cvcp-server` `BoundedQueue` state |
 //! | 20 | [`POOL_STATE`] | the `cvcp-engine` thread pool's two-lane queue |
-//! | 30 | [`CACHE_SHARD`] | the `ArtifactCache` map (innermost) |
+//! | 30 | [`CACHE`] | the `ArtifactCache` map (innermost) |
 //!
 //! Equal ranks never nest either (the order is *strictly* increasing), so
 //! holding two locks of one rank at once — two pool queues, say — is also
@@ -68,9 +68,9 @@ pub static POOL_STATE: LockRank = LockRank {
 
 /// The engine's `ArtifactCache` map (innermost: no lock is taken while
 /// it is held).
-pub static CACHE_SHARD: LockRank = LockRank {
+pub static CACHE: LockRank = LockRank {
     rank: 30,
-    name: "cache-shard",
+    name: "cache",
 };
 
 /// Master switch for the debug-build assertions.  The stack bookkeeping
@@ -108,7 +108,7 @@ fn push_rank(rank: &'static LockRank) {
                 assert!(
                     top < rank.rank,
                     "lock-rank violation: acquiring `{}` (rank {}) while holding `{}` (rank {}); \
-                     the global order is server-queue(10) < pool-state(20) < cache-shard(30), \
+                     the global order is server-queue(10) < pool-state(20) < cache(30), \
                      strictly increasing",
                     rank.name,
                     rank.rank,
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn ordered_acquisition_is_allowed() {
         let outer = RankedMutex::new(&POOL_STATE, 1);
-        let inner = RankedMutex::new(&CACHE_SHARD, 2);
+        let inner = RankedMutex::new(&CACHE, 2);
         let a = outer.lock().unwrap();
         let b = inner.lock().unwrap();
         assert_eq!(*a + *b, 3);
@@ -306,10 +306,10 @@ mod tests {
         if !checking_enabled() {
             return; // release profile: the guard compiles away
         }
-        let shard = RankedMutex::new(&CACHE_SHARD, ());
+        let cache = RankedMutex::new(&CACHE, ());
         let pool = RankedMutex::new(&POOL_STATE, ());
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let _inner_first = shard.lock().unwrap();
+            let _inner_first = cache.lock().unwrap();
             let _outer_second = pool.lock().unwrap();
         }));
         let message = *result
@@ -318,7 +318,7 @@ mod tests {
             .expect("panic carries a message");
         assert!(message.contains("lock-rank violation"), "{message}");
         assert!(message.contains("pool-state"), "{message}");
-        assert!(message.contains("cache-shard"), "{message}");
+        assert!(message.contains("`cache`"), "{message}");
     }
 
     #[test]
@@ -327,8 +327,8 @@ mod tests {
         if !checking_enabled() {
             return;
         }
-        let a = RankedMutex::new(&CACHE_SHARD, ());
-        let b = RankedMutex::new(&CACHE_SHARD, ());
+        let a = RankedMutex::new(&CACHE, ());
+        let b = RankedMutex::new(&CACHE, ());
         let result = catch_unwind(AssertUnwindSafe(|| {
             let _first = a.lock().unwrap();
             let _second = b.lock().unwrap();
@@ -341,21 +341,21 @@ mod tests {
         // Release-then-acquire in any order is fine — only *nesting* is
         // ranked.
         let pool = RankedMutex::new(&POOL_STATE, ());
-        let shard = RankedMutex::new(&CACHE_SHARD, ());
-        drop(shard.lock().unwrap());
+        let cache = RankedMutex::new(&CACHE, ());
+        drop(cache.lock().unwrap());
         drop(pool.lock().unwrap());
-        drop(shard.lock().unwrap());
+        drop(cache.lock().unwrap());
     }
 
     #[test]
     fn out_of_order_guard_drops_keep_the_stack_balanced() {
         let queue = RankedMutex::new(&SERVER_QUEUE, ());
         let pool = RankedMutex::new(&POOL_STATE, ());
-        let shard = RankedMutex::new(&CACHE_SHARD, ());
+        let cache = RankedMutex::new(&CACHE, ());
         let a = queue.lock().unwrap();
         let b = pool.lock().unwrap();
         drop(a); // dropped before `b` — not LIFO
-        let c = shard.lock().unwrap();
+        let c = cache.lock().unwrap();
         drop(b);
         drop(c);
         // A fresh outermost acquisition still works: nothing leaked.
@@ -375,7 +375,7 @@ mod tests {
                 }
                 // After wake-up the rank is re-held: acquiring an inner
                 // lock must still be legal, an outer one must not be.
-                let inner = RankedMutex::new(&CACHE_SHARD, ());
+                let inner = RankedMutex::new(&CACHE, ());
                 drop(inner.lock().unwrap());
             })
         };
@@ -407,15 +407,15 @@ mod tests {
             return;
         }
         set_checking_enabled(false);
-        let shard = RankedMutex::new(&CACHE_SHARD, ());
+        let cache = RankedMutex::new(&CACHE, ());
         let pool = RankedMutex::new(&POOL_STATE, ());
         {
-            let _inner_first = shard.lock().unwrap();
+            let _inner_first = cache.lock().unwrap();
             let _outer_second = pool.lock().unwrap(); // tolerated while off
         }
         set_checking_enabled(true);
         // Stack stayed balanced: ordered nesting still works afterwards.
         let _outer = pool.lock().unwrap();
-        let _inner = shard.lock().unwrap();
+        let _inner = cache.lock().unwrap();
     }
 }

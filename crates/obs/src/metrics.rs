@@ -15,9 +15,15 @@
 //! * **per-graph queue wait** — submit → first job start, per lane
 //!   ([`EngineMetrics::record_graph_queue_wait`]): how long a whole graph
 //!   sat before any worker touched it;
-//! * **per-worker activity** — tasks executed, busy nanoseconds, tasks
-//!   obtained by stealing, and parks (condvar waits), recorded by the pool
-//!   worker loop.
+//! * **per-worker activity** — jobs run, busy nanoseconds, jobs obtained
+//!   by stealing, pick-ups that found no job left, and parks (condvar
+//!   waits): a worker runs a graph's job when it picks up one of the
+//!   graph's tokens and a ready job is still there;
+//! * **waiting threads** — jobs run by the threads waiting for their
+//!   graphs, and their busy nanoseconds, kept beside the per-worker rows.
+//!   A job of a graph submitted from inside a pool job runs on that
+//!   worker, as its graph's waiting thread, and counts here; its busy time
+//!   is also part of the enclosing job's.
 
 use crate::hist::{HistogramSnapshot, LogHistogram};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -62,28 +68,51 @@ impl Gauge {
     }
 }
 
-/// Wait-free per-worker activity counters, recorded by the pool's worker
-/// loop.
+/// Wait-free per-worker activity counters, recorded by the engine's
+/// tokens and the pool's worker loop.
 #[derive(Debug, Default)]
 struct WorkerCounters {
     tasks: AtomicU64,
     busy_nanos: AtomicU64,
     steals: AtomicU64,
+    empty_pickups: AtomicU64,
     parks: AtomicU64,
 }
 
 /// A plain copy of one worker's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerSnapshot {
-    /// Tasks this worker executed (own, injected, or stolen).
+    /// Jobs this worker ran (one per token that still found a ready job).
     pub tasks: u64,
-    /// Nanoseconds spent executing tasks (excludes queue handling and
-    /// parked time).
+    /// Nanoseconds spent running those jobs and publishing what their
+    /// completion made ready (excludes queue handling and parked time).
     pub busy_nanos: u64,
-    /// Tasks picked up that a different worker had spawned.
+    /// Jobs run that a different worker had made ready.
     pub steals: u64,
+    /// Tokens picked up that found no ready job left: the graph's waiting
+    /// thread, or another token, had taken it.
+    pub empty_pickups: u64,
     /// Times the worker parked on the pool condvar with no work found.
     pub parks: u64,
+}
+
+/// Wait-free counters of the jobs threads ran while waiting for their
+/// own graphs.
+#[derive(Debug, Default)]
+struct WaitingCounters {
+    jobs: AtomicU64,
+    busy_nanos: AtomicU64,
+}
+
+/// A plain copy of the waiting threads' counters, summed over every
+/// thread that waited for a graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WaitingSnapshot {
+    /// Jobs run by a thread waiting for their graph.
+    pub jobs: u64,
+    /// Nanoseconds spent running those jobs and publishing what their
+    /// completion made ready.
+    pub busy_nanos: u64,
 }
 
 /// The engine-wide always-on metrics registry.
@@ -94,6 +123,7 @@ pub struct EngineMetrics {
     graph_queue_wait: Vec<LogHistogram>,
     graphs_submitted: Vec<AtomicU64>,
     workers: Vec<WorkerCounters>,
+    waiting: WaitingCounters,
 }
 
 impl EngineMetrics {
@@ -117,6 +147,7 @@ impl EngineMetrics {
             graph_queue_wait: (0..n_lanes).map(|_| LogHistogram::new()).collect(),
             graphs_submitted: (0..n_lanes).map(|_| AtomicU64::new(0)).collect(),
             workers: (0..n_workers).map(|_| WorkerCounters::default()).collect(),
+            waiting: WaitingCounters::default(),
         }
     }
 
@@ -151,8 +182,8 @@ impl EngineMetrics {
         }
     }
 
-    /// Records one executed task on `worker`: `stolen` says whether a
-    /// different worker spawned it.
+    /// Records one job run by `worker`: `stolen` says whether a different
+    /// worker made it ready.
     ///
     /// Single-call form of [`record_task_start`](Self::record_task_start)
     /// plus [`record_task_busy`](Self::record_task_busy), for recorders
@@ -162,8 +193,8 @@ impl EngineMetrics {
         self.record_task_busy(worker, busy_nanos);
     }
 
-    /// Counts one task picked up by `worker` (`stolen` says whether a
-    /// different worker spawned it), *before* it executes.
+    /// Counts one job run by `worker` (`stolen` says whether a different
+    /// worker made it ready), *before* it executes.
     ///
     /// Recording the pick-up separately from the busy time matters for
     /// snapshot consistency: a task's own body may publish the result
@@ -180,10 +211,31 @@ impl EngineMetrics {
         }
     }
 
-    /// Adds one finished task's execute duration to `worker`'s busy time.
+    /// Adds one finished job's duration to `worker`'s busy time.
     pub fn record_task_busy(&self, worker: usize, busy_nanos: u64) {
         if self.enabled {
             self.workers[worker]
+                .busy_nanos
+                .fetch_add(busy_nanos, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts one token `worker` picked up that found no ready job left.
+    pub fn record_empty_pickup(&self, worker: usize) {
+        if self.enabled {
+            self.workers[worker]
+                .empty_pickups
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one job run by a thread waiting for its graph, with its
+    /// busy time.  The waiting thread itself reads the metrics next, if
+    /// anyone on it does, so one call after the job is enough.
+    pub fn record_waiting_job(&self, busy_nanos: u64) {
+        if self.enabled {
+            self.waiting.jobs.fetch_add(1, Ordering::Relaxed);
+            self.waiting
                 .busy_nanos
                 .fetch_add(busy_nanos, Ordering::Relaxed);
         }
@@ -217,15 +269,20 @@ impl EngineMetrics {
                     tasks: w.tasks.load(Ordering::Relaxed),
                     busy_nanos: w.busy_nanos.load(Ordering::Relaxed),
                     steals: w.steals.load(Ordering::Relaxed),
+                    empty_pickups: w.empty_pickups.load(Ordering::Relaxed),
                     parks: w.parks.load(Ordering::Relaxed),
                 })
                 .collect(),
+            waiting: WaitingSnapshot {
+                jobs: self.waiting.jobs.load(Ordering::Relaxed),
+                busy_nanos: self.waiting.busy_nanos.load(Ordering::Relaxed),
+            },
         }
     }
 }
 
 /// A plain copy of an [`EngineMetrics`] registry, one histogram snapshot
-/// per lane plus per-worker counters.
+/// per lane plus per-worker and waiting-thread counters.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Per-lane job execute-duration histograms.
@@ -236,6 +293,8 @@ pub struct MetricsSnapshot {
     pub graphs_submitted: Vec<u64>,
     /// Per-worker activity counters.
     pub workers: Vec<WorkerSnapshot>,
+    /// Jobs run by threads waiting for their graphs.
+    pub waiting: WaitingSnapshot,
 }
 
 impl MetricsSnapshot {
@@ -246,8 +305,8 @@ impl MetricsSnapshot {
             .fold(HistogramSnapshot::empty(), |acc, h| acc.merge(h))
     }
 
-    /// Total tasks stolen across workers divided by total tasks executed;
-    /// 0 when nothing ran.
+    /// Total jobs stolen across workers divided by total jobs the workers
+    /// ran; 0 when no worker ran a job.
     pub fn steal_ratio(&self) -> f64 {
         let tasks: u64 = self.workers.iter().map(|w| w.tasks).sum();
         if tasks == 0 {
@@ -280,6 +339,8 @@ mod tests {
         m.record_job_run(0, 1000);
         m.record_graph_queue_wait(1, 2000);
         m.record_task(0, 500, true);
+        m.record_empty_pickup(0);
+        m.record_waiting_job(900);
         m.record_park(1);
         let s = m.snapshot();
         assert_eq!(
@@ -289,6 +350,7 @@ mod tests {
                 graph_queue_wait: vec![HistogramSnapshot::empty(); 2],
                 graphs_submitted: vec![0, 0],
                 workers: vec![WorkerSnapshot::default(); 2],
+                waiting: WaitingSnapshot::default(),
             }
         );
     }
@@ -302,6 +364,9 @@ mod tests {
         m.record_graph_queue_wait(1, 4000);
         m.record_task(0, 500, false);
         m.record_task(1, 700, true);
+        m.record_empty_pickup(1);
+        m.record_waiting_job(900);
+        m.record_waiting_job(100);
         m.record_park(1);
         let s = m.snapshot();
         assert_eq!(s.job_run[0].count(), 2);
@@ -312,6 +377,15 @@ mod tests {
         assert_eq!(s.workers[0].tasks, 1);
         assert_eq!(s.workers[1].steals, 1);
         assert_eq!(s.workers[1].parks, 1);
+        assert_eq!(s.workers[1].empty_pickups, 1);
+        assert_eq!((s.workers[0].tasks, s.workers[0].empty_pickups), (1, 0));
+        assert_eq!(
+            s.waiting,
+            WaitingSnapshot {
+                jobs: 2,
+                busy_nanos: 1000
+            }
+        );
         assert!((s.steal_ratio() - 0.5).abs() < 1e-12);
     }
 }

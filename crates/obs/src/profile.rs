@@ -20,7 +20,8 @@ use crate::trace::GraphTrace;
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerOccupancy {
     /// Worker index; [`GraphProfile`] appends one synthetic row (index
-    /// `n_workers`) for spans executed off-pool (inline mode).
+    /// `n_workers`) for spans executed off-pool, by the thread that waited
+    /// for the graph.
     pub worker: usize,
     /// Jobs this worker executed.
     pub tasks: u64,

@@ -24,8 +24,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Sentinel for "not enqueued by a pool worker" (graph submit thread, or
-/// inline execution).
+/// Sentinel for "not made ready by a pool worker" (the submitting or the
+/// waiting thread).
 const NO_WORKER: usize = usize::MAX;
 
 /// One executed job, on the recorder's per-graph monotonic clock
@@ -37,7 +37,8 @@ pub struct JobSpan {
     /// Human-readable label (e.g. `t0/p9/f3`), empty when the graph did
     /// not label this job.
     pub label: String,
-    /// Pool worker that executed the job; `None` for inline execution.
+    /// Pool worker that executed the job; `None` when the thread waiting
+    /// for the graph ran it off the pool.
     pub worker: Option<usize>,
     /// Priority lane the job ran on.
     pub lane: usize,
@@ -47,8 +48,8 @@ pub struct JobSpan {
     pub start_ns: u64,
     /// Tick at which execution finished.
     pub end_ns: u64,
-    /// Pool worker that enqueued the job; `None` when it was submitted
-    /// from outside the pool.
+    /// Pool worker that made the job ready; `None` when the submitting or
+    /// the waiting thread did, off the pool.
     pub enqueued_by: Option<usize>,
     /// Artifact-cache hits observed while the job ran.
     pub cache_hits: u64,
@@ -68,9 +69,8 @@ impl JobSpan {
     }
 
     /// Whether the job was executed by a different worker than the one
-    /// that enqueued it (i.e. it was stolen).  Jobs submitted from outside
-    /// the pool are never "stolen" — any worker may legitimately pick them
-    /// up.
+    /// that made it ready (i.e. it was stolen).  Jobs made ready off the
+    /// pool, and jobs run off the pool, are never "stolen".
     pub fn stolen(&self) -> bool {
         match (self.enqueued_by, self.worker) {
             (Some(from), Some(ran)) => from != ran,
@@ -86,7 +86,7 @@ pub struct SpanRecorder {
     epoch: Instant,
     n_workers: usize,
     /// One span buffer per worker plus one trailing buffer for spans
-    /// recorded off-pool (inline mode, or the submitting thread).
+    /// recorded off-pool (by the thread waiting for the graph).
     buffers: Vec<Mutex<Vec<JobSpan>>>,
     enqueue_ns: Vec<AtomicU64>,
     enqueued_by: Vec<AtomicUsize>,
@@ -119,14 +119,14 @@ impl SpanRecorder {
     }
 
     /// Marks `job` as enqueued now, by pool worker `by` (or `None` when
-    /// it was submitted from outside the pool or runs inline).
+    /// the submitting or the waiting thread made it ready, off the pool).
     pub fn mark_enqueue(&self, job: usize, by: Option<usize>) {
         self.enqueue_ns[job].store(self.now_ns(), Ordering::Relaxed);
         self.enqueued_by[job].store(by.unwrap_or(NO_WORKER), Ordering::Relaxed);
     }
 
     /// Records a finished job.  `worker` is the executing pool worker
-    /// (`None` inline); ticks come from [`now_ns`](Self::now_ns).
+    /// (`None` off the pool); ticks come from [`now_ns`](Self::now_ns).
     #[allow(clippy::too_many_arguments)]
     pub fn record_span(
         &self,

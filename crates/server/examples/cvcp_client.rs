@@ -558,9 +558,13 @@ fn main() -> ExitCode {
                     println!("{}", r.to_json().pretty());
                     let tasks: u64 = metrics.workers.iter().map(|w| w.tasks).sum();
                     println!(
-                        "engine: {} thread(s), {} pool worker(s) | {} task(s) executed, \
-                         steal ratio {:.3}",
-                        metrics.engine_threads, metrics.pool_workers, tasks, metrics.steal_ratio,
+                        "engine: {} thread(s), {} pool worker(s) | {} job(s) run by workers, \
+                         {} by waiting threads, steal ratio {:.3}",
+                        metrics.engine_threads,
+                        metrics.pool_workers,
+                        tasks,
+                        metrics.waiting_threads.jobs,
+                        metrics.steal_ratio,
                     );
                     Ok(())
                 }

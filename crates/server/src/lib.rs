@@ -83,8 +83,8 @@ mod server;
 pub use client::Connection;
 pub use protocol::{
     ConnectionGauges, EventLoopStats, HistogramSummary, KindLatencyMetrics, MetricsPayload,
-    RankedEntry, RankedSelection, Request, RequestStats, Response, StatsSnapshot, WireError,
-    WorkerMetrics,
+    RankedEntry, RankedSelection, Request, RequestStats, Response, StatsSnapshot, WaitingMetrics,
+    WireError, WorkerMetrics,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Server, ServerConfig};

@@ -463,14 +463,26 @@ fn summaries_from_json(doc: &Json, field: &str) -> Result<Vec<HistogramSummary>,
 pub struct WorkerMetrics {
     /// Worker index.
     pub worker: usize,
-    /// Tasks executed.
+    /// Jobs run (one per token that still found a ready job).
     pub tasks: u64,
-    /// Nanoseconds spent executing tasks.
+    /// Nanoseconds spent running jobs.
     pub busy_ns: u64,
-    /// Tasks picked up that a different worker had spawned.
+    /// Jobs run that a different worker had made ready.
     pub steals: u64,
+    /// Tokens picked up that found no ready job left.
+    pub empty_pickups: u64,
     /// Times the worker parked waiting for work.
     pub parks: u64,
+}
+
+/// The jobs threads ran while waiting for their own graphs (the server's
+/// selection workers, mostly), on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WaitingMetrics {
+    /// Jobs run by a thread waiting for their graph.
+    pub jobs: u64,
+    /// Nanoseconds spent running them.
+    pub busy_ns: u64,
 }
 
 /// Per-artifact-kind cache latency summaries.
@@ -506,7 +518,9 @@ pub struct MetricsPayload {
     pub graph_queue_wait: Vec<HistogramSummary>,
     /// Per-worker counters, in worker order.
     pub workers: Vec<WorkerMetrics>,
-    /// Stolen tasks over executed tasks, across all workers.
+    /// Jobs run by threads waiting for their graphs, beside the workers.
+    pub waiting_threads: WaitingMetrics,
+    /// Stolen jobs over jobs the workers ran.
     pub steal_ratio: f64,
     /// Cache get/compute latency per artifact kind, in kind order.
     pub cache_kinds: Vec<KindLatencyMetrics>,
@@ -782,11 +796,19 @@ impl Response {
                                         ("tasks", w.tasks.to_json()),
                                         ("busy_ns", w.busy_ns.to_json()),
                                         ("steals", w.steals.to_json()),
+                                        ("empty_pickups", w.empty_pickups.to_json()),
                                         ("parks", w.parks.to_json()),
                                     ])
                                 })
                                 .collect(),
                         ),
+                    ),
+                    (
+                        "waiting_threads",
+                        Json::obj([
+                            ("jobs", metrics.waiting_threads.jobs.to_json()),
+                            ("busy_ns", metrics.waiting_threads.busy_ns.to_json()),
+                        ]),
                     ),
                 ];
                 engine.push((
@@ -945,10 +967,16 @@ impl Response {
                             tasks: require_u64(w, "tasks")?,
                             busy_ns: require_u64(w, "busy_ns")?,
                             steals: require_u64(w, "steals")?,
+                            empty_pickups: require_u64(w, "empty_pickups")?,
                             parks: require_u64(w, "parks")?,
                         })
                     })
                     .collect::<Result<Vec<_>, WireError>>()?;
+                let waiting = require(engine, "waiting_threads")?;
+                let waiting_threads = WaitingMetrics {
+                    jobs: require_u64(waiting, "jobs")?,
+                    busy_ns: require_u64(waiting, "busy_ns")?,
+                };
                 let cache_kinds = engine
                     .get("cache_kinds")
                     .and_then(Json::as_arr)
@@ -993,6 +1021,7 @@ impl Response {
                         "graph_queue_wait",
                     )?,
                     workers,
+                    waiting_threads,
                     steal_ratio: require_f64(engine, "steal_ratio")?,
                     cache_kinds,
                     queue_admission_wait: summaries_from_json(
@@ -1381,6 +1410,7 @@ mod tests {
                         tasks: 40,
                         busy_ns: 9_000_000,
                         steals: 3,
+                        empty_pickups: 11,
                         parks: 7,
                     },
                     WorkerMetrics {
@@ -1388,9 +1418,14 @@ mod tests {
                         tasks: 38,
                         busy_ns: 8_500_000,
                         steals: 5,
+                        empty_pickups: 12,
                         parks: 9,
                     },
                 ],
+                waiting_threads: WaitingMetrics {
+                    jobs: 57,
+                    busy_ns: 7_250_000,
+                },
                 steal_ratio: 0.1025390625,
                 cache_kinds: vec![KindLatencyMetrics {
                     kind: "pairwise_distances".into(),

@@ -8,8 +8,12 @@
 //! `accept`, hands each stream to the loop over a channel), one
 //! readiness event loop `cvcp-loop` owning every connection (see
 //! [`crate::event_loop`]), and the selection workers `cvcp-worker-<i>`.
-//! The engine's pool threads are `cvcp-engine-<i>`.  Connections cost
-//! buffers, not threads — the property the idle-connections test pins.
+//! A selection worker runs its request's job graph itself: it waits for
+//! the graph by running the graph's ready jobs, and the engine's pool
+//! threads `cvcp-engine-<i>` help through the tokens the graph queues, so
+//! an interactive request starts at once on its worker instead of waiting
+//! for a pool thread to finish a batch job.  Connections cost buffers,
+//! not threads — the property the idle-connections test pins.
 //!
 //! ## Connection lifecycle
 //!
@@ -37,7 +41,8 @@
 use crate::event_loop::{event_loop, ConnGauges, EventSink, LoopCounters, LoopMsg};
 use crate::protocol::{
     ConnectionGauges, EventLoopStats, HistogramSummary, KindLatencyMetrics, MetricsPayload,
-    RankedSelection, RequestStats, Response, StatsSnapshot, WireError, WorkerMetrics,
+    RankedSelection, RequestStats, Response, StatsSnapshot, WaitingMetrics, WireError,
+    WorkerMetrics,
 };
 use crate::queue::{BoundedQueue, PushError};
 use cvcp_core::json::Json;
@@ -253,9 +258,14 @@ impl Shared {
                     tasks: w.tasks,
                     busy_ns: w.busy_nanos,
                     steals: w.steals,
+                    empty_pickups: w.empty_pickups,
                     parks: w.parks,
                 })
                 .collect(),
+            waiting_threads: WaitingMetrics {
+                jobs: snapshot.waiting.jobs,
+                busy_ns: snapshot.waiting.busy_nanos,
+            },
             steal_ratio: snapshot.steal_ratio(),
             cache_kinds: self
                 .engine

@@ -8,7 +8,8 @@
 //!    it parses, carries exactly one `X` span per graph job, and every
 //!    span nests inside the recorded wall clock;
 //! 3. the derived [`GraphProfile`] is internally consistent (critical
-//!    path within the wall clock, busy time attributed to workers).
+//!    path within the wall clock, busy time attributed once, to a pool
+//!    worker's row or to the off-pool row of the waiting thread).
 
 use cvcp_suite::core::trace_export::chrome_trace_json;
 use cvcp_suite::core::{
@@ -140,16 +141,27 @@ fn chrome_export_of_a_full_selection_is_well_formed() {
     assert!(profile.critical_path_ns <= profile.wall_ns);
     assert!(!profile.critical_path_jobs.is_empty());
     assert!(profile.parallelism > 0.0);
+    // Every span lands in exactly one row: its pool worker's, or the
+    // off-pool row (index n_workers) of the thread that waited for the
+    // graph and ran jobs itself.
     let attributed: u64 = profile.workers.iter().map(|w| w.busy_ns).sum();
+    assert_eq!(
+        attributed, profile.total_busy_ns,
+        "busy time is fully attributed, once"
+    );
     let off_pool: u64 = trace
         .spans
         .iter()
         .filter(|s| s.worker.is_none())
         .map(|s| s.duration_ns())
         .sum();
+    let off_pool_row = profile
+        .workers
+        .iter()
+        .find(|w| w.worker == trace.n_workers)
+        .map_or(0, |w| w.busy_ns);
     assert_eq!(
-        attributed + off_pool,
-        profile.total_busy_ns,
-        "busy time is fully attributed"
+        off_pool_row, off_pool,
+        "the off-pool row holds the off-pool spans"
     );
 }

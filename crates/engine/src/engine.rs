@@ -220,16 +220,15 @@ fn publish<T: Send + 'static>(state: &Arc<ExecState<T>>, jobs: &[usize], waiting
             recorder.mark_enqueue(job, by);
         }
     }
-    let (kept, hand_over) = {
+    let hand_over = {
         let mut ready = state.ready.lock().expect("ready lock");
         ready.jobs.extend(jobs.iter().map(|&job| (job, by)));
-        let hand_over = !waiting && std::mem::take(&mut ready.parked);
-        (usize::from(waiting || hand_over), hand_over)
+        !waiting && std::mem::take(&mut ready.parked)
     };
     if hand_over {
         state.wake.notify_one();
     }
-    queue_tokens(state, jobs.len() - kept);
+    queue_tokens(state, jobs.len() - usize::from(waiting || hand_over));
 }
 
 /// Queues `n` tokens for the graph on its pool lane (none when the
@@ -277,13 +276,10 @@ fn run_token<T: Send + 'static>(state: &Arc<ExecState<T>>) {
 fn claim<T>(state: &ExecState<T>) -> Option<usize> {
     let mut ready = state.ready.lock().expect("ready lock");
     loop {
-        if let Some((idx, _)) = ready.jobs.pop_first() {
+        let next = ready.jobs.pop_first();
+        if next.is_some() || state.pending.load(Ordering::SeqCst) == 0 {
             ready.parked = false;
-            return Some(idx);
-        }
-        if state.pending.load(Ordering::SeqCst) == 0 {
-            ready.parked = false;
-            return None;
+            return next.map(|(idx, _)| idx);
         }
         ready.parked = true;
         ready = state.wake.wait(ready).expect("ready condvar");

@@ -8,7 +8,7 @@
 //! find nothing to do; the engine counts that as an empty pick-up and
 //! counts the worker's `tasks`, busy time and steals only for tokens that
 //! ran a job.  A steal is a job run by a worker other than the one that
-//! made it ready, the rule trace spans apply too (`JobSpan::stolen`), so
+//! made it ready; trace spans apply the same rule (`JobSpan::stolen`), so
 //! the per-worker `steals` counters and a profile's steal ratio count the
 //! same events.
 //!

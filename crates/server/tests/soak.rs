@@ -432,14 +432,16 @@ impl Mix<'_> {
 
 /// The cancellation storm: each round admits one paper-sized selection on
 /// a fresh v2 connection, reads up to its first progress event (a
-/// `queue_full` refusal is retried) and drops the connection while the
-/// rest of its graph runs.
+/// `queue_full` refusal is retried until `READ_TIMEOUT`, so a server whose
+/// workers never free up fails the test instead of hanging it) and drops
+/// the connection while the rest of its graph runs.
 fn cancellation_storm(addr: SocketAddr, tally: &Tally) {
     let shapes = storm_shapes();
     let mut rng = SeededRng::new(0x5702);
     for round in 0..STORM_ROUNDS {
         let mut request = shapes[rng.index(shapes.len())].clone();
         request.id = format!("storm-{round}");
+        let deadline = Instant::now() + READ_TIMEOUT;
         loop {
             let mut client = Client::connect_v2(addr);
             client.write(&line(&Request::Select(request.clone())));
@@ -453,6 +455,11 @@ fn cancellation_storm(addr: SocketAddr, tally: &Tally) {
                 tally.storm_disconnects.fetch_add(1, Ordering::Relaxed);
                 break;
             }
+            assert!(
+                Instant::now() < deadline,
+                "{}: the queue stayed full for {READ_TIMEOUT:?}",
+                request.id
+            );
             std::thread::sleep(Duration::from_millis(5));
         }
     }

@@ -9,7 +9,8 @@
 //! 3. a client disconnect mid-request cancels the DAG (visible in `stats`).
 
 use cvcp_core::{Algorithm, Engine, Priority, SelectionRequest, SideInfoSpec};
-use cvcp_server::{RankedSelection, Request, Response, Server, ServerConfig};
+use cvcp_server::client::Connection;
+use cvcp_server::{RankedSelection, Request, Response, Server, ServerConfig, StatsSnapshot};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -205,30 +206,15 @@ fn client_disconnect_mid_request_cancels_the_dag() {
     server.shutdown();
 }
 
-#[test]
-fn interactive_request_completes_while_batch_graph_is_in_flight() {
-    // The starvation regression: a large batch selection saturates the
-    // engine's workers with queued jobs; an interactive request submitted
-    // afterwards must still complete while the batch graph is in flight —
-    // its jobs jump the engine's interactive lane instead of queueing
-    // behind the batch fan-out.
-    let config = ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        queue_depth: 8,
-        workers: 2,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(&config, Arc::new(Engine::new(2))).expect("bind loopback");
-
-    // The batch request: a heavyweight MPCKMeans selection over k = 2..=41
-    // on the 125×144 ALOI replica, half its objects labelled, 10 folds.  It
-    // must outlast the admission wait below plus the interactive request,
-    // which waits for a worker to finish its current job: in a release
-    // build it runs for about 1.3 s as 40 jobs of at most a few tens of
-    // milliseconds, some 30 times that.  A batch of under 10 ms often
-    // finished first.
-    let batch = SelectionRequest {
-        id: "big-batch".to_string(),
+/// The long batch selection both lane tests run beside: a heavyweight
+/// MPCKMeans selection over k = 2..=41 on the 125×144 ALOI replica, half
+/// its objects labelled, 10 folds.  In a release build it runs for about
+/// 1.3 s as 40 jobs of at most a few tens of milliseconds, some 30 times
+/// the admission waits and small requests it must outlast; a batch of
+/// under 10 ms often finished first.
+fn long_batch_request(id: &str) -> SelectionRequest {
+    SelectionRequest {
+        id: id.to_string(),
         dataset: "aloi:0".to_string(),
         algorithm: Algorithm::MpckMeans,
         params: (2..=41).collect(),
@@ -238,14 +224,41 @@ fn interactive_request_completes_while_batch_graph_is_in_flight() {
         seed: 11,
         priority: Some(Priority::Batch),
         trace: false,
-    };
-    let batch_stream = send_line(&server, &Request::Select(batch));
-    // Wait until the batch request has been admitted and picked up.
+    }
+}
+
+/// Polls the server's stats until `ready` holds, for at most 10 s.
+fn wait_for_stats(server: &Server, what: &str, ready: impl Fn(&StatsSnapshot) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().requests.received == 0 {
-        assert!(Instant::now() < deadline, "batch request never admitted");
+    loop {
+        let stats = server.stats();
+        if ready(&stats) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{what}: {stats:?}");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+#[test]
+fn interactive_request_completes_while_batch_graph_is_in_flight() {
+    // A large batch selection runs on one selection worker; an interactive
+    // request sent afterwards runs on the other, which runs its graph's
+    // jobs itself, and must complete while the batch graph is in flight.
+    // Both requests run at once here, so this pins completion, not which
+    // lane a worker serves first (the queued-lane test below pins that).
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        queue_depth: 8,
+        workers: 2,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(&config, Arc::new(Engine::new(2))).expect("bind loopback");
+
+    let batch_stream = send_line(&server, &Request::Select(long_batch_request("big-batch")));
+    wait_for_stats(&server, "batch request never admitted", |s| {
+        s.requests.received > 0
+    });
 
     // The interactive request: small FOSC grid on the iris-like replica.
     let mut interactive = request_for(Algorithm::Fosc, "small-interactive");
@@ -279,6 +292,72 @@ fn interactive_request_completes_while_batch_graph_is_in_flight() {
         );
         std::thread::sleep(Duration::from_millis(50));
     }
+    server.shutdown();
+}
+
+#[test]
+fn queued_interactive_request_runs_before_an_earlier_queued_batch_request() {
+    // One selection worker, held by a long batch selection.  A batch
+    // request and then an interactive request queue behind it on one v2
+    // connection.  When the long request's connection drops, the worker
+    // must take the interactive lane first: the interactive result
+    // arrives before any event of the earlier batch request.
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        queue_depth: 8,
+        workers: 1,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(&config, Arc::new(Engine::new(2))).expect("bind loopback");
+
+    let long_stream = send_line(&server, &Request::Select(long_batch_request("long")));
+    wait_for_stats(&server, "the worker never took the long request", |s| {
+        s.requests.received == 1 && s.queue_depth == 0
+    });
+
+    let mut conn = Connection::connect(server.local_addr()).expect("v2 connection");
+    let mut batch = request_for(Algorithm::Fosc, "queued-batch");
+    batch.priority = Some(Priority::Batch);
+    let mut interactive = request_for(Algorithm::Fosc, "queued-interactive");
+    interactive.priority = Some(Priority::Interactive);
+    conn.send(&batch).expect("send the batch request");
+    conn.send(&interactive)
+        .expect("send the interactive request");
+    wait_for_stats(
+        &server,
+        "both requests must queue behind the long one",
+        |s| s.requests.received == 3,
+    );
+    let stats = server.stats();
+    assert_eq!(
+        (stats.queue_depth, stats.requests.completed),
+        (2, 0),
+        "the long request must still hold the only worker: {stats:?}"
+    );
+
+    drop(long_stream);
+    loop {
+        match conn.next_event().expect("read event") {
+            Response::Result { id, .. } if id == "queued-interactive" => break,
+            Response::Progress { id, .. } | Response::Result { id, .. } if id == "queued-batch" => {
+                panic!(
+                    "an event of the earlier batch request arrived before the interactive result"
+                )
+            }
+            Response::Error { id, error } => panic!("request {id:?} failed: {error:?}"),
+            _ => {}
+        }
+    }
+    loop {
+        match conn.next_event().expect("read event") {
+            Response::Result { id, .. } if id == "queued-batch" => break,
+            Response::Error { id, error } => panic!("request {id:?} failed: {error:?}"),
+            _ => {}
+        }
+    }
+    wait_for_stats(&server, "the long request was never cancelled", |s| {
+        s.requests.cancelled == 1 && s.requests.completed == 2
+    });
     server.shutdown();
 }
 

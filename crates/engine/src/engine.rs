@@ -1,26 +1,25 @@
-//! The engine proper: graph submission, the tokens a graph queues on the
-//! pool, and the waiting loop in which the thread that waits for a graph
-//! runs the graph's jobs itself.
+//! The engine proper: running a graph, the tokens a graph queues on the
+//! pool, and the waiting loop in which the thread that runs a graph runs
+//! the graph's jobs itself.
 //!
 //! **Who runs a job.** A graph's ready jobs sit in one ascending-index set
 //! per graph, behind the graph's own leaf lock.  Two kinds of thread take
-//! jobs from it: the thread waiting for the graph ([`GraphHandle::wait`])
-//! and pool workers holding one of the graph's tokens.  A *token* is a
-//! pool task that pops and runs one ready job of its graph if one is left;
-//! a token that finds the set empty is counted as an empty pick-up and
-//! does nothing else.  In the coloured-Petri-net reading of the pool docs,
-//! the waiting thread fires its own graph's enabled transitions, and a
-//! token is a pool worker's permission to fire one of them.
+//! jobs from it: the graph's *waiting thread*, the one that called
+//! [`Engine::run_graph`], and pool workers holding one of the graph's
+//! tokens.  A *token* is a pool task that pops and runs one ready job of
+//! its graph if one is left; a token that finds the set empty is counted
+//! as an empty pick-up and does nothing else.  In the coloured-Petri-net
+//! reading of the pool docs, the waiting thread fires its own graph's
+//! enabled transitions, and a token is a pool worker's permission to fire
+//! one of them.
 //!
-//! **How many tokens.** Jobs become ready when the graph is submitted and
-//! when a job completes.  The waiting thread keeps one of the jobs it
-//! made ready for itself and queues tokens only for the surplus, so a
-//! chain of dependent jobs never leaves its thread.  A pool worker that
-//! makes jobs ready while the waiting thread is parked hands one of them
-//! to that thread and queues tokens for the rest; otherwise it queues a
-//! token per job.  [`Engine::submit`] queues a token for every initially
-//! ready job, because its caller may wait later or never;
-//! [`Engine::run_graph`], whose caller waits at once, keeps one.
+//! **How many tokens.** Jobs become ready when the graph starts and when a
+//! job completes.  One rule: the waiting thread keeps one of the jobs it
+//! made ready for itself and queues tokens for the rest, so a chain of
+//! dependent jobs never leaves its thread.  A pool worker that makes jobs
+//! ready while the waiting thread is parked hands one of them to that
+//! thread and queues tokens for the rest; otherwise it queues a token per
+//! job.
 //!
 //! **Why a waiting thread never sleeps while its graph has a ready job.**
 //! It parks on the graph's condvar only after finding the set empty under
@@ -29,10 +28,14 @@
 //! it ready saw it parked, under the same lock) or covered by a token, and
 //! the completion that finishes the graph wakes it to return.
 //!
-//! A one-thread engine, and a graph submitted from inside one of the
-//! pool's own jobs, queue no tokens: the waiting thread runs every job, in
-//! ascending index order, through the same loop.  A pool worker blocked
-//! on a nested graph queued on the pool could leave no thread to run it.
+//! A one-thread engine, and a graph run from inside one of the pool's own
+//! jobs, queue no tokens: the waiting thread runs every job, in ascending
+//! index order, through the same loop.  A pool worker blocked on a nested
+//! graph queued on the pool could leave no thread to run it.
+//!
+//! A graph is cancelled only through the [`CancelToken`] bound with
+//! [`JobGraph::set_cancel_token`]; jobs that have not started when it is
+//! cancelled are skipped.
 //!
 //! Results do not depend on which thread runs a job: the engine hands a
 //! job nothing but the artifact cache, and a job that needs randomness
@@ -52,8 +55,8 @@ use std::time::Instant;
 /// graph's one leaf lock.
 struct ReadySet {
     /// Ready, unclaimed jobs in ascending index order, each with the pool
-    /// worker that made it ready (`None` when the submitter or the
-    /// waiting thread did, off the pool).
+    /// worker that made it ready (`None` when the waiting thread did, off
+    /// the pool).
     jobs: BTreeMap<usize, Option<usize>>,
     /// Whether the waiting thread is parked on [`ExecState::wake`].
     parked: bool,
@@ -75,8 +78,8 @@ struct ExecState<T> {
     /// graph finished.
     wake: Condvar,
     /// Where the graph's tokens are queued; `None` when the waiting
-    /// thread runs every job (one-thread engines, graphs submitted from
-    /// inside a pool job).
+    /// thread runs every job (one-thread engines, graphs run from inside
+    /// a pool job).
     tokens: Option<PoolHandle>,
     cache: Arc<ArtifactCache>,
     /// The pool lane the graph's tokens are queued on (from the graph's
@@ -91,8 +94,8 @@ struct ExecState<T> {
     /// Identity of the engine's pool, for worker attribution in spans,
     /// task counts and steals (`None` on a sequential engine).
     pool_id: Option<u64>,
-    /// Opt-in span recorder — present only when the graph was submitted
-    /// with [`JobGraph::enable_trace`].
+    /// Opt-in span recorder — present only when the graph was built with
+    /// [`JobGraph::enable_trace`].
     recorder: Option<SpanRecorder>,
 }
 
@@ -286,60 +289,6 @@ fn claim<T>(state: &ExecState<T>) -> Option<usize> {
     }
 }
 
-/// Handle to a submitted graph.
-pub struct GraphHandle<T> {
-    state: Arc<ExecState<T>>,
-}
-
-impl<T: Send + 'static> GraphHandle<T> {
-    /// Requests cancellation: jobs that have not started yet are skipped;
-    /// running jobs finish normally.
-    pub fn cancel(&self) {
-        self.state.cancelled.cancel();
-    }
-
-    /// The graph's cancellation token — the one bound via
-    /// [`JobGraph::set_cancel_token`], or the graph's private token
-    /// otherwise.  Clonable and `Send`, so a watcher (e.g. a serving
-    /// front-end's disconnect detector) can cancel the graph without
-    /// holding the handle, which `wait` consumes.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.state.cancelled.clone()
-    }
-
-    /// Runs the graph's ready jobs on the calling thread until every job
-    /// has finished, and returns all outcomes.  The thread parks only
-    /// while every remaining job runs on a pool worker (see the module
-    /// docs).
-    pub fn wait(self) -> GraphResult<T> {
-        let state = &self.state;
-        while let Some(idx) = claim(state) {
-            // cvcp: allow(D2, reason = "busy-time metrics of the waiting thread; observability only")
-            let busy_from = state.metrics.is_enabled().then(Instant::now);
-            run_claimed(state, idx, true);
-            if let Some(from) = busy_from {
-                state
-                    .metrics
-                    .record_waiting_job(from.elapsed().as_nanos() as u64);
-            }
-        }
-        let outcomes = state
-            .outcomes
-            .iter()
-            .map(|slot| {
-                slot.lock()
-                    .expect("outcome lock")
-                    .take()
-                    .unwrap_or(JobOutcome::Skipped)
-            })
-            .collect();
-        GraphResult {
-            outcomes,
-            trace: state.recorder.as_ref().map(SpanRecorder::finish),
-        }
-    }
-}
-
 /// The execution engine: a worker pool plus a shared artifact cache.
 ///
 /// One engine is meant to be long-lived and shared: many selection requests
@@ -352,10 +301,11 @@ pub struct Engine {
     metrics: Arc<EngineMetrics>,
 }
 
-/// The host parallelism worker counts are clamped to (requested count on
-/// platforms where `available_parallelism` is unavailable).
-fn host_parallelism(requested: usize) -> usize {
-    std::thread::available_parallelism().map_or(requested, |p| p.get())
+/// `n_threads` clamped to ≥ 1 and to the host's available parallelism
+/// (left as requested on platforms where that is unavailable).
+fn clamped_to_host(n_threads: usize) -> usize {
+    let requested = n_threads.max(1);
+    std::thread::available_parallelism().map_or(requested, |p| requested.min(p.get()))
 }
 
 impl Engine {
@@ -375,7 +325,11 @@ impl Engine {
     /// can pin the count with [`Engine::with_exact_threads`] /
     /// [`Engine::with_cache_config_exact`].
     pub fn new(n_threads: usize) -> Self {
-        Self::with_cache(n_threads, Arc::new(ArtifactCache::new()))
+        Self::build(
+            clamped_to_host(n_threads),
+            Arc::new(ArtifactCache::new()),
+            true,
+        )
     }
 
     /// An engine with *exactly* `n_threads` workers (clamped to ≥ 1 only),
@@ -391,7 +345,11 @@ impl Engine {
     /// the resident artifacts within the configured byte/entry budgets; see
     /// [`CacheConfig`]).
     pub fn with_cache_config(n_threads: usize, config: CacheConfig) -> Self {
-        Self::with_cache(n_threads, Arc::new(ArtifactCache::with_config(config)))
+        Self::build(
+            clamped_to_host(n_threads),
+            Arc::new(ArtifactCache::with_config(config)),
+            true,
+        )
     }
 
     /// [`Engine::with_cache_config`] without the host-parallelism clamp —
@@ -404,22 +362,13 @@ impl Engine {
         )
     }
 
-    /// An engine sharing an existing artifact cache (e.g. across engines or
-    /// with a previous engine's warm cache).  The worker count is clamped
-    /// like [`Engine::new`].
-    pub fn with_cache(n_threads: usize, cache: Arc<ArtifactCache>) -> Self {
-        let requested = n_threads.max(1);
-        Self::build(requested.min(host_parallelism(requested)), cache, true)
-    }
-
     /// An engine whose always-on metrics registry is a no-op.  This exists
     /// for one purpose: giving `bench_engine` a true baseline to measure
     /// the metrics overhead against.  Everything else (results, tracing
     /// opt-in, the worker clamp) behaves identically.
     pub fn with_metrics_disabled(n_threads: usize) -> Self {
-        let requested = n_threads.max(1);
         Self::build(
-            requested.min(host_parallelism(requested)),
+            clamped_to_host(n_threads),
             Arc::new(ArtifactCache::new()),
             false,
         )
@@ -458,14 +407,6 @@ impl Engine {
         Self::new(1)
     }
 
-    /// An engine sized to the machine (`available_parallelism`).
-    pub fn parallel() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        Self::new(n)
-    }
-
     /// Number of *effective* worker threads (1 for the sequential engine;
     /// at most the host's available parallelism for clamped constructors).
     pub fn n_threads(&self) -> usize {
@@ -483,35 +424,50 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Submits a graph for execution and returns a handle.
+    /// Runs a graph on the calling thread, helped by the pool's workers,
+    /// until every job has finished, and returns all outcomes.  The
+    /// calling thread keeps one ready job for itself, queues tokens for
+    /// the rest, and parks only while every remaining job runs on a pool
+    /// worker (see the module docs).  Jobs receive no randomness from the
+    /// engine, so results depend only on the jobs themselves.
     ///
-    /// On a multi-threaded engine the graph starts at once: a token is
-    /// queued on the pool for each initially ready job, so the graph runs
-    /// even before [`GraphHandle::wait`] is called.  On the sequential
-    /// engine it runs when `wait` is called, in ascending job order.  Jobs
-    /// receive no randomness from the engine, so either way results depend
-    /// only on the jobs themselves.
-    ///
-    /// Re-entrancy: submitting from inside one of this engine's own jobs
-    /// is safe.  A graph submitted from a pool worker's job queues no
-    /// tokens and runs on that worker when its handle is waited on
-    /// (queueing it on the pool and blocking could leave every worker
-    /// waiting on a nested graph with no thread left to run it); a graph
-    /// submitted from a job the waiting thread runs is run like any other.
-    pub fn submit<T: Send + 'static>(&self, graph: JobGraph<T>) -> GraphHandle<T> {
-        self.start(graph, false)
-    }
-
-    /// Submits a graph and runs it on the calling thread, helped by the
-    /// pool's workers, until it finishes.  The calling thread keeps one
-    /// initially ready job for itself and queues tokens only for the rest.
+    /// Re-entrancy: a job may run a graph of its own on the same engine.
+    /// A graph run from a pool worker's job queues no tokens and runs on
+    /// that worker alone (queueing it on the pool and blocking could leave
+    /// every worker waiting on a nested graph with no thread left to run
+    /// it); a graph run from a job the waiting thread runs is run like any
+    /// other.
     pub fn run_graph<T: Send + 'static>(&self, graph: JobGraph<T>) -> GraphResult<T> {
-        self.start(graph, true).wait()
+        let state = self.start(graph);
+        while let Some(idx) = claim(&state) {
+            // cvcp: allow(D2, reason = "busy-time metrics of the waiting thread; observability only")
+            let busy_from = state.metrics.is_enabled().then(Instant::now);
+            run_claimed(&state, idx, true);
+            if let Some(from) = busy_from {
+                state
+                    .metrics
+                    .record_waiting_job(from.elapsed().as_nanos() as u64);
+            }
+        }
+        let outcomes = state
+            .outcomes
+            .iter()
+            .map(|slot| {
+                slot.lock()
+                    .expect("outcome lock")
+                    .take()
+                    .unwrap_or(JobOutcome::Skipped)
+            })
+            .collect();
+        GraphResult {
+            outcomes,
+            trace: state.recorder.as_ref().map(SpanRecorder::finish),
+        }
     }
 
-    /// Builds the graph's execution state and queues its initial tokens;
-    /// `waits_now` says whether the caller waits for it right away.
-    fn start<T: Send + 'static>(&self, graph: JobGraph<T>, waits_now: bool) -> GraphHandle<T> {
+    /// Builds the graph's execution state and queues tokens for all but
+    /// one of its initially ready jobs, which the caller keeps.
+    fn start<T: Send + 'static>(&self, graph: JobGraph<T>) -> Arc<ExecState<T>> {
         let n = graph.jobs.len();
         let lane = graph.priority.lane_index();
         let cancelled = graph.cancel_token.unwrap_or_default();
@@ -544,8 +500,8 @@ impl Engine {
             jobs.push(Mutex::new(Some(job.f)));
         }
         let n_initial = initial.len();
-        // A graph submitted from one of the pool's own workers queues no
-        // tokens (see the module docs).
+        // A graph run from one of the pool's own workers queues no tokens
+        // (see the module docs).
         let tokens = self
             .pool
             .as_ref()
@@ -574,8 +530,8 @@ impl Engine {
             pool_id: self.pool.as_ref().map(ThreadPool::id),
             recorder,
         });
-        queue_tokens(&state, n_initial.saturating_sub(usize::from(waits_now)));
-        GraphHandle { state }
+        queue_tokens(&state, n_initial.saturating_sub(1));
+        state
     }
 }
 
@@ -645,18 +601,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_skips_unstarted_jobs() {
-        let engine = Engine::sequential();
-        let mut graph: JobGraph<u32> = JobGraph::new();
-        graph.add_job(&[], |_| 1);
-        graph.add_job(&[], |_| 2);
-        let handle = engine.submit(graph);
-        handle.cancel();
-        let result = handle.wait();
-        assert!(result.outcomes.iter().all(|o| *o == JobOutcome::Skipped));
-    }
-
-    #[test]
     fn pre_cancelled_token_skips_the_whole_graph() {
         for n_threads in [1, 4] {
             let engine = Engine::with_exact_threads(n_threads);
@@ -666,15 +610,16 @@ mod tests {
             graph.add_job(&[], |_| 1);
             graph.add_job(&[], |_| 2);
             graph.set_cancel_token(token);
-            let result = engine.submit(graph).wait();
+            let result = engine.run_graph(graph);
             assert!(result.outcomes.iter().all(|o| *o == JobOutcome::Skipped));
         }
     }
 
     #[test]
     fn external_token_cancels_a_running_graph() {
-        // Job 0 blocks until the external watcher cancels; its dependent
-        // must then be skipped while the already-running job completes.
+        // Job 0 blocks until a watcher thread cancels the bound token; its
+        // dependent must then be skipped while the already-running job
+        // completes.
         let engine = Engine::with_exact_threads(2);
         let (started_tx, started_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
@@ -687,29 +632,19 @@ mod tests {
         });
         graph.add_job(&[a], |_| 2);
         graph.set_cancel_token(token.clone());
-        let handle = engine.submit(graph);
-        assert!(!handle.cancel_token().is_cancelled());
-        started_rx.recv().expect("job started");
-        token.cancel();
-        release_tx.send(()).expect("job alive");
-        let result = handle.wait();
+        let watcher = {
+            let token = token.clone();
+            std::thread::spawn(move || {
+                started_rx.recv().expect("job started");
+                token.cancel();
+                release_tx.send(()).expect("job alive");
+            })
+        };
+        let result = engine.run_graph(graph);
+        watcher.join().expect("watcher thread");
         assert_eq!(result.outcomes[0], JobOutcome::Completed(1));
         assert_eq!(result.outcomes[1], JobOutcome::Skipped);
         assert!(token.is_cancelled());
-    }
-
-    #[test]
-    fn handle_token_and_graph_token_are_the_same_flag() {
-        let engine = Engine::sequential();
-        let bound = CancelToken::new();
-        let mut graph: JobGraph<u32> = JobGraph::new();
-        graph.add_job(&[], |_| 9);
-        graph.set_cancel_token(bound.clone());
-        let handle = engine.submit(graph);
-        handle.cancel_token().cancel();
-        assert!(bound.is_cancelled());
-        let result = handle.wait();
-        assert_eq!(result.outcomes[0], JobOutcome::Skipped);
     }
 
     #[test]
@@ -731,8 +666,8 @@ mod tests {
 
     #[test]
     fn nested_submission_from_worker_jobs_does_not_deadlock() {
-        // Every worker occupies itself with an outer job that submits and
-        // waits on a nested graph; if nested graphs queued tokens on the
+        // Every worker occupies itself with an outer job that runs a nested
+        // graph; if nested graphs queued tokens on the
         // pool this could deadlock (all workers blocked, nested jobs
         // waiting for a token no worker is free to pick up).
         let engine = Arc::new(Engine::with_exact_threads(2));
@@ -772,22 +707,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_graph_completes_while_every_worker_sits_in_a_gated_batch_job() {
-        // Both pool workers block inside batch jobs; a graph run from a
-        // second thread must still finish, because the thread waiting for
-        // it runs its jobs.  The gates open only after the check, so a
-        // graph that waits for a worker fails by timing out, not by
-        // hanging the test.
+    /// Jobs of the gated batch graph that block until released: one more
+    /// than the two workers, so its waiting thread and both workers sit
+    /// in them.
+    const GATED: usize = 3;
+
+    /// Runs, from a spawned thread, a batch graph whose first [`GATED`]
+    /// jobs block until a release message arrives and whose `quick`
+    /// further jobs each take 2 ms and then count themselves in `done`.
+    /// Returns, with the thread and the release sender, once every gated
+    /// job has started; a scheduler that leaves a gated job unrun fails
+    /// here by timing out.
+    fn run_gated_batch(
+        engine: &Arc<Engine>,
+        quick: usize,
+        done: &Arc<AtomicUsize>,
+    ) -> (std::thread::JoinHandle<GraphResult<u32>>, mpsc::Sender<()>) {
         use crate::graph::Priority;
         use std::time::Duration;
-        let engine = Arc::new(Engine::with_exact_threads(2));
         let (started_tx, started_rx) = mpsc::channel::<()>();
         let (release_tx, release_rx) = mpsc::channel::<()>();
         let release_rx = Arc::new(Mutex::new(release_rx));
         let mut batch: JobGraph<u32> = JobGraph::new();
         batch.set_priority(Priority::Batch);
-        for _ in 0..2 {
+        for _ in 0..GATED {
             let started_tx = started_tx.clone();
             let release_rx = Arc::clone(&release_rx);
             batch.add_job(&[], move |_| {
@@ -800,9 +743,35 @@ mod tests {
                 0
             });
         }
-        let batch_handle = engine.submit(batch);
-        started_rx.recv().expect("first gate reached");
-        started_rx.recv().expect("second gate reached");
+        for _ in 0..quick {
+            let done = Arc::clone(done);
+            batch.add_job(&[], move |_| {
+                std::thread::sleep(Duration::from_millis(2));
+                done.fetch_add(1, Ordering::SeqCst) as u32
+            });
+        }
+        let runner = {
+            let engine = Arc::clone(engine);
+            std::thread::spawn(move || engine.run_graph(batch))
+        };
+        for _ in 0..GATED {
+            started_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("every gated batch job must start");
+        }
+        (runner, release_tx)
+    }
+
+    #[test]
+    fn a_graph_completes_while_every_worker_sits_in_a_gated_batch_job() {
+        // A batch graph's waiting thread and both pool workers block in
+        // gated jobs; a graph run from another thread must still finish,
+        // because the thread waiting for it runs its jobs.  The gates open
+        // only after the check, so a graph that waits for a worker fails
+        // by timing out, not by hanging the test.
+        use std::time::Duration;
+        let engine = Arc::new(Engine::with_exact_threads(2));
+        let (batch_runner, release_tx) = run_gated_batch(&engine, 0, &Arc::default());
 
         let (done_tx, done_rx) = mpsc::channel();
         let caller = {
@@ -817,10 +786,11 @@ mod tests {
             })
         };
         let finished = done_rx.recv_timeout(Duration::from_secs(10));
-        release_tx.send(()).expect("gate alive");
-        release_tx.send(()).expect("gate alive");
+        for _ in 0..GATED {
+            release_tx.send(()).expect("gate alive");
+        }
         caller.join().expect("caller thread");
-        assert!(batch_handle.wait().all_completed());
+        assert!(batch_runner.join().expect("batch thread").all_completed());
         assert_eq!(
             finished.expect("the graph must finish while both workers are gated"),
             vec![1, 2, 3]
@@ -938,59 +908,44 @@ mod tests {
 
     #[test]
     fn interactive_graph_leapfrogs_queued_batch_jobs() {
-        // The starvation regression: two workers are occupied by batch
-        // jobs blocked on a gate, 40 more batch jobs are queued behind
-        // them, and only then is an interactive graph submitted.  Once the
-        // gate opens, the interactive job must run before (almost all of)
-        // the queued batch jobs — with a single lane it would run after
-        // all 40.
-        use crate::graph::Priority;
-        let engine = Engine::with_exact_threads(2);
-        let (started_tx, started_rx) = mpsc::channel::<()>();
-        let (release_tx, release_rx) = mpsc::channel::<()>();
-        let release_rx = Arc::new(Mutex::new(release_rx));
+        // The starvation regression: a batch graph's waiting thread and
+        // both workers sit in gated jobs, and 40 more batch tokens are
+        // queued behind them.  Then an interactive graph of two jobs runs
+        // here: this thread keeps job 0, which opens the gates and waits
+        // for job 1, so only a worker can run job 1, through the graph's
+        // one token.  That token must be picked up before (almost all of)
+        // the queued batch tokens; with a single lane it would wait
+        // behind all 40.
+        use std::time::Duration;
+        let engine = Arc::new(Engine::with_exact_threads(2));
         let batch_done = Arc::new(AtomicUsize::new(0));
-        let mut batch: JobGraph<u32> = JobGraph::new();
-        batch.set_priority(Priority::Batch);
-        for _ in 0..2 {
-            let started_tx = started_tx.clone();
-            let release_rx = Arc::clone(&release_rx);
-            batch.add_job(&[], move |_| {
-                started_tx.send(()).expect("watcher alive");
-                release_rx
-                    .lock()
-                    .expect("release lock")
-                    .recv()
-                    .expect("release signal");
-                0
-            });
-        }
-        for _ in 0..40 {
-            let batch_done = Arc::clone(&batch_done);
-            batch.add_job(&[], move |_| {
-                batch_done.fetch_add(1, Ordering::SeqCst) as u32
-            });
-        }
-        let batch_handle = engine.submit(batch);
-        started_rx.recv().expect("first blocker started");
-        started_rx.recv().expect("second blocker started");
+        let (batch_runner, release_tx) = run_gated_batch(&engine, 40, &batch_done);
 
-        // Both workers blocked, 40 batch jobs queued; now the interactive
-        // graph arrives and records how much batch work ran before it.
-        let seen = Arc::clone(&batch_done);
+        let (seen_tx, seen_rx) = mpsc::channel::<u32>();
         let mut interactive: JobGraph<u32> = JobGraph::new();
-        interactive.add_job(&[], move |_| seen.load(Ordering::SeqCst) as u32);
-        let interactive_handle = engine.submit(interactive);
-        release_tx.send(()).expect("blocker alive");
-        release_tx.send(()).expect("blocker alive");
-        let seen_at_interactive = interactive_handle.wait().expect_all("interactive graph")[0];
+        interactive.add_job(&[], move |_| {
+            for _ in 0..GATED {
+                release_tx.send(()).expect("gate alive");
+            }
+            seen_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a worker must run the interactive token's job")
+        });
+        let seen = Arc::clone(&batch_done);
+        interactive.add_job(&[], move |_| {
+            let n = seen.load(Ordering::SeqCst) as u32;
+            seen_tx.send(n).expect("job 0 alive");
+            n
+        });
+        let seen_at_interactive = engine
+            .run_graph(interactive)
+            .expect_all("interactive graph")[1];
         assert!(
             seen_at_interactive <= 4,
             "interactive job observed {seen_at_interactive} completed batch jobs — it was \
              starved behind the queued batch lane"
         );
-        let batch_result = batch_handle.wait();
-        assert!(batch_result.all_completed());
+        assert!(batch_runner.join().expect("batch thread").all_completed());
         assert_eq!(batch_done.load(Ordering::SeqCst), 40);
     }
 

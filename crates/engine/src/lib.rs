@@ -58,7 +58,7 @@ pub use cache::{
     fingerprint_matrix, ArtifactCache, ArtifactKey, ArtifactSize, CacheConfig, CacheStats,
     Fingerprint, FingerprintBuilder, KindLatencySnapshot,
 };
-pub use engine::{Engine, GraphHandle};
+pub use engine::Engine;
 pub use graph::{CancelToken, GraphResult, JobCtx, JobGraph, JobId, JobOutcome, Priority, N_LANES};
 
 // The observability vocabulary (histograms, metrics snapshots, traces,

@@ -8,7 +8,7 @@
 //! 3. a failed or cancelled job never poisons the pool — subsequent
 //!    requests on the same engine still succeed.
 
-use cvcp_engine::{fingerprint_matrix, ArtifactKey, Engine, JobGraph, JobOutcome};
+use cvcp_engine::{fingerprint_matrix, ArtifactKey, CancelToken, Engine, JobGraph, JobOutcome};
 use cvcp_suite::constraints::generate::{
     constraint_pool, sample_constraints, sample_labeled_subset,
 };
@@ -201,16 +201,14 @@ fn failed_job_does_not_poison_the_pool() {
     assert_eq!(result.outcomes[1], JobOutcome::Skipped);
     assert_eq!(result.outcomes[2], JobOutcome::Completed(2));
 
-    // A cancelled graph is skipped wholesale…
+    // A graph whose bound token is cancelled is skipped wholesale…
+    let token = CancelToken::new();
+    token.cancel();
     let mut graph: JobGraph<u32> = JobGraph::new();
     graph.add_job(&[], |_| 3);
-    let handle = engine.submit(graph);
-    handle.cancel();
-    let cancelled = handle.wait();
-    assert!(cancelled
-        .outcomes
-        .iter()
-        .all(|o| !matches!(o, JobOutcome::Failed(_))));
+    graph.set_cancel_token(token);
+    let cancelled = engine.run_graph(graph);
+    assert!(cancelled.outcomes.iter().all(|o| *o == JobOutcome::Skipped));
 
     // …and real work on the same engine still runs to completion.
     let ds = blobs(80);

@@ -148,7 +148,6 @@ impl FoscClusterer {
             ArtifactKey::DensityHierarchy {
                 data: data_key,
                 min_pts: algo.min_pts,
-                min_cluster_size: algo.effective_min_cluster_size(),
             },
             || {
                 let dist: Arc<Vec<Vec<f64>>> = cache

@@ -242,8 +242,9 @@ impl cvcp_engine::ArtifactSize for CondensedTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mst::mutual_reachability_mst;
-    use cvcp_data::distance::Euclidean;
+    use crate::core_distance::mutual_reachability_from_pairwise;
+    use crate::mst::minimum_spanning_tree;
+    use cvcp_data::distance::{pairwise_matrix, Euclidean};
     use cvcp_data::rng::SeededRng;
     use cvcp_data::synthetic::separated_blobs;
 
@@ -256,7 +257,9 @@ mod tests {
     ) -> (CondensedTree, cvcp_data::Dataset) {
         let mut rng = SeededRng::new(seed);
         let ds = separated_blobs(k, per, 2, sep, &mut rng);
-        let mst = mutual_reachability_mst(ds.matrix(), &Euclidean, min_pts);
+        let mrd =
+            mutual_reachability_from_pairwise(&pairwise_matrix(ds.matrix(), &Euclidean), min_pts);
+        let mst = minimum_spanning_tree(&mrd);
         let dend = Dendrogram::from_mst(ds.len(), &mst);
         (CondensedTree::build(&dend, min_pts), ds)
     }
@@ -370,7 +373,8 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn min_cluster_size_one_rejected() {
         let (_, ds) = tree_for_blobs(2, 10, 10.0, 3, 8);
-        let mst = mutual_reachability_mst(ds.matrix(), &Euclidean, 3);
+        let mrd = mutual_reachability_from_pairwise(&pairwise_matrix(ds.matrix(), &Euclidean), 3);
+        let mst = minimum_spanning_tree(&mrd);
         let dend = Dendrogram::from_mst(ds.len(), &mst);
         let _ = CondensedTree::build(&dend, 1);
     }

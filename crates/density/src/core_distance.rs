@@ -6,9 +6,6 @@
 //! `m_pts`).  The *mutual reachability distance* between two objects is
 //! `max(core(a), core(b), d(a, b))`.
 
-use cvcp_data::distance::{pairwise_matrix, Distance};
-use cvcp_data::DataMatrix;
-
 /// Precomputed k-nearest-neighbour distances for every object.
 #[derive(Debug, Clone)]
 pub struct KnnTable {
@@ -101,17 +98,6 @@ pub fn core_distances(dist: &[Vec<f64>], min_pts: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Computes the full mutual-reachability distance matrix for `data` under
-/// `metric` and `min_pts`.
-pub fn mutual_reachability_matrix<D: Distance + ?Sized>(
-    data: &DataMatrix,
-    metric: &D,
-    min_pts: usize,
-) -> Vec<Vec<f64>> {
-    let dist = pairwise_matrix(data, metric);
-    mutual_reachability_from_pairwise(&dist, min_pts)
-}
-
 /// Computes the mutual-reachability matrix from a precomputed pairwise
 /// distance matrix.
 pub fn mutual_reachability_from_pairwise(dist: &[Vec<f64>], min_pts: usize) -> Vec<Vec<f64>> {
@@ -131,7 +117,8 @@ pub fn mutual_reachability_from_pairwise(dist: &[Vec<f64>], min_pts: usize) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cvcp_data::distance::Euclidean;
+    use cvcp_data::distance::{pairwise_matrix, Euclidean};
+    use cvcp_data::DataMatrix;
 
     fn line_data() -> DataMatrix {
         // points at x = 0, 1, 2, 10
@@ -177,11 +164,10 @@ mod tests {
 
     #[test]
     fn mutual_reachability_dominates_distance_and_cores() {
-        let data = line_data();
-        let dist = pairwise_matrix(&data, &Euclidean);
+        let dist = pairwise_matrix(&line_data(), &Euclidean);
         let min_pts = 3;
         let core = core_distances(&dist, min_pts);
-        let mrd = mutual_reachability_matrix(&data, &Euclidean, min_pts);
+        let mrd = mutual_reachability_from_pairwise(&dist, min_pts);
         for i in 0..4 {
             assert_eq!(mrd[i][i], 0.0);
             for j in 0..4 {
@@ -197,9 +183,8 @@ mod tests {
 
     #[test]
     fn mutual_reachability_equals_distance_for_min_pts_one() {
-        let data = line_data();
-        let dist = pairwise_matrix(&data, &Euclidean);
-        let mrd = mutual_reachability_matrix(&data, &Euclidean, 1);
+        let dist = pairwise_matrix(&line_data(), &Euclidean);
+        let mrd = mutual_reachability_from_pairwise(&dist, 1);
         for i in 0..4 {
             for j in 0..4 {
                 assert!((mrd[i][j] - dist[i][j]).abs() < 1e-12);

@@ -209,16 +209,19 @@ fn constraint_credit(members: &[usize], constraints: &ConstraintSet, member: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core_distance::mutual_reachability_from_pairwise;
     use crate::dendrogram::Dendrogram;
-    use crate::mst::mutual_reachability_mst;
-    use cvcp_data::distance::Euclidean;
+    use crate::mst::minimum_spanning_tree;
+    use cvcp_data::distance::{pairwise_matrix, Euclidean};
     use cvcp_data::rng::SeededRng;
     use cvcp_data::synthetic::separated_blobs;
     use cvcp_data::Dataset;
     use cvcp_metrics::adjusted_rand_index;
 
     fn tree_for(ds: &Dataset, min_pts: usize) -> CondensedTree {
-        let mst = mutual_reachability_mst(ds.matrix(), &Euclidean, min_pts);
+        let mrd =
+            mutual_reachability_from_pairwise(&pairwise_matrix(ds.matrix(), &Euclidean), min_pts);
+        let mst = minimum_spanning_tree(&mrd);
         let dend = Dendrogram::from_mst(ds.len(), &mst);
         CondensedTree::build(&dend, min_pts)
     }

@@ -14,14 +14,20 @@
 //!
 //! Objects not covered by any selected cluster are reported as noise, exactly
 //! as in the original framework.
+//!
+//! There is one way to build the hierarchy,
+//! [`FoscOpticsDend::build_tree_from_pairwise`], and one way to extract from
+//! it, [`FoscOpticsDend::extract_on_tree`].  [`FoscOpticsDend::fit`] runs
+//! the two over the Euclidean distances without a cache, the steps the
+//! engine's cached path runs with one.
 
 use crate::condensed::CondensedTree;
 use crate::core_distance::mutual_reachability_from_pairwise;
 use crate::dendrogram::Dendrogram;
 use crate::fosc::{extract_clusters, ExtractionObjective, FoscSelection};
-use crate::mst::{minimum_spanning_tree, mutual_reachability_mst};
+use crate::mst::minimum_spanning_tree;
 use cvcp_constraints::ConstraintSet;
-use cvcp_data::distance::{Distance, Euclidean};
+use cvcp_data::distance::{pairwise_matrix, Euclidean};
 use cvcp_data::{DataMatrix, Partition};
 
 /// Configuration of FOSC-OPTICSDend.
@@ -31,9 +37,6 @@ pub struct FoscOpticsDend {
     /// cluster size of the condensed tree.  This is the parameter CVCP
     /// selects in the paper's experiments (range 3…24).
     pub min_pts: usize,
-    /// Optional distinct minimum cluster size; when `None` (the default) the
-    /// minimum cluster size equals `min_pts`, following the paper's setup.
-    pub min_cluster_size: Option<usize>,
     /// Whether cluster stability is used to break ties between selections
     /// with equal constraint credit (also used for subtrees untouched by
     /// constraints).  Enabled by default.
@@ -63,15 +66,8 @@ impl FoscOpticsDend {
         assert!(min_pts >= 2, "MinPts must be at least 2");
         Self {
             min_pts,
-            min_cluster_size: None,
             stability_tiebreak: true,
         }
-    }
-
-    /// Overrides the minimum cluster size of the condensed tree.
-    pub fn with_min_cluster_size(mut self, size: usize) -> Self {
-        self.min_cluster_size = Some(size);
-        self
     }
 
     /// Enables or disables the stability tie-break.
@@ -80,19 +76,15 @@ impl FoscOpticsDend {
         self
     }
 
-    /// Runs the algorithm with the Euclidean metric.
+    /// Runs the algorithm with the Euclidean metric:
+    /// [`Self::build_tree_from_pairwise`] over the data's pairwise
+    /// distances, then [`Self::extract_on_tree`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the data has fewer than two rows.
     pub fn fit(&self, data: &DataMatrix, constraints: &ConstraintSet) -> FoscOpticsDendResult {
-        self.fit_with_metric(data, constraints, &Euclidean)
-    }
-
-    /// Runs the algorithm with an arbitrary metric.
-    pub fn fit_with_metric<D: Distance + ?Sized>(
-        &self,
-        data: &DataMatrix,
-        constraints: &ConstraintSet,
-        metric: &D,
-    ) -> FoscOpticsDendResult {
-        let tree = self.build_tree_with_metric(data, metric);
+        let tree = self.build_tree_from_pairwise(&pairwise_matrix(data, &Euclidean));
         let FoscSelection {
             selected,
             partition,
@@ -106,37 +98,14 @@ impl FoscOpticsDend {
         }
     }
 
-    /// The effective minimum cluster size of the condensed tree.
-    pub fn effective_min_cluster_size(&self) -> usize {
-        self.min_cluster_size.unwrap_or(self.min_pts).max(2)
-    }
-
-    /// Steps 1–2 only: builds the condensed density hierarchy for this
-    /// configuration, without extracting clusters.
+    /// Steps 1–2 only: builds the condensed density hierarchy from a
+    /// precomputed pairwise distance matrix, without extracting clusters.
     ///
     /// The hierarchy depends on the data and `MinPts` but **not** on the
     /// constraints, which is what makes it shareable: under CVCP the same
     /// tree serves every cross-validation fold, replica and trial evaluated
     /// at this `MinPts` (the execution engine caches it under a
-    /// content-derived key).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the data has fewer than two rows.
-    pub fn build_tree_with_metric<D: Distance + ?Sized>(
-        &self,
-        data: &DataMatrix,
-        metric: &D,
-    ) -> CondensedTree {
-        let n = data.n_rows();
-        assert!(n >= 2, "need at least two objects to cluster");
-        let mst = mutual_reachability_mst(data, metric, self.min_pts);
-        let dendrogram = Dendrogram::from_mst(n, &mst);
-        CondensedTree::build(&dendrogram, self.effective_min_cluster_size())
-    }
-
-    /// Like [`Self::build_tree_with_metric`] but starting from a precomputed
-    /// pairwise distance matrix, so the `O(n²·d)` distance pass is shared
+    /// content-derived key), and the `O(n²·d)` distance pass is shared
     /// across *all* `MinPts` values.
     ///
     /// # Panics
@@ -148,12 +117,12 @@ impl FoscOpticsDend {
         let mrd = mutual_reachability_from_pairwise(dist, self.min_pts);
         let mst = minimum_spanning_tree(&mrd);
         let dendrogram = Dendrogram::from_mst(n, &mst);
-        CondensedTree::build(&dendrogram, self.effective_min_cluster_size())
+        CondensedTree::build(&dendrogram, self.min_pts)
     }
 
     /// Step 3 only: extracts the optimal cluster selection from a prebuilt
     /// hierarchy (which must come from a `FoscOpticsDend` with the same
-    /// `MinPts` / minimum cluster size on the same data).
+    /// `MinPts` on the same data).
     pub fn extract_on_tree(
         &self,
         tree: &CondensedTree,
@@ -273,11 +242,6 @@ mod tests {
         assert_eq!(direct.partition, extracted.partition);
         assert_eq!(direct.selected_clusters, extracted.selected);
         assert_eq!(direct.objective_value, extracted.total_value);
-
-        // and the metric-based tree builder agrees as well
-        let tree2 = algo.build_tree_with_metric(ds.matrix(), &Euclidean);
-        let extracted2 = algo.extract_on_tree(&tree2, &pool);
-        assert_eq!(direct.partition, extracted2.partition);
     }
 
     #[test]

@@ -35,11 +35,11 @@ pub mod mst;
 pub mod optics;
 
 pub use condensed::{CondensedNode, CondensedTree};
-pub use core_distance::{core_distances, mutual_reachability_matrix, KnnTable};
+pub use core_distance::{core_distances, KnnTable};
 pub use dendrogram::{Dendrogram, Merge};
 pub use fosc::{extract_clusters, ExtractionObjective, FoscSelection};
 pub use fosc_optics_dend::{FoscOpticsDend, FoscOpticsDendResult};
-pub use mst::{mutual_reachability_mst, Edge};
+pub use mst::Edge;
 pub use optics::{OpticsOrdering, OpticsPoint};
 
 /// Convenience re-exports.

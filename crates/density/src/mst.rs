@@ -68,19 +68,10 @@ pub fn minimum_spanning_tree(weights: &[Vec<f64>]) -> Vec<Edge> {
     edges
 }
 
-/// Convenience: the MST of the mutual-reachability graph of `data`.
-pub fn mutual_reachability_mst<D: cvcp_data::distance::Distance + ?Sized>(
-    data: &cvcp_data::DataMatrix,
-    metric: &D,
-    min_pts: usize,
-) -> Vec<Edge> {
-    let mrd = crate::core_distance::mutual_reachability_matrix(data, metric, min_pts);
-    minimum_spanning_tree(&mrd)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core_distance::mutual_reachability_from_pairwise;
     use cvcp_data::distance::{pairwise_matrix, Euclidean};
     use cvcp_data::DataMatrix;
 
@@ -143,7 +134,8 @@ mod tests {
         // With a large MinPts the core distances dominate, so every edge
         // weight is at least the largest pairwise-neighbour distance.
         let data = DataMatrix::from_rows(&[vec![0.0], vec![0.1], vec![0.2], vec![10.0]]);
-        let mst = mutual_reachability_mst(&data, &Euclidean, 4);
+        let mrd = mutual_reachability_from_pairwise(&pairwise_matrix(&data, &Euclidean), 4);
+        let mst = minimum_spanning_tree(&mrd);
         for e in &mst {
             assert!(e.weight >= 9.8);
         }

@@ -146,14 +146,13 @@ pub enum ArtifactKey {
         /// The density smoothing parameter.
         min_pts: usize,
     },
-    /// Condensed density hierarchy for a (`MinPts`, minimum cluster size).
+    /// Condensed density hierarchy for a `MinPts`, which is also its
+    /// minimum cluster size.
     DensityHierarchy {
         /// Fingerprint of the data matrix.
         data: Fingerprint,
         /// The density smoothing parameter.
         min_pts: usize,
-        /// Minimum cluster size of the condensed tree.
-        min_cluster_size: usize,
     },
     /// Transitive closure of one cross-validation fold's training side
     /// information.
@@ -1378,7 +1377,6 @@ mod tests {
             ArtifactKey::DensityHierarchy {
                 data: 1,
                 min_pts: 2,
-                min_cluster_size: 2,
             },
             ArtifactKey::FoldClosure { side: 1, fold: 0 },
             ArtifactKey::MpckSeeding {

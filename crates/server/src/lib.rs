@@ -49,11 +49,11 @@
 //! blocking.
 //!
 //! Requests may carry an optional `"priority"` field (`"interactive"` /
-//! `"batch"`, default interactive or `CVCP_DEFAULT_PRIORITY`): the
-//! request queue and the engine's worker pool both drain the interactive
-//! lane first, so a latency-sensitive selection overtakes queued batch
-//! work — at the queue *and* at the job level, while a batch graph is
-//! already in flight.  The lane never changes results.
+//! `"batch"`, default interactive): the request queue and the engine's
+//! worker pool both drain the interactive lane first, so a
+//! latency-sensitive selection overtakes queued batch work — at the queue
+//! *and* at the job level, while a batch graph is already in flight.  The
+//! lane never changes results.
 //!
 //! Requests may also carry `"trace": true` to run traced: the `result`
 //! then includes a `"profile"` object (critical path, per-worker
@@ -66,7 +66,7 @@
 //! use cvcp_server::{Server, ServerConfig};
 //! use std::sync::Arc;
 //!
-//! let engine = Arc::new(Engine::parallel());
+//! let engine = Arc::new(Engine::new(4));
 //! let server = Server::start(&ServerConfig::from_env(), engine).unwrap();
 //! println!("listening on {}", server.local_addr());
 //! server.wait(); // until a client sends {"type":"shutdown"}

@@ -11,8 +11,6 @@
 //! * `CVCP_ADDR` — listen address;
 //! * `CVCP_QUEUE_DEPTH` — request queue capacity (default 32);
 //! * `CVCP_SERVER_WORKERS` — concurrent selection workers (default 2);
-//! * `CVCP_DEFAULT_PRIORITY` — scheduling lane for requests without an
-//!   explicit `"priority"` field: `interactive` (default) or `batch`;
 //! * `CVCP_MAX_CONNECTIONS` — open-connection cap; connections beyond it
 //!   are refused with `server_busy` (default 1024);
 //! * `CVCP_MAX_IN_FLIGHT` — per-connection pipelining cap for v2
@@ -52,13 +50,11 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "cvcp-server listening on {} ({} engine threads, {} workers, queue depth {}, \
-         default priority {})",
+        "cvcp-server listening on {} ({} engine threads, {} workers, queue depth {})",
         server.local_addr(),
         engine.n_threads(),
         config.workers,
         config.queue_depth,
-        config.default_priority.name(),
     );
     println!(
         "protocol: v1 (one-shot) and v2 (pipelined); up to {} connections, \

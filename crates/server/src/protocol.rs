@@ -236,8 +236,8 @@ fn selection_request_from_json(doc: &Json) -> Result<SelectionRequest, WireError
         }
     };
     // The optional scheduling lane: absent (or null) means "let the
-    // server apply its configured default" — interactive unless
-    // overridden via `CVCP_DEFAULT_PRIORITY`.
+    // server apply its configured default" (`ServerConfig::default_priority`,
+    // interactive unless the embedding program sets it).
     let priority = match doc.get("priority") {
         None | Some(Json::Null) => None,
         Some(v) => {

@@ -107,8 +107,6 @@ impl ServerConfig {
     /// * `CVCP_ADDR` — listen address (default `127.0.0.1:7878`);
     /// * `CVCP_QUEUE_DEPTH` — request queue capacity (default 32);
     /// * `CVCP_SERVER_WORKERS` — selection workers (default 2);
-    /// * `CVCP_DEFAULT_PRIORITY` — lane for requests without an explicit
-    ///   `"priority"` field: `interactive` (default) or `batch`;
     /// * `CVCP_TRACE_DIR` — when set (non-empty), every selection runs
     ///   traced and its Chrome trace file lands in that directory;
     /// * `CVCP_MAX_CONNECTIONS` — simultaneously open connections before
@@ -116,7 +114,9 @@ impl ServerConfig {
     /// * `CVCP_MAX_IN_FLIGHT` — per-connection pipelined-request cap
     ///   before `in_flight_limit` errors (default 32).
     ///
-    /// Unset or unparsable variables keep their defaults.
+    /// Unset or unparsable variables keep their defaults; the default lane
+    /// is not read from the environment (a request picks its lane with
+    /// `"priority"`).
     pub fn from_env() -> Self {
         let defaults = Self::default();
         let read_usize = |var: &str, default: usize| -> usize {
@@ -130,10 +130,7 @@ impl ServerConfig {
             addr: std::env::var("CVCP_ADDR").unwrap_or(defaults.addr),
             queue_depth: read_usize("CVCP_QUEUE_DEPTH", defaults.queue_depth),
             workers: read_usize("CVCP_SERVER_WORKERS", defaults.workers),
-            default_priority: std::env::var("CVCP_DEFAULT_PRIORITY")
-                .ok()
-                .and_then(|v| Priority::parse(&v))
-                .unwrap_or(defaults.default_priority),
+            default_priority: defaults.default_priority,
             trace_dir: std::env::var("CVCP_TRACE_DIR")
                 .ok()
                 .filter(|v| !v.trim().is_empty())

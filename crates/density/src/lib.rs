@@ -8,7 +8,8 @@
 //! Pipeline (all built from scratch):
 //!
 //! 1. [`core_distance`]: k-nearest-neighbour core distances for a given
-//!    `MinPts`, and mutual-reachability distances;
+//!    `MinPts`, and mutual-reachability distances, both from a pairwise
+//!    distance matrix;
 //! 2. [`optics`]: the OPTICS algorithm (reachability plot with ε = ∞),
 //!    kept as the reference the MST-built dendrogram is tested against;
 //! 3. [`mst`]: a minimum spanning tree of the mutual-reachability graph
@@ -23,6 +24,11 @@
 //!    satisfaction objective;
 //! 7. [`fosc_optics_dend`]: the end-to-end `FoscOpticsDend` algorithm whose
 //!    free parameter is `MinPts` — exactly what CVCP selects in the paper.
+//!
+//! Steps 1 and 3–5 run one way, from a pairwise distance matrix
+//! ([`FoscOpticsDend::build_tree_from_pairwise`]): the execution engine
+//! caches that matrix once per data set and the tree once per `MinPts`, and
+//! [`FoscOpticsDend::fit`] runs the same steps without a cache.
 
 #![warn(missing_docs)]
 

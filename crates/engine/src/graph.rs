@@ -6,7 +6,7 @@
 //! reduction job.  [`JobGraph`] builds such a graph; the engine runs it on
 //! the thread that waits for it, helped by its pool's workers, or on that
 //! thread alone, in ascending job order, on a one-thread engine and for
-//! graphs submitted from inside a pool worker's job.
+//! graphs run from inside a pool worker's job.
 //!
 //! Determinism: the engine hands a job nothing but the artifact cache.  A
 //! job that needs randomness derives it from its own inputs (the CVCP plan
@@ -87,13 +87,12 @@ impl Priority {
 
 /// A shareable cancellation flag.
 ///
-/// A token can be bound to a [`JobGraph`] before submission
-/// ([`JobGraph::set_cancel_token`]) or obtained from a running graph's
-/// handle (`GraphHandle::cancel_token`).  Cancelling it skips every job
-/// that has not started yet — running jobs finish normally — and the same
-/// token can be shared by any number of observers (e.g. a serving
-/// front-end's per-connection disconnect watcher), independent of the
-/// graph handle's lifetime.
+/// Bound to a [`JobGraph`] with [`JobGraph::set_cancel_token`] before the
+/// graph runs, a token is the only way to cancel it.  Cancelling it skips
+/// every job that has not started yet — running jobs finish normally — and
+/// the same token can be shared by any number of observers (e.g. a
+/// serving front-end's per-connection disconnect watcher) on other
+/// threads while the graph's waiting thread runs it.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken(Arc<AtomicBool>);
 
@@ -199,9 +198,9 @@ impl<T> JobGraph<T> {
     }
 
     /// Binds an external [`CancelToken`] to this graph: when the token is
-    /// cancelled (before or after submission), jobs that have not started
-    /// are skipped.  Without a bound token the graph gets a private one,
-    /// reachable through its handle.
+    /// cancelled (before or while the graph runs), jobs that have not
+    /// started are skipped.  A graph without a bound token cannot be
+    /// cancelled.
     pub fn set_cancel_token(&mut self, token: CancelToken) {
         self.cancel_token = Some(token);
     }

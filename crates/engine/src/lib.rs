@@ -10,16 +10,19 @@
 //! of the grid.  This crate provides the three pieces that turn that grid
 //! into hardware-speed throughput:
 //!
-//! * [`Engine`] — the thread waiting for a graph runs its ready jobs, and
-//!   a thread pool over `std::thread` helps through tokens pulled from one
-//!   locked two-lane queue (interactive before batch, FIFO within a lane).
-//!   One thread means the waiting thread runs the whole graph, in
-//!   ascending job order (the sequential path).  The engine hands jobs no
-//!   randomness: a job that needs it derives its stream from its own
-//!   inputs, so any thread count produces **bit-identical results**.
+//! * [`Engine`] — [`Engine::run_graph`] is the one way to run a graph: the
+//!   calling thread runs the graph's ready jobs, keeping one for itself
+//!   and queueing a token for each of the rest, and a thread pool over
+//!   `std::thread` helps by pulling tokens from one locked two-lane queue
+//!   (interactive before batch, FIFO within a lane).  One thread means the
+//!   calling thread runs the whole graph, in ascending job order (the
+//!   sequential path).  The engine hands jobs no randomness: a job that
+//!   needs it derives its stream from its own inputs, so any thread count
+//!   produces **bit-identical results**.
 //! * [`JobGraph`] — a request is modelled as a job DAG: artifact jobs feed
 //!   evaluation jobs feed a reduction job.  Failed jobs skip their
-//!   dependents without poisoning the pool; graphs can be cancelled.
+//!   dependents without poisoning the pool; a graph is cancelled through
+//!   the [`CancelToken`] bound to it.
 //! * [`ArtifactCache`] — a content-keyed, concurrency-deduplicated store so
 //!   each artifact is computed once and shared (`Arc`) across folds,
 //!   trials and concurrent requests.  One lock guards an O(1) slab LRU,

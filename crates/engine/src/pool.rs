@@ -53,9 +53,9 @@ use std::thread::JoinHandle;
 pub(crate) type Task = Box<dyn FnOnce() + Send + 'static>;
 
 /// Source of unique pool identities (so a worker thread can tell *which*
-/// pool it belongs to — the engine queues no tokens for graphs submitted
-/// from its own workers, which run them themselves instead of deadlocking
-/// the pool).
+/// pool it belongs to — the engine queues no tokens for graphs run from
+/// its own workers, which run them themselves instead of deadlocking the
+/// pool).
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Cap on nested [`help_run_one_task`] frames per thread: a helped task may

@@ -14,12 +14,6 @@
 //!
 //! Objects not covered by any selected cluster are reported as noise, exactly
 //! as in the original framework.
-//!
-//! There is one way to build the hierarchy,
-//! [`FoscOpticsDend::build_tree_from_pairwise`], and one way to extract from
-//! it, [`FoscOpticsDend::extract_on_tree`].  [`FoscOpticsDend::fit`] runs
-//! the two over the Euclidean distances without a cache, the steps the
-//! engine's cached path runs with one.
 
 use crate::condensed::CondensedTree;
 use crate::core_distance::mutual_reachability_from_pairwise;

@@ -1,15 +1,12 @@
 #!/usr/bin/env bash
-# Runs every test named in a gated-test list (default: gated-tests.txt
-# beside this script) with `--exact`, one `cargo test` per package and
-# target in order of first appearance, and fails unless each listed name
-# reports `ok`.  Libtest prints nothing for a name that matches no test,
-# so a missing, renamed or filtered-away test fails here like a failing
-# one.
-#
-#   bash ci/gated-tests.sh [list]
+# Runs every test named in gated-tests.txt beside this script with
+# `--exact`, one `cargo test` per package and target in order of first
+# appearance, and fails unless each listed name reports `ok`.  Libtest
+# prints nothing for a name that matches no test, so a missing, renamed
+# or filtered-away test fails here like a failing one.
 set -euo pipefail
 
-list="${1:-$(dirname "$0")/gated-tests.txt}"
+list="$(dirname "$0")/gated-tests.txt"
 entries="$(grep -Ev '^[[:space:]]*(#|$)' "$list")"
 logs="$(mktemp -d)"
 trap 'rm -rf "$logs"' EXIT

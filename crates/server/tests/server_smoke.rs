@@ -182,19 +182,10 @@ fn client_disconnect_mid_request_cancels_the_dag() {
     // Drop the connection immediately: the watcher sees EOF and cancels.
     drop(stream);
 
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = server.stats();
-        if stats.requests.cancelled == 1 {
-            assert_eq!(stats.requests.completed, 0, "request must not complete");
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "cancellation never surfaced in stats: {stats:?}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    let stats = wait_for_stats(&server, "cancellation never surfaced in stats", |s| {
+        s.requests.cancelled == 1
+    });
+    assert_eq!(stats.requests.completed, 0, "request must not complete");
 
     // The engine survives: a fresh request on the same server still works.
     let follow_up = request_for(Algorithm::Fosc, "after-cancel");
@@ -227,13 +218,18 @@ fn long_batch_request(id: &str) -> SelectionRequest {
     }
 }
 
-/// Polls the server's stats until `ready` holds, for at most 10 s.
-fn wait_for_stats(server: &Server, what: &str, ready: impl Fn(&StatsSnapshot) -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(10);
+/// Polls the server's stats until `ready` holds, for at most 60 s, and
+/// returns the snapshot that satisfied it.
+fn wait_for_stats(
+    server: &Server,
+    what: &str,
+    ready: impl Fn(&StatsSnapshot) -> bool,
+) -> StatsSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let stats = server.stats();
         if ready(&stats) {
-            return;
+            return stats;
         }
         assert!(Instant::now() < deadline, "{what}: {stats:?}");
         std::thread::sleep(Duration::from_millis(10));
@@ -280,18 +276,11 @@ fn interactive_request_completes_while_batch_graph_is_in_flight() {
     // Dropping the batch connection cancels its DAG; wait for the server
     // to notice so shutdown is clean.
     drop(batch_stream);
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let stats = server.stats();
-        if stats.requests.cancelled + stats.requests.completed >= 2 {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "batch request neither completed nor cancelled: {stats:?}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    wait_for_stats(
+        &server,
+        "batch request neither completed nor cancelled",
+        |s| s.requests.cancelled + s.requests.completed >= 2,
+    );
     server.shutdown();
 }
 
@@ -371,12 +360,7 @@ fn full_queue_rejects_with_a_structured_error() {
         &server,
         &Request::Select(request_for(Algorithm::Fosc, "first")),
     );
-    // Wait until the first request is actually queued.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.stats().queue_depth == 0 {
-        assert!(Instant::now() < deadline, "first request never queued");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    wait_for_stats(&server, "first request never queued", |s| s.queue_depth > 0);
     let responses = collect_responses(send_line(
         &server,
         &Request::Select(request_for(Algorithm::Fosc, "second")),

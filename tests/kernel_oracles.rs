@@ -11,6 +11,9 @@
 //! * `extract_clusters` against exhaustive enumeration of the condensed
 //!   tree's antichains, under stability and under constraint
 //!   satisfaction with and without the stability tiebreak;
+//! * the mutual-reachability weights against their definition,
+//!   `max(d(a, b), core(a), core(b))` with `core` from the full sort, for
+//!   every MinPts from 1 to n + 3, bit for bit;
 //! * Prim's `minimum_spanning_tree` against Kruskal over all edges: the
 //!   sorted edge weights of every minimum spanning tree are the same, so
 //!   they are compared bit for bit;
@@ -457,6 +460,37 @@ fn kruskal_weights(weights: &[Vec<f64>]) -> Vec<f64> {
         }
     }
     tree
+}
+
+proptest! {
+    #[test]
+    fn mutual_reachability_matches_its_definition(
+        n in 0usize..13,
+        dims in 1usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = SeededRng::new(seed);
+        let points = random_points(n, dims, &mut rng);
+        let dist = pairwise_matrix(&DataMatrix::from_rows(&points), &Euclidean);
+        for min_pts in 1..=n + 3 {
+            let core = core_distances_by_sorting(&dist, min_pts);
+            let weights = mutual_reachability_from_pairwise(&dist, min_pts);
+            for a in 0..n {
+                for b in (0..n).filter(|&b| b != a) {
+                    let expected = dist[a][b].max(core[a]).max(core[b]);
+                    prop_assert_eq!(
+                        weights[a][b].to_bits(),
+                        expected.to_bits(),
+                        "MinPts {}, ({}, {}) on {:?}",
+                        min_pts,
+                        a,
+                        b,
+                        points
+                    );
+                }
+            }
+        }
+    }
 }
 
 proptest! {

@@ -1,9 +1,9 @@
 //! Engine benchmark: the CVCP (parameter × fold) evaluation grid, three
 //! ways, on a synthetic ALOI-like replica:
 //!
-//! * **naive sequential** — the pre-engine code path: every grid cell
-//!   recomputes its distance matrix and density hierarchy from scratch
-//!   (`evaluate_parameter_on_folds` without a cache);
+//! * **naive sequential** — the same selection on a one-thread engine
+//!   whose cache keeps nothing, so every grid cell recomputes its distance
+//!   matrix and density hierarchy from scratch;
 //! * **engine, 1 worker** — inline execution with the artifact cache: each
 //!   per-`MinPts` hierarchy is built once and shared by all folds;
 //! * **engine, 4 workers** — the same grid as a parallel job DAG.
@@ -17,13 +17,12 @@
 //! bench_engine`.
 
 use cvcp_bench::{aloi_dataset, bench_meta, labels_for, write_bench_json};
-use cvcp_constraints::folds::label_scenario_folds;
 use cvcp_constraints::SideInformation;
-use cvcp_core::crossval::evaluate_parameter_on_folds;
 use cvcp_core::json::{Json, ToJson};
 use cvcp_core::{select_model_with, CvcpConfig, CvcpSelection, Engine, FoscMethod, MpckMethod};
 use cvcp_data::rng::SeededRng;
 use cvcp_data::Dataset;
+use cvcp_engine::CacheConfig;
 use std::time::Instant;
 
 /// Minimum cache hit rate the FOSC grid must sustain — a drop below this
@@ -52,16 +51,11 @@ fn fixture() -> (Dataset, SideInformation) {
     (ds, side)
 }
 
-/// The seed's sequential path: no artifact sharing of any kind.
-fn naive_grid(ds: &Dataset, side: &SideInformation) -> Vec<f64> {
-    let mut rng = SeededRng::new(1);
-    let labeled = side.labels().expect("label scenario");
-    let splits = label_scenario_folds(labeled, N_FOLDS, true, &mut rng);
-    let method = FoscMethod::default();
-    MINPTS_GRID
-        .iter()
-        .map(|&p| evaluate_parameter_on_folds(&method, ds.matrix(), &splits, p, &mut rng).score)
-        .collect()
+/// The naive path: one thread and no artifact sharing of any kind, as a
+/// cache that keeps no entry computes every artifact on every request.
+fn naive_grid(ds: &Dataset, side: &SideInformation) -> CvcpSelection {
+    let keeps_nothing = CacheConfig::unbounded().with_max_entries(0);
+    engine_grid(&Engine::with_cache_config(1, keeps_nothing), ds, side)
 }
 
 /// The engine path: cache-aware grid, inline (1 worker) or parallel DAG.
@@ -235,10 +229,12 @@ fn main() {
         MIN_MPCK_HIT_RATE * 100.0
     );
 
-    // Sanity: the naive path and the engine agree on the internal scores
-    // (FOSC is rng-free, so fold scores are comparable across paths).
-    let naive_scores = naive_grid(&ds, &side);
-    assert_eq!(naive_scores.len(), reference.scores().len());
+    // Sanity: the naive path returns the engine's selection bit for bit.
+    assert_eq!(
+        naive_grid(&ds, &side),
+        reference,
+        "naive run diverged from the engine"
+    );
 
     // Always-on metrics overhead: the same 4-worker FOSC grid on a normal
     // engine vs. one with the metrics sink compiled out of the hot path

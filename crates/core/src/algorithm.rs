@@ -34,6 +34,18 @@ pub fn fingerprint_constraints(set: &ConstraintSet) -> Fingerprint {
     h.finish()
 }
 
+/// The Euclidean pairwise distance matrix of `data`, computed once per
+/// engine and shared by every `MinPts` hierarchy and every Silhouette on
+/// the same data.
+pub(crate) fn cached_pairwise(data: &DataMatrix, cache: &ArtifactCache) -> Arc<DataMatrix> {
+    cache.get_or_compute(
+        ArtifactKey::PairwiseDistances {
+            data: fingerprint_matrix(data),
+        },
+        || pairwise_matrix(data, &Euclidean),
+    )
+}
+
 /// A semi-supervised clustering algorithm with all parameters fixed.
 pub trait SemiSupervisedClusterer: Send + Sync {
     /// Human-readable name (used in reports).
@@ -140,22 +152,15 @@ impl FoscClusterer {
     /// The condensed hierarchy for this `MinPts`, computed once per engine
     /// and shared across every fold / trial / request on the same data.  The
     /// `O(n²·d)` pairwise distance matrix is itself cached and shared across
-    /// *all* `MinPts` values.
+    /// *all* `MinPts` values ([`cached_pairwise`]).
     fn cached_tree(&self, data: &DataMatrix, cache: &ArtifactCache) -> Arc<CondensedTree> {
         let algo = self.algorithm();
-        let data_key = fingerprint_matrix(data);
         cache.get_or_compute(
             ArtifactKey::DensityHierarchy {
-                data: data_key,
+                data: fingerprint_matrix(data),
                 min_pts: algo.min_pts,
             },
-            || {
-                let dist: Arc<Vec<Vec<f64>>> = cache
-                    .get_or_compute(ArtifactKey::PairwiseDistances { data: data_key }, || {
-                        pairwise_matrix(data, &Euclidean)
-                    });
-                algo.build_tree_from_pairwise(&dist)
-            },
+            || algo.build_tree_from_pairwise(&cached_pairwise(data, cache)),
         )
     }
 }
@@ -445,6 +450,30 @@ mod tests {
         let stats = cache.stats();
         // One seeding computed for the realisation, reused by the other k's.
         assert_eq!(stats.misses, 1);
+        assert_eq!(stats.hits, 2);
+    }
+
+    #[test]
+    fn fosc_cache_path_is_bit_identical_and_shares_the_pairwise_matrix() {
+        let mut rng = SeededRng::new(5);
+        let ds = separated_blobs(3, 20, 3, 12.0, &mut rng);
+        let labeled = sample_labeled_subset(ds.labels(), 0.25, 2, &mut rng);
+        let side = SideInformation::Labels(labeled);
+        let cache = ArtifactCache::new();
+        for min_pts in [3usize, 5, 8] {
+            let clusterer = FoscMethod::default().instantiate(min_pts);
+            let direct = clusterer.cluster(ds.matrix(), &side, &mut SeededRng::new(31));
+            let cached =
+                clusterer.cluster_with_cache(ds.matrix(), &side, &mut SeededRng::new(31), &cache);
+            assert_eq!(
+                direct, cached,
+                "cache changed the FOSC result at MinPts={min_pts}"
+            );
+        }
+        let stats = cache.stats();
+        // One pairwise matrix and one hierarchy per MinPts were computed;
+        // the second and third hierarchies read the first one's matrix.
+        assert_eq!(stats.misses, 4);
         assert_eq!(stats.hits, 2);
     }
 

@@ -7,9 +7,12 @@
 //! training side information, and the resulting partition is scored as a
 //! classifier over the held-out test constraints (average F-measure of the
 //! must-link / cannot-link classes).  The parameter's quality is the mean
-//! score over folds — exactly Figure 1 of the paper.
+//! score over folds — exactly Figure 1 of the paper.  This module holds the
+//! folds, one cell's score and the per-parameter reduce; the execution plan
+//! ([`crate::plan`]) runs the cells, through
+//! [`crate::selection::select_model`] and its siblings.
 
-use crate::algorithm::{ParameterizedMethod, SemiSupervisedClusterer};
+use crate::algorithm::SemiSupervisedClusterer;
 use cvcp_constraints::folds::{constraint_scenario_folds, label_scenario_folds, FoldSplit};
 use cvcp_constraints::SideInformation;
 use cvcp_data::rng::SeededRng;
@@ -78,50 +81,6 @@ pub(crate) fn build_folds(
     }
 }
 
-/// Evaluates a single parameter value of `method` on `data` with the given
-/// side information (Figure 1 / step 1 of the framework).
-///
-/// Folds whose test constraint set is empty are skipped; if every fold is
-/// empty the score is 0.
-pub fn evaluate_parameter(
-    method: &dyn ParameterizedMethod,
-    data: &DataMatrix,
-    side: &SideInformation,
-    param: usize,
-    config: &CvcpConfig,
-    rng: &mut SeededRng,
-) -> ParameterEvaluation {
-    let splits = build_folds(side, config, rng);
-    evaluate_parameter_on_folds(method, data, &splits, param, rng)
-}
-
-/// Evaluates a parameter on pre-built folds (used by
-/// [`crate::selection::select_model`] so that every parameter sees the same
-/// folds, as in the paper's setup).
-///
-/// Each fold draws from its own salted [`SeededRng::fork_stream`] (derived
-/// from one fork of `rng`), so the per-fold results do not depend on the
-/// order in which folds are evaluated.
-pub fn evaluate_parameter_on_folds(
-    method: &dyn ParameterizedMethod,
-    data: &DataMatrix,
-    splits: &[FoldSplit],
-    param: usize,
-    rng: &mut SeededRng,
-) -> ParameterEvaluation {
-    let clusterer = method.instantiate(param);
-    let base = rng.fork(param as u64);
-    let folds = splits
-        .iter()
-        .filter(|split| !split.test_constraints.is_empty())
-        .map(|split| {
-            let mut fold_rng = base.fork_stream(split.fold as u64);
-            score_fold(&*clusterer, data, split, &mut fold_rng, None)
-        })
-        .collect();
-    reduce_fold_scores(param, folds)
-}
-
 /// The RNG-stream salt of one (parameter, fold) cell of the evaluation
 /// grid: a pure function of the cell's coordinates, so the cell's stream
 /// does not depend on which job or thread evaluates it.
@@ -136,12 +95,9 @@ pub(crate) fn score_fold(
     data: &DataMatrix,
     split: &FoldSplit,
     rng: &mut SeededRng,
-    cache: Option<&ArtifactCache>,
+    cache: &ArtifactCache,
 ) -> FoldScore {
-    let partition = match cache {
-        Some(cache) => clusterer.cluster_with_cache(data, &split.training, rng, cache),
-        None => clusterer.cluster(data, &split.training, rng),
-    };
+    let partition = clusterer.cluster_with_cache(data, &split.training, rng, cache);
     FoldScore {
         fold: split.fold,
         f_measure: constraint_fmeasure(&partition, &split.test_constraints),
@@ -168,6 +124,7 @@ pub(crate) fn reduce_fold_scores(param: usize, folds: Vec<FoldScore>) -> Paramet
 mod tests {
     use super::*;
     use crate::algorithm::{FoscMethod, MpckMethod};
+    use crate::selection::select_model;
     use cvcp_constraints::generate::{constraint_pool, sample_constraints, sample_labeled_subset};
     use cvcp_data::synthetic::separated_blobs;
 
@@ -183,8 +140,8 @@ mod tests {
             stratified: true,
         };
 
-        let good = evaluate_parameter(&method, ds.matrix(), &side, 3, &cfg, &mut rng);
-        let bad = evaluate_parameter(&method, ds.matrix(), &side, 8, &cfg, &mut rng);
+        let selection = select_model(&method, ds.matrix(), &side, &[3, 8], &cfg, &mut rng);
+        let (good, bad) = (&selection.evaluations[0], &selection.evaluations[1]);
         assert!(
             good.score > bad.score,
             "k=3 should beat k=8: {} vs {}",
@@ -211,7 +168,8 @@ mod tests {
             stratified: true,
         };
 
-        let eval = evaluate_parameter(&method, ds.matrix(), &side, 6, &cfg, &mut rng);
+        let selection = select_model(&method, ds.matrix(), &side, &[6], &cfg, &mut rng);
+        let eval = &selection.evaluations[0];
         assert!(eval.score > 0.7, "score = {}", eval.score);
         assert!(!eval.folds.is_empty());
         for f in &eval.folds {
@@ -244,15 +202,15 @@ mod tests {
             n_folds: 3,
             stratified: true,
         };
-        for param in [2usize, 4, 7] {
-            let eval = evaluate_parameter(
-                &MpckMethod::default(),
-                ds.matrix(),
-                &side,
-                param,
-                &cfg,
-                &mut rng,
-            );
+        let selection = select_model(
+            &MpckMethod::default(),
+            ds.matrix(),
+            &side,
+            &[2, 4, 7],
+            &cfg,
+            &mut rng,
+        );
+        for eval in &selection.evaluations {
             assert!(
                 (0.0..=1.0).contains(&eval.score),
                 "score {} out of bounds",
@@ -271,21 +229,22 @@ mod tests {
             n_folds: 4,
             stratified: true,
         };
-        let splits = build_folds(&side, &cfg, &mut rng);
-        let a =
-            evaluate_parameter_on_folds(&MpckMethod::default(), ds.matrix(), &splits, 3, &mut rng);
-        let b =
-            evaluate_parameter_on_folds(&MpckMethod::default(), ds.matrix(), &splits, 5, &mut rng);
-        // both evaluations saw the same folds
-        assert_eq!(
-            a.folds
-                .iter()
-                .map(|f| f.n_test_constraints)
-                .collect::<Vec<_>>(),
-            b.folds
-                .iter()
-                .map(|f| f.n_test_constraints)
-                .collect::<Vec<_>>()
+        let selection = select_model(
+            &MpckMethod::default(),
+            ds.matrix(),
+            &side,
+            &[3, 5],
+            &cfg,
+            &mut rng,
         );
+        let (a, b) = (&selection.evaluations[0], &selection.evaluations[1]);
+        // both evaluations saw the same folds
+        let shape = |eval: &ParameterEvaluation| -> Vec<(usize, usize)> {
+            (eval.folds.iter())
+                .map(|f| (f.fold, f.n_test_constraints))
+                .collect()
+        };
+        assert!(!a.folds.is_empty());
+        assert_eq!(shape(a), shape(b));
     }
 }

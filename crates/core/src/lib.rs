@@ -65,7 +65,7 @@ pub mod trace_export;
 
 pub use algorithm::{FoscMethod, MpckMethod, ParameterizedMethod, SemiSupervisedClusterer};
 pub use baselines::expected_quality;
-pub use crossval::{evaluate_parameter, CvcpConfig, FoldScore, ParameterEvaluation};
+pub use crossval::{CvcpConfig, FoldScore, ParameterEvaluation};
 pub use cvcp_engine::{ArtifactCache, Engine, GraphProfile, GraphTrace, Priority};
 pub use experiment::{
     run_experiment, run_experiment_on, summarize, ExperimentConfig, ExperimentSummary,
@@ -89,7 +89,7 @@ pub mod prelude {
         FoscMethod, MpckMethod, ParameterizedMethod, SemiSupervisedClusterer,
     };
     pub use crate::baselines::expected_quality;
-    pub use crate::crossval::{evaluate_parameter, CvcpConfig};
+    pub use crate::crossval::CvcpConfig;
     pub use crate::experiment::{
         run_experiment, run_experiment_on, summarize, ExperimentConfig, SideInfoSpec,
     };

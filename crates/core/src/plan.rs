@@ -50,19 +50,17 @@
 //! evaluation job, so a one-thread engine emits every event before it
 //! evaluates the next candidate.
 
-use crate::algorithm::SemiSupervisedClusterer;
+use crate::algorithm::{cached_pairwise, SemiSupervisedClusterer};
 use crate::baselines::expected_quality;
 use crate::crossval::{grid_salt, reduce_fold_scores, score_fold, FoldScore, ParameterEvaluation};
 use crate::experiment::TrialOutcome;
 use crate::selection::{reduce_evaluations, CvcpSelection, ProgressSink, SelectionCancelled};
 use cvcp_constraints::folds::FoldSplit;
 use cvcp_constraints::SideInformation;
-use cvcp_data::distance::{pairwise_matrix, Euclidean};
 use cvcp_data::rng::SeededRng;
 use cvcp_data::DataMatrix;
 use cvcp_engine::{
-    fingerprint_matrix, ArtifactCache, ArtifactKey, CancelToken, Engine, GraphTrace, JobGraph,
-    JobId, JobOutcome, Priority,
+    ArtifactCache, CancelToken, Engine, GraphTrace, JobGraph, JobId, JobOutcome, Priority,
 };
 use cvcp_metrics::{overall_fmeasure_excluding, pearson, silhouette_from_pairwise};
 use std::sync::{Arc, Mutex};
@@ -320,7 +318,7 @@ impl ExecutionPlan {
                             }
                             let mut rng = trial.grid_base.fork_stream(grid_salt(pi, split.fold));
                             let score =
-                                score_fold(&*clusterer, &data, &splits[si], &mut rng, Some(&cache));
+                                score_fold(&*clusterer, &data, &splits[si], &mut rng, &cache);
                             grid.lock().expect("grid lock")[pi][si] = Some(score);
                         }
                         None
@@ -483,13 +481,7 @@ fn external_cell(
     let partition = clusterer.cluster_with_cache(data, &ext.side, &mut rng, cache);
     let f = overall_fmeasure_excluding(&partition, &ext.labels, &ext.involved);
     let silhouette = if ext.with_silhouette {
-        let dist = cache.get_or_compute(
-            ArtifactKey::PairwiseDistances {
-                data: fingerprint_matrix(data),
-            },
-            || pairwise_matrix(data, &Euclidean),
-        );
-        silhouette_from_pairwise(&dist, &partition)
+        silhouette_from_pairwise(&cached_pairwise(data, cache), &partition)
     } else {
         None
     };

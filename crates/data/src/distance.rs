@@ -8,6 +8,8 @@
 
 use std::fmt::Debug;
 
+use crate::matrix::DataMatrix;
+
 /// A dissimilarity function between two feature vectors of equal length.
 ///
 /// Implementations must be symmetric (`d(a, b) == d(b, a)`), non-negative and
@@ -58,34 +60,29 @@ impl Distance for SquaredEuclidean {
     }
 }
 
-/// Computes the full pairwise distance matrix (condensed into a flat
-/// lower-triangular-by-rows layout is not used; this is a plain `n x n`
-/// symmetric matrix) for `n` rows of `data`.
+/// The `n × n` pairwise distance matrix of the `n` rows of `data`:
+/// entry `(i, j)` is `metric.distance(row i, row j)`, computed once per
+/// unordered pair and mirrored, with zeros on the diagonal.
 ///
 /// Intended for small/medium data sets (the paper's largest set has 351
-/// objects); density-based algorithms in this suite use it to avoid repeated
-/// metric evaluations.
-#[allow(clippy::needless_range_loop)] // symmetric fill over (i, j) index pairs
-pub fn pairwise_matrix<D: Distance + ?Sized>(
-    data: &crate::matrix::DataMatrix,
-    metric: &D,
-) -> Vec<Vec<f64>> {
+/// objects): the density kernels and the Silhouette read it instead of
+/// evaluating the metric again.
+pub fn pairwise_matrix<D: Distance + ?Sized>(data: &DataMatrix, metric: &D) -> DataMatrix {
     let n = data.n_rows();
-    let mut out = vec![vec![0.0; n]; n];
+    let mut out = vec![0.0; n * n];
     for i in 0..n {
         for j in (i + 1)..n {
             let d = metric.distance(data.row(i), data.row(j));
-            out[i][j] = d;
-            out[j][i] = d;
+            out[i * n + j] = d;
+            out[j * n + i] = d;
         }
     }
-    out
+    DataMatrix::from_flat(out, n, n)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matrix::DataMatrix;
 
     const A: [f64; 3] = [1.0, 2.0, 3.0];
     const B: [f64; 3] = [4.0, 6.0, 3.0];
@@ -104,18 +101,17 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::needless_range_loop)]
     fn pairwise_matrix_is_symmetric_with_zero_diagonal() {
         let data = DataMatrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 4.0], vec![6.0, 8.0]]);
         let d = pairwise_matrix(&data, &Euclidean);
-        assert_eq!(d.len(), 3);
+        assert_eq!((d.n_rows(), d.n_cols()), (3, 3));
         for i in 0..3 {
-            assert_eq!(d[i][i], 0.0);
+            assert_eq!(d.get(i, i), 0.0);
             for j in 0..3 {
-                assert!((d[i][j] - d[j][i]).abs() < 1e-12);
+                assert!((d.get(i, j) - d.get(j, i)).abs() < 1e-12);
             }
         }
-        assert!((d[0][1] - 5.0).abs() < 1e-12);
-        assert!((d[0][2] - 10.0).abs() < 1e-12);
+        assert!((d.get(0, 1) - 5.0).abs() < 1e-12);
+        assert!((d.get(0, 2) - 10.0).abs() < 1e-12);
     }
 }

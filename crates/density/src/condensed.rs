@@ -257,9 +257,8 @@ mod tests {
     ) -> (CondensedTree, cvcp_data::Dataset) {
         let mut rng = SeededRng::new(seed);
         let ds = separated_blobs(k, per, 2, sep, &mut rng);
-        let mrd =
-            mutual_reachability_from_pairwise(&pairwise_matrix(ds.matrix(), &Euclidean), min_pts);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(ds.matrix(), &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, min_pts));
         let dend = Dendrogram::from_mst(ds.len(), &mst);
         (CondensedTree::build(&dend, min_pts), ds)
     }
@@ -373,8 +372,8 @@ mod tests {
     #[should_panic(expected = "at least 2")]
     fn min_cluster_size_one_rejected() {
         let (_, ds) = tree_for_blobs(2, 10, 10.0, 3, 8);
-        let mrd = mutual_reachability_from_pairwise(&pairwise_matrix(ds.matrix(), &Euclidean), 3);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(ds.matrix(), &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, 3));
         let dend = Dendrogram::from_mst(ds.len(), &mst);
         let _ = CondensedTree::build(&dend, 1);
     }

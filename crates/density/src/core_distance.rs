@@ -6,6 +6,8 @@
 //! `m_pts`).  The *mutual reachability distance* between two objects is
 //! `max(core(a), core(b), d(a, b))`.
 
+use cvcp_data::DataMatrix;
+
 /// Precomputed k-nearest-neighbour distances for every object.
 #[derive(Debug, Clone)]
 pub struct KnnTable {
@@ -15,16 +17,20 @@ pub struct KnnTable {
 }
 
 impl KnnTable {
-    /// Builds the table from a full pairwise distance matrix.
-    #[allow(clippy::needless_range_loop)] // row extraction excludes the diagonal by index
-    pub fn from_pairwise(dist: &[Vec<f64>]) -> Self {
-        let n = dist.len();
-        let mut sorted = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut row: Vec<f64> = (0..n).filter(|&j| j != i).map(|j| dist[i][j]).collect();
-            row.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-            sorted.push(row);
-        }
+    /// Builds the table from an `n × n` pairwise distance matrix.
+    pub fn from_pairwise(dist: &DataMatrix) -> Self {
+        let sorted = dist
+            .rows()
+            .enumerate()
+            .map(|(i, row)| {
+                let mut others: Vec<f64> = (row.iter().enumerate())
+                    .filter(|&(j, _)| j != i)
+                    .map(|(_, &d)| d)
+                    .collect();
+                others.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
+                others
+            })
+            .collect();
         Self { sorted }
     }
 
@@ -56,7 +62,8 @@ impl KnnTable {
     }
 }
 
-/// Computes the core distance of every object for the given `min_pts`.
+/// Computes the core distance of every object for the given `min_pts`
+/// from an `n × n` pairwise distance matrix.
 ///
 /// With `min_pts = 1` every core distance is zero (each object is its own
 /// neighbourhood); with `min_pts = m` the core distance is the distance to
@@ -77,16 +84,16 @@ impl KnnTable {
 ///
 /// Panics if `min_pts == 0`, or if a row compared during selection holds
 /// a NaN distance.
-pub fn core_distances(dist: &[Vec<f64>], min_pts: usize) -> Vec<f64> {
+pub fn core_distances(dist: &DataMatrix, min_pts: usize) -> Vec<f64> {
     assert!(min_pts >= 1, "MinPts must be at least 1");
-    let n = dist.len();
+    let n = dist.n_rows();
     if min_pts == 1 || n < 2 {
         return vec![0.0; n];
     }
     // 0-based rank among the n − 1 other objects.
     let rank = (min_pts - 2).min(n - 2);
     let mut others = Vec::with_capacity(n - 1);
-    dist.iter()
+    dist.rows()
         .enumerate()
         .map(|(i, row)| {
             others.clear();
@@ -98,27 +105,54 @@ pub fn core_distances(dist: &[Vec<f64>], min_pts: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Computes the mutual-reachability matrix from a precomputed pairwise
-/// distance matrix.
-pub fn mutual_reachability_from_pairwise(dist: &[Vec<f64>], min_pts: usize) -> Vec<Vec<f64>> {
-    let n = dist.len();
-    let core = core_distances(dist, min_pts);
-    let mut out = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = dist[i][j].max(core[i]).max(core[j]);
-            out[i][j] = d;
-            out[j][i] = d;
-        }
+/// The mutual-reachability distances of a pairwise matrix for one
+/// `MinPts`, read through rather than stored: the borrowed `n × n`
+/// matrix and its `n` core distances, whose weight between objects
+/// `a ≠ b` is `max(d(a, b), core(a), core(b))`.
+#[derive(Debug, Clone)]
+pub struct MutualReachability<'a> {
+    dist: &'a DataMatrix,
+    core: Vec<f64>,
+}
+
+impl MutualReachability<'_> {
+    /// Number of objects.
+    pub fn len(&self) -> usize {
+        self.core.len()
     }
-    out
+
+    /// `true` when there are no objects.
+    pub fn is_empty(&self) -> bool {
+        self.core.is_empty()
+    }
+
+    /// The weights from object `a` to every object `b`, in object order:
+    /// `max(d(a, b), core(a), core(b))`.  Entry `a` itself reads
+    /// `core(a)`; it is no edge weight.
+    pub fn weights_from(&self, a: usize) -> impl Iterator<Item = f64> + '_ {
+        let core_a = self.core[a];
+        (self.dist.row(a).iter())
+            .zip(&self.core)
+            .map(move |(&d, &core_b)| d.max(core_a).max(core_b))
+    }
+}
+
+/// The mutual-reachability distances of the pairwise matrix `dist` for
+/// `min_pts`: `dist` borrowed, with its core distances.
+pub fn mutual_reachability_from_pairwise(
+    dist: &DataMatrix,
+    min_pts: usize,
+) -> MutualReachability<'_> {
+    MutualReachability {
+        dist,
+        core: core_distances(dist, min_pts),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cvcp_data::distance::{pairwise_matrix, Euclidean};
-    use cvcp_data::DataMatrix;
 
     fn line_data() -> DataMatrix {
         // points at x = 0, 1, 2, 10
@@ -167,12 +201,12 @@ mod tests {
         let dist = pairwise_matrix(&line_data(), &Euclidean);
         let min_pts = 3;
         let core = core_distances(&dist, min_pts);
-        let mrd = mutual_reachability_from_pairwise(&dist, min_pts);
+        let mr = mutual_reachability_from_pairwise(&dist, min_pts);
+        let mrd: Vec<Vec<f64>> = (0..4).map(|i| mr.weights_from(i).collect()).collect();
         for i in 0..4 {
-            assert_eq!(mrd[i][i], 0.0);
             for j in 0..4 {
                 if i != j {
-                    assert!(mrd[i][j] >= dist[i][j] - 1e-12);
+                    assert!(mrd[i][j] >= dist.get(i, j) - 1e-12);
                     assert!(mrd[i][j] >= core[i] - 1e-12);
                     assert!(mrd[i][j] >= core[j] - 1e-12);
                     assert!((mrd[i][j] - mrd[j][i]).abs() < 1e-12);
@@ -184,19 +218,18 @@ mod tests {
     #[test]
     fn mutual_reachability_equals_distance_for_min_pts_one() {
         let dist = pairwise_matrix(&line_data(), &Euclidean);
-        let mrd = mutual_reachability_from_pairwise(&dist, 1);
+        let mr = mutual_reachability_from_pairwise(&dist, 1);
         for i in 0..4 {
-            for j in 0..4 {
-                assert!((mrd[i][j] - dist[i][j]).abs() < 1e-12);
+            for (j, w) in mr.weights_from(i).enumerate() {
+                assert!((w - dist.get(i, j)).abs() < 1e-12);
             }
         }
     }
 
     #[test]
     fn empty_and_single_object() {
-        let empty: Vec<Vec<f64>> = Vec::new();
-        assert!(core_distances(&empty, 3).is_empty());
-        let single = vec![vec![0.0]];
+        assert!(core_distances(&DataMatrix::zeros(0, 0), 3).is_empty());
+        let single = DataMatrix::zeros(1, 1);
         assert_eq!(core_distances(&single, 5), vec![0.0]);
     }
 }

@@ -247,8 +247,8 @@ mod tests {
 
     #[test]
     fn merge_heights_are_monotone() {
-        let mrd = mutual_reachability_from_pairwise(&pairwise_matrix(&line(), &Euclidean), 2);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(&line(), &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, 2));
         let dend = Dendrogram::from_mst(4, &mst);
         assert_eq!(dend.merges().len(), 3);
         for w in dend.merges().windows(2) {
@@ -259,8 +259,8 @@ mod tests {
 
     #[test]
     fn leaves_of_root_is_everything() {
-        let mrd = mutual_reachability_from_pairwise(&pairwise_matrix(&line(), &Euclidean), 2);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(&line(), &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, 2));
         let dend = Dendrogram::from_mst(4, &mst);
         assert_eq!(dend.leaves_of(dend.root()), vec![0, 1, 2, 3]);
         assert_eq!(dend.leaves_of(2), vec![2]);
@@ -270,8 +270,8 @@ mod tests {
     fn cut_separates_blobs() {
         let mut rng = SeededRng::new(1);
         let ds = separated_blobs(3, 20, 2, 20.0, &mut rng);
-        let mrd = mutual_reachability_from_pairwise(&pairwise_matrix(ds.matrix(), &Euclidean), 4);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(ds.matrix(), &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, 4));
         let dend = Dendrogram::from_mst(ds.len(), &mst);
         let partition = dend.cut(5.0, 4);
         assert_eq!(partition.n_clusters(), 3);
@@ -281,8 +281,8 @@ mod tests {
 
     #[test]
     fn cut_at_zero_makes_everything_noise_for_min_size_two() {
-        let mrd = mutual_reachability_from_pairwise(&pairwise_matrix(&line(), &Euclidean), 1);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(&line(), &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, 1));
         let dend = Dendrogram::from_mst(4, &mst);
         let p = dend.cut(0.0, 2);
         assert_eq!(p.n_clusters(), 0);
@@ -291,8 +291,8 @@ mod tests {
 
     #[test]
     fn cut_above_max_height_is_single_cluster() {
-        let mrd = mutual_reachability_from_pairwise(&pairwise_matrix(&line(), &Euclidean), 2);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(&line(), &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, 2));
         let dend = Dendrogram::from_mst(4, &mst);
         let p = dend.cut(f64::MAX, 1);
         assert_eq!(p.n_clusters(), 1);
@@ -308,9 +308,8 @@ mod tests {
         let mut rng = SeededRng::new(2);
         let ds = separated_blobs(3, 15, 3, 12.0, &mut rng);
         let min_pts = 4;
-        let mrd =
-            mutual_reachability_from_pairwise(&pairwise_matrix(ds.matrix(), &Euclidean), min_pts);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(ds.matrix(), &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, min_pts));
         let from_mst = Dendrogram::from_mst(ds.len(), &mst);
         let optics = OpticsOrdering::run(ds.matrix(), &Euclidean, min_pts);
         let from_optics = Dendrogram::from_optics(&optics);
@@ -325,8 +324,8 @@ mod tests {
 
     #[test]
     fn children_and_heights_consistent() {
-        let mrd = mutual_reachability_from_pairwise(&pairwise_matrix(&line(), &Euclidean), 1);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(&line(), &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, 1));
         let dend = Dendrogram::from_mst(4, &mst);
         let root = dend.root();
         let (l, r) = dend.children(root).unwrap();

@@ -219,9 +219,8 @@ mod tests {
     use cvcp_metrics::adjusted_rand_index;
 
     fn tree_for(ds: &Dataset, min_pts: usize) -> CondensedTree {
-        let mrd =
-            mutual_reachability_from_pairwise(&pairwise_matrix(ds.matrix(), &Euclidean), min_pts);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(ds.matrix(), &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, min_pts));
         let dend = Dendrogram::from_mst(ds.len(), &mst);
         CondensedTree::build(&dend, min_pts)
     }

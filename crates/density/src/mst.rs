@@ -2,9 +2,14 @@
 //!
 //! The single-linkage hierarchy over mutual-reachability distances — the
 //! density hierarchy behind OPTICSDend/HDBSCAN — is fully determined by the
-//! MST of the complete mutual-reachability graph.  Prim's algorithm on the
-//! dense matrix is `O(n²)`, which is appropriate for the data sizes of the
-//! paper (≤ 351 objects per set).
+//! MST of the complete mutual-reachability graph.  Prim's algorithm reads
+//! the weights through [`MutualReachability`], one row of the pairwise
+//! matrix and its core distances per step, so no second `n × n` matrix is
+//! built; it is `O(n²)`, which is appropriate for the data sizes of the
+//! paper (≤ 351 objects per set).  With `MinPts` 1 every core distance is
+//! zero and the weights are the plain distances.
+
+use crate::core_distance::MutualReachability;
 
 /// An edge of the spanning tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -17,10 +22,10 @@ pub struct Edge {
     pub weight: f64,
 }
 
-/// Computes a minimum spanning tree of the complete graph given by the dense
-/// symmetric weight matrix, using Prim's algorithm.  Returns `n − 1` edges
-/// (an empty vector for `n ≤ 1`).
-pub fn minimum_spanning_tree(weights: &[Vec<f64>]) -> Vec<Edge> {
+/// Computes a minimum spanning tree of the complete mutual-reachability
+/// graph, using Prim's algorithm.  Returns `n − 1` edges (an empty vector
+/// for `n ≤ 1`).
+pub fn minimum_spanning_tree(weights: &MutualReachability) -> Vec<Edge> {
     let n = weights.len();
     if n <= 1 {
         return Vec::new();
@@ -31,9 +36,8 @@ pub fn minimum_spanning_tree(weights: &[Vec<f64>]) -> Vec<Edge> {
     let mut edges = Vec::with_capacity(n - 1);
 
     in_tree[0] = true;
-    for j in 1..n {
-        best_dist[j] = weights[0][j];
-        best_from[j] = 0;
+    for (j, w) in weights.weights_from(0).enumerate().skip(1) {
+        best_dist[j] = w;
     }
 
     for _ in 1..n {
@@ -50,7 +54,7 @@ pub fn minimum_spanning_tree(weights: &[Vec<f64>]) -> Vec<Edge> {
         // matrix), fall back to any remaining vertex.
         if v == usize::MAX {
             v = (0..n).find(|&j| !in_tree[j]).expect("vertex remains");
-            v_dist = weights[best_from[v]][v];
+            v_dist = weights.weights_from(best_from[v]).nth(v).expect("v < n");
         }
         in_tree[v] = true;
         edges.push(Edge {
@@ -58,9 +62,9 @@ pub fn minimum_spanning_tree(weights: &[Vec<f64>]) -> Vec<Edge> {
             b: v,
             weight: v_dist,
         });
-        for j in 0..n {
-            if !in_tree[j] && weights[v][j] < best_dist[j] {
-                best_dist[j] = weights[v][j];
+        for (j, w) in weights.weights_from(v).enumerate() {
+            if !in_tree[j] && w < best_dist[j] {
+                best_dist[j] = w;
                 best_from[j] = v;
             }
         }
@@ -75,12 +79,18 @@ mod tests {
     use cvcp_data::distance::{pairwise_matrix, Euclidean};
     use cvcp_data::DataMatrix;
 
+    /// The MST over plain distances: MinPts 1, where every core distance
+    /// is zero.
+    fn distance_mst(data: &DataMatrix) -> Vec<Edge> {
+        let dist = pairwise_matrix(data, &Euclidean);
+        minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, 1))
+    }
+
     #[test]
     fn mst_of_line_graph() {
         // 0 -1- 1 -1- 2 -8- 3 : MST total = 10
         let data = DataMatrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![10.0]]);
-        let dist = pairwise_matrix(&data, &Euclidean);
-        let mst = minimum_spanning_tree(&dist);
+        let mst = distance_mst(&data);
         assert_eq!(mst.len(), 3);
         let total: f64 = mst.iter().map(|e| e.weight).sum();
         assert!((total - 10.0).abs() < 1e-12);
@@ -96,8 +106,7 @@ mod tests {
             vec![5.0, 6.0],
             vec![6.0, 5.0],
         ]);
-        let dist = pairwise_matrix(&data, &Euclidean);
-        let mst = minimum_spanning_tree(&dist);
+        let mst = distance_mst(&data);
         assert_eq!(mst.len(), 5);
         // spanning: union-find over edges connects all vertices
         let mut uf = cvcp_constraints::UnionFind::new(6);
@@ -112,8 +121,7 @@ mod tests {
         // For 3 equidistant-ish points the MST weight must not exceed any
         // spanning star.
         let data = DataMatrix::from_rows(&[vec![0.0, 0.0], vec![3.0, 0.0], vec![0.0, 4.0]]);
-        let dist = pairwise_matrix(&data, &Euclidean);
-        let mst = minimum_spanning_tree(&dist);
+        let mst = distance_mst(&data);
         let mst_total: f64 = mst.iter().map(|e| e.weight).sum();
         // possible spanning trees: {3,4}=7, {3,5}=8, {4,5}=9
         assert!((mst_total - 7.0).abs() < 1e-12);
@@ -121,10 +129,9 @@ mod tests {
 
     #[test]
     fn degenerate_sizes() {
-        assert!(minimum_spanning_tree(&[]).is_empty());
-        assert!(minimum_spanning_tree(&[vec![0.0]]).is_empty());
-        let two = vec![vec![0.0, 2.5], vec![2.5, 0.0]];
-        let mst = minimum_spanning_tree(&two);
+        assert!(distance_mst(&DataMatrix::zeros(0, 1)).is_empty());
+        assert!(distance_mst(&DataMatrix::from_rows(&[vec![0.0]])).is_empty());
+        let mst = distance_mst(&DataMatrix::from_rows(&[vec![0.0], vec![2.5]]));
         assert_eq!(mst.len(), 1);
         assert_eq!(mst[0].weight, 2.5);
     }
@@ -134,8 +141,8 @@ mod tests {
         // With a large MinPts the core distances dominate, so every edge
         // weight is at least the largest pairwise-neighbour distance.
         let data = DataMatrix::from_rows(&[vec![0.0], vec![0.1], vec![0.2], vec![10.0]]);
-        let mrd = mutual_reachability_from_pairwise(&pairwise_matrix(&data, &Euclidean), 4);
-        let mst = minimum_spanning_tree(&mrd);
+        let dist = pairwise_matrix(&data, &Euclidean);
+        let mst = minimum_spanning_tree(&mutual_reachability_from_pairwise(&dist, 4));
         for e in &mst {
             assert!(e.weight >= 9.8);
         }

@@ -41,10 +41,10 @@ impl OpticsOrdering {
         Self::run_on_distances(&dist, min_pts)
     }
 
-    /// Runs OPTICS on a precomputed pairwise distance matrix.
-    pub fn run_on_distances(dist: &[Vec<f64>], min_pts: usize) -> Self {
+    /// Runs OPTICS on a precomputed `n × n` pairwise distance matrix.
+    pub fn run_on_distances(dist: &DataMatrix, min_pts: usize) -> Self {
         assert!(min_pts >= 1, "MinPts must be at least 1");
-        let n = dist.len();
+        let n = dist.n_rows();
         let core = crate::core_distance::core_distances(dist, min_pts);
 
         let mut processed = vec![false; n];
@@ -147,18 +147,17 @@ impl OpticsOrdering {
 
 /// Updates the reachability of all unprocessed points from `p`.
 fn update_reachability(
-    dist: &[Vec<f64>],
+    dist: &DataMatrix,
     core: &[f64],
     p: usize,
     processed: &[bool],
     reach: &mut [f64],
 ) {
-    let n = dist.len();
-    for o in 0..n {
+    for (o, &d) in dist.row(p).iter().enumerate() {
         if processed[o] {
             continue;
         }
-        let new_reach = core[p].max(dist[p][o]);
+        let new_reach = core[p].max(d);
         if new_reach < reach[o] {
             reach[o] = new_reach;
         }

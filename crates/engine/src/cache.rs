@@ -251,6 +251,14 @@ impl ArtifactSize for String {
     }
 }
 
+/// A matrix's values and its stack size; the memoised fingerprint and
+/// column view are not counted.
+impl ArtifactSize for DataMatrix {
+    fn artifact_bytes(&self) -> usize {
+        std::mem::size_of::<Self>() + std::mem::size_of_val(self.as_slice())
+    }
+}
+
 impl<A: ArtifactSize, B: ArtifactSize> ArtifactSize for (A, B) {
     fn artifact_bytes(&self) -> usize {
         self.0.artifact_bytes() + self.1.artifact_bytes()

@@ -165,10 +165,11 @@ pub struct MpckMeans {
 pub struct MpckMeansResult {
     /// Final cluster assignment (no noise objects).
     pub partition: Partition,
-    /// Final centroids.
-    pub centroids: Vec<Vec<f64>>,
-    /// Final per-cluster diagonal metric weights.
-    pub metrics: Vec<Vec<f64>>,
+    /// Final centroids, one row per cluster (k × d).
+    pub centroids: DataMatrix,
+    /// Final per-cluster diagonal metric weights, one row per cluster
+    /// (k × d).
+    pub metrics: DataMatrix,
     /// Final objective value.
     pub objective: f64,
     /// Number of EM iterations executed.
@@ -381,8 +382,8 @@ impl MpckMeans {
 
         MpckMeansResult {
             partition: Partition::from_cluster_ids(&assignment),
-            centroids: nested_rows(&centroids),
-            metrics: nested_rows(&metrics),
+            centroids,
+            metrics,
             objective,
             iterations,
             violations,
@@ -758,11 +759,6 @@ impl MetricTerms {
             self.cl_offset[c] = diameter_sq(metrics.row(c), mins, maxs);
         }
     }
-}
-
-/// The rows of `m`, one `Vec` each.
-fn nested_rows(m: &DataMatrix) -> Vec<Vec<f64>> {
-    (0..m.n_rows()).map(|c| m.row(c).to_vec()).collect()
 }
 
 /// Sum of log weights (log-determinant of the diagonal metric).
@@ -1224,7 +1220,7 @@ mod tests {
         inst: &Instance,
         next: &[usize],
         counts: &[usize],
-    ) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, f64) {
+    ) -> (DataMatrix, DataMatrix, f64) {
         let data = &inst.data;
         let (ml_pairs, cl_pairs) = constraint_pairs(&inst.working);
         let (mins, maxs) = data.column_min_max();
@@ -1254,7 +1250,7 @@ mod tests {
         let objective = mpck.objective(
             data, next, &dist, &pair_dist, &metrics, &ml_pairs, &cl_pairs, &terms,
         );
-        (nested_rows(&centroids), nested_rows(&metrics), objective)
+        (centroids, metrics, objective)
     }
 
     /// The same M-step and objective through the nested references.
@@ -1290,8 +1286,8 @@ mod tests {
 
     #[test]
     fn m_step_reseed_and_objective_match_the_nested_references_bit_for_bit() {
-        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            rows.iter()
+        let bits = |m: &DataMatrix| -> Vec<Vec<u64>> {
+            m.rows()
                 .map(|r| r.iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
@@ -1341,8 +1337,9 @@ mod tests {
             learned[usize::from(mpck.learn_metric)] += 1;
             let got = m_step(&mpck, &inst, &next, &counts);
             let expected = reference_m_step(&mpck, &inst, &next);
-            assert_eq!(bits(&got.0), bits(&expected.0), "case {case}: centroids");
-            assert_eq!(bits(&got.1), bits(&expected.1), "case {case}: metrics");
+            let nested = |rows: &[Vec<f64>]| bits(&DataMatrix::from_rows(rows));
+            assert_eq!(bits(&got.0), nested(&expected.0), "case {case}: centroids");
+            assert_eq!(bits(&got.1), nested(&expected.1), "case {case}: metrics");
             assert_eq!(
                 got.2.to_bits(),
                 expected.2.to_bits(),
@@ -1473,8 +1470,8 @@ mod tests {
                 .count();
         MpckMeansResult {
             partition: Partition::from_cluster_ids(&assignment),
-            centroids,
-            metrics,
+            centroids: DataMatrix::from_rows(&centroids),
+            metrics: DataMatrix::from_rows(&metrics),
             objective,
             iterations,
             violations,
@@ -1483,8 +1480,8 @@ mod tests {
 
     #[test]
     fn fit_matches_the_recompute_everything_reference_bit_for_bit() {
-        let bits = |rows: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            rows.iter()
+        let bits = |m: &DataMatrix| -> Vec<Vec<u64>> {
+            m.rows()
                 .map(|r| r.iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
@@ -1626,7 +1623,7 @@ mod tests {
         let ds = gaussian_mixture(&specs, &mut rng);
         let pool = constraint_pool(ds.labels(), 0.3, 2, &mut rng);
         let result = MpckMeans::new(2).fit(ds.matrix(), &pool, &mut rng);
-        for m in &result.metrics {
+        for m in result.metrics.rows() {
             assert!(
                 m[0] > m[1],
                 "informative dimension should get larger weight: {m:?}"
@@ -1674,7 +1671,7 @@ mod tests {
             MpckMeans::new(2)
                 .with_metric_learning(false)
                 .fit(ds.matrix(), &pool, &mut rng);
-        for m in &result.metrics {
+        for m in result.metrics.rows() {
             assert!(m.iter().all(|&w| (w - 1.0).abs() < 1e-12));
         }
     }

@@ -28,8 +28,9 @@ pub fn silhouette_coefficient<D: Distance + ?Sized>(
     silhouette_with(|i, j| metric.distance(data.row(i), data.row(j)), partition)
 }
 
-/// Computes the mean Silhouette coefficient from a precomputed pairwise
-/// distance matrix (`dist[i][j]` = distance between objects `i` and `j`).
+/// Computes the mean Silhouette coefficient from a precomputed `n × n`
+/// pairwise distance matrix (entry `(i, j)` = distance between objects `i`
+/// and `j`).
 ///
 /// **Bit-identical** to [`silhouette_coefficient`] when `dist` was produced
 /// by `pairwise_matrix` under the same metric — both paths accumulate the
@@ -37,9 +38,11 @@ pub fn silhouette_coefficient<D: Distance + ?Sized>(
 /// matrix (via the engine's artifact cache) across every candidate
 /// parameter and trial instead of recomputing `O(n²·d)` distances per
 /// partition.
-pub fn silhouette_from_pairwise(dist: &[Vec<f64>], partition: &Partition) -> Option<f64> {
-    assert_eq!(dist.len(), partition.len(), "length mismatch");
-    silhouette_with(|i, j| dist[i][j], partition)
+pub fn silhouette_from_pairwise(dist: &DataMatrix, partition: &Partition) -> Option<f64> {
+    let n = partition.len();
+    assert_eq!((dist.n_rows(), dist.n_cols()), (n, n), "length mismatch");
+    let values = dist.as_slice();
+    silhouette_with(|i, j| values[i * n + j], partition)
 }
 
 /// The shared Silhouette loop over an arbitrary pairwise distance oracle.

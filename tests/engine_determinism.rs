@@ -17,7 +17,7 @@ use cvcp_suite::core::experiment::{run_experiment, ExperimentConfig, SideInfoSpe
 use cvcp_suite::core::{select_model, select_model_with, CvcpConfig, FoscMethod, MpckMethod};
 use cvcp_suite::data::rng::SeededRng;
 use cvcp_suite::data::synthetic::separated_blobs;
-use cvcp_suite::data::Dataset;
+use cvcp_suite::data::{DataMatrix, Dataset};
 use std::sync::Arc;
 
 fn blobs(seed: u64) -> Dataset {
@@ -155,10 +155,10 @@ fn artifact_cache_shares_pointer_equal_artifacts_across_folds_and_requests() {
     // 3 parameters × 6 folds but the matrix was computed exactly once.
     let data_key = fingerprint_matrix(ds.matrix());
     let pairwise_key = ArtifactKey::PairwiseDistances { data: data_key };
-    let a: Arc<Vec<Vec<f64>>> = engine.cache().get(pairwise_key).expect("pairwise cached");
-    let b: Arc<Vec<Vec<f64>>> = engine.cache().get(pairwise_key).expect("pairwise cached");
+    let a: Arc<DataMatrix> = engine.cache().get(pairwise_key).expect("pairwise cached");
+    let b: Arc<DataMatrix> = engine.cache().get(pairwise_key).expect("pairwise cached");
     assert!(Arc::ptr_eq(&a, &b), "cache must hand out the same Arc");
-    assert_eq!(a.len(), ds.len());
+    assert_eq!((a.n_rows(), a.n_cols()), (ds.len(), ds.len()));
 
     // Density hierarchies: one per MinPts, shared across the 6 folds.
     let stats_before = engine.cache().stats();

@@ -120,10 +120,10 @@ fn mpck_digest(result: &MpckMeansResult) -> u64 {
             Assignment::Noise => u64::MAX,
         });
     }
-    for c in &result.centroids {
+    for c in result.centroids.rows() {
         h.floats(c);
     }
-    for m in &result.metrics {
+    for m in result.metrics.rows() {
         h.floats(m);
     }
     h.float(result.objective);

@@ -51,12 +51,12 @@ use proptest::prelude::*;
 
 /// The core distances by definition: sort each row's distances to the
 /// other objects and read the (MinPts − 1)-th, saturating at the last.
-fn core_distances_by_sorting(dist: &[Vec<f64>], min_pts: usize) -> Vec<f64> {
-    (0..dist.len())
+fn core_distances_by_sorting(dist: &DataMatrix, min_pts: usize) -> Vec<f64> {
+    (0..dist.n_rows())
         .map(|i| {
-            let mut others: Vec<f64> = (0..dist.len())
+            let mut others: Vec<f64> = (0..dist.n_rows())
                 .filter(|&j| j != i)
-                .map(|j| dist[i][j])
+                .map(|j| dist.get(i, j))
                 .collect();
             others.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
             if min_pts == 1 || others.is_empty() {
@@ -76,7 +76,7 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// the sorting oracle for every MinPts in 1..=n + 3.
 fn check_core_distances(points: &[Vec<f64>]) {
     let dist = pairwise_matrix(&DataMatrix::from_rows(points), &Euclidean);
-    let n = dist.len();
+    let n = dist.n_rows();
     let knn = KnnTable::from_pairwise(&dist);
     for min_pts in 1..=n + 3 {
         let expected = core_distances_by_sorting(&dist, min_pts);
@@ -158,7 +158,7 @@ fn objective_by_definition(
         })
         .collect();
     let (mins, maxs) = data.column_min_max();
-    let metric = |c: usize| result.metrics[c].as_slice();
+    let metric = |c: usize| result.metrics.row(c);
     let log_det = |a: &[f64]| -> f64 { a.iter().map(|w| w.max(1e-12).ln()).sum() };
     let diameter_sq = |a: &[f64]| -> f64 {
         mins.iter()
@@ -172,7 +172,7 @@ fn objective_by_definition(
     };
     let mut obj = 0.0;
     for (i, &c) in labels.iter().enumerate() {
-        obj += metric_sq_dist(data.row(i), &result.centroids[c], metric(c)) - log_det(metric(c));
+        obj += metric_sq_dist(data.row(i), result.centroids.row(c), metric(c)) - log_det(metric(c));
     }
     let working = MpckSeeding::compute(data, constraints, mpck.use_closure).working;
     let pairs = |kind: ConstraintKind| {
@@ -476,10 +476,10 @@ proptest! {
             let core = core_distances_by_sorting(&dist, min_pts);
             let weights = mutual_reachability_from_pairwise(&dist, min_pts);
             for a in 0..n {
-                for b in (0..n).filter(|&b| b != a) {
-                    let expected = dist[a][b].max(core[a]).max(core[b]);
+                for (b, weight) in weights.weights_from(a).enumerate().filter(|&(b, _)| b != a) {
+                    let expected = dist.get(a, b).max(core[a]).max(core[b]);
                     prop_assert_eq!(
-                        weights[a][b].to_bits(),
+                        weight.to_bits(),
                         expected.to_bits(),
                         "MinPts {}, ({}, {}) on {:?}",
                         min_pts,
@@ -504,8 +504,11 @@ proptest! {
         let mut rng = SeededRng::new(seed);
         let points = random_points(n, dims, &mut rng);
         let dist = pairwise_matrix(&DataMatrix::from_rows(&points), &Euclidean);
-        for weights in [dist.clone(), mutual_reachability_from_pairwise(&dist, min_pts)] {
-            let prim = minimum_spanning_tree(&weights);
+        // MinPts 1 gives the plain distances: every core distance is zero.
+        for m in [1, min_pts] {
+            let mr = mutual_reachability_from_pairwise(&dist, m);
+            let weights: Vec<Vec<f64>> = (0..n).map(|a| mr.weights_from(a).collect()).collect();
+            let prim = minimum_spanning_tree(&mr);
             prop_assert_eq!(prim.len(), n.saturating_sub(1));
             // Prim's edges span every vertex and carry their matrix weight.
             let mut uf = UnionFind::new(n);

@@ -117,13 +117,8 @@ pub struct MutualReachability<'a> {
 
 impl MutualReachability<'_> {
     /// Number of objects.
-    pub fn len(&self) -> usize {
+    pub fn n_objects(&self) -> usize {
         self.core.len()
-    }
-
-    /// `true` when there are no objects.
-    pub fn is_empty(&self) -> bool {
-        self.core.is_empty()
     }
 
     /// The weights from object `a` to every object `b`, in object order:

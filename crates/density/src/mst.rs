@@ -26,7 +26,7 @@ pub struct Edge {
 /// graph, using Prim's algorithm.  Returns `n − 1` edges (an empty vector
 /// for `n ≤ 1`).
 pub fn minimum_spanning_tree(weights: &MutualReachability) -> Vec<Edge> {
-    let n = weights.len();
+    let n = weights.n_objects();
     if n <= 1 {
         return Vec::new();
     }

@@ -355,7 +355,7 @@ fn curve_figures_match_the_frozen_digests() {
 
 #[test]
 fn bounded_cache_selections_match_the_frozen_digests() {
-    // Each byte budget is below its selection's working set (about 151 KiB
+    // Each byte budget is below its selection's working set (about 148 KiB
     // over 9 artifacts for aloi:0, 6 KiB over 4 for iris_like), so the LRU
     // evicts while the grid runs.
     let cases = [

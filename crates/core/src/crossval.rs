@@ -202,14 +202,8 @@ mod tests {
             n_folds: 3,
             stratified: true,
         };
-        let selection = select_model(
-            &MpckMethod::default(),
-            ds.matrix(),
-            &side,
-            &[2, 4, 7],
-            &cfg,
-            &mut rng,
-        );
+        let method = MpckMethod::default();
+        let selection = select_model(&method, ds.matrix(), &side, &[2, 4, 7], &cfg, &mut rng);
         for eval in &selection.evaluations {
             assert!(
                 (0.0..=1.0).contains(&eval.score),
@@ -229,22 +223,17 @@ mod tests {
             n_folds: 4,
             stratified: true,
         };
-        let selection = select_model(
-            &MpckMethod::default(),
-            ds.matrix(),
-            &side,
-            &[3, 5],
-            &cfg,
-            &mut rng,
-        );
-        let (a, b) = (&selection.evaluations[0], &selection.evaluations[1]);
+        let method = MpckMethod::default();
+        let selection = select_model(&method, ds.matrix(), &side, &[3, 5], &cfg, &mut rng);
         // both evaluations saw the same folds
-        let shape = |eval: &ParameterEvaluation| -> Vec<(usize, usize)> {
-            (eval.folds.iter())
+        let [a, b] = [0, 1].map(|i| -> Vec<(usize, usize)> {
+            let folds = &selection.evaluations[i].folds;
+            folds
+                .iter()
                 .map(|f| (f.fold, f.n_test_constraints))
                 .collect()
-        };
-        assert!(!a.folds.is_empty());
-        assert_eq!(shape(a), shape(b));
+        });
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
     }
 }

@@ -192,36 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn mutual_reachability_dominates_distance_and_cores() {
-        let dist = pairwise_matrix(&line_data(), &Euclidean);
-        let min_pts = 3;
-        let core = core_distances(&dist, min_pts);
-        let mr = mutual_reachability_from_pairwise(&dist, min_pts);
-        let mrd: Vec<Vec<f64>> = (0..4).map(|i| mr.weights_from(i).collect()).collect();
-        for i in 0..4 {
-            for j in 0..4 {
-                if i != j {
-                    assert!(mrd[i][j] >= dist.get(i, j) - 1e-12);
-                    assert!(mrd[i][j] >= core[i] - 1e-12);
-                    assert!(mrd[i][j] >= core[j] - 1e-12);
-                    assert!((mrd[i][j] - mrd[j][i]).abs() < 1e-12);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mutual_reachability_equals_distance_for_min_pts_one() {
-        let dist = pairwise_matrix(&line_data(), &Euclidean);
-        let mr = mutual_reachability_from_pairwise(&dist, 1);
-        for i in 0..4 {
-            for (j, w) in mr.weights_from(i).enumerate() {
-                assert!((w - dist.get(i, j)).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn empty_and_single_object() {
         assert!(core_distances(&DataMatrix::zeros(0, 0), 3).is_empty());
         let single = DataMatrix::zeros(1, 1);

@@ -8,12 +8,15 @@
 //! Pipeline (all built from scratch):
 //!
 //! 1. [`core_distance`]: k-nearest-neighbour core distances for a given
-//!    `MinPts`, and mutual-reachability distances, both from a pairwise
-//!    distance matrix;
+//!    `MinPts` from an `n × n` pairwise distance matrix, and the
+//!    mutual-reachability distances read through that matrix and the core
+//!    distances ([`MutualReachability`](core_distance::MutualReachability));
 //! 2. [`optics`]: the OPTICS algorithm (reachability plot with ε = ∞),
 //!    kept as the reference the MST-built dendrogram is tested against;
 //! 3. [`mst`]: a minimum spanning tree of the mutual-reachability graph
-//!    (equivalent information, used to build the hierarchy);
+//!    (equivalent information, used to build the hierarchy), whose weights
+//!    Prim's algorithm reads one row at a time, so no second `n × n`
+//!    matrix is built;
 //! 4. [`dendrogram`]: the single-linkage dendrogram over mutual-reachability
 //!    distances — the "OPTICSDend" hierarchy;
 //! 5. [`condensed`]: the condensed cluster tree for a minimum cluster size,
@@ -25,7 +28,8 @@
 //! 7. [`fosc_optics_dend`]: the end-to-end `FoscOpticsDend` algorithm whose
 //!    free parameter is `MinPts` — exactly what CVCP selects in the paper.
 //!
-//! Steps 1 and 3–5 run one way, from a pairwise distance matrix
+//! Steps 1 and 3–5 run one way, from the pairwise distance matrix, a
+//! `DataMatrix` like the data itself
 //! ([`FoscOpticsDend::build_tree_from_pairwise`]): the execution engine
 //! caches that matrix once per data set and the tree once per `MinPts`, and
 //! [`FoscOpticsDend::fit`] runs the same steps without a cache.

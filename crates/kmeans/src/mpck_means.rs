@@ -1291,6 +1291,7 @@ mod tests {
                 .map(|r| r.iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
+        let nested = |rows: &[Vec<f64>]| bits(&DataMatrix::from_rows(rows));
         let mut rng = SeededRng::new(33);
         let (mut emptied, mut ml_violated, mut cl_violated) = (0usize, 0usize, 0usize);
         let mut learned = [0usize; 2];
@@ -1337,7 +1338,6 @@ mod tests {
             learned[usize::from(mpck.learn_metric)] += 1;
             let got = m_step(&mpck, &inst, &next, &counts);
             let expected = reference_m_step(&mpck, &inst, &next);
-            let nested = |rows: &[Vec<f64>]| bits(&DataMatrix::from_rows(rows));
             assert_eq!(bits(&got.0), nested(&expected.0), "case {case}: centroids");
             assert_eq!(bits(&got.1), nested(&expected.1), "case {case}: metrics");
             assert_eq!(

@@ -20,8 +20,9 @@
 //!   whose cache byte budget is below the working set (FOSC on aloi:0
 //!   over MinPts 3..24, MPCKMeans on iris_like over its default `k`
 //!   grid), so the graph lowering and the LRU eviction both run;
-//! * one selection served over the wire (`Server::start` plus a v2
-//!   `client::Connection`): the returned `RankedSelection`;
+//! * two selections served over the wire (`Server::start` plus a v2
+//!   `client::Connection`), iris_like and aloi:0, each sent twice on one
+//!   server: the returned `RankedSelection`;
 //! * the four quick-mode curve figures (Figures 5–8) as `curve_figure`
 //!   computes them for the `fig05`–`fig08` binaries: parameters, both
 //!   score series and their correlation.
@@ -422,35 +423,58 @@ fn served_selection_matches_the_frozen_digest() {
         Arc::new(Engine::new(2)),
     )
     .expect("bind loopback");
-    let request = SelectionRequest {
-        id: "golden".to_string(),
-        dataset: "iris_like".to_string(),
-        algorithm: Algorithm::Fosc,
-        params: vec![3, 6, 9],
-        side_info: SideInfoSpec::LabelFraction(0.2),
-        n_folds: 4,
-        stratified: true,
-        seed: 47,
-        priority: None,
-        trace: false,
-    };
-    let mut conn = Connection::connect(server.local_addr()).expect("v2 handshake");
-    assert_eq!(conn.version(), 2);
-    conn.send(&request).expect("send request");
-    let selection = loop {
-        match conn.next_event().expect("read event") {
-            Response::Result { id, selection, .. } if id == request.id => break selection,
-            Response::Progress { .. } => {}
-            other => panic!("unexpected response: {other:?}"),
+    let served = |dataset: &str, params: Vec<usize>, labels: f64, n_folds: usize, seed: u64| {
+        SelectionRequest {
+            id: "golden".to_string(),
+            dataset: dataset.to_string(),
+            algorithm: Algorithm::Fosc,
+            params,
+            side_info: SideInfoSpec::LabelFraction(labels),
+            n_folds,
+            stratified: true,
+            seed,
+            priority: None,
+            trace: false,
         }
     };
+    // aloi:0 is the 125 x 144 replica, the largest matrix a served
+    // request hashes for its cache keys.
+    let requests = [
+        served("iris_like", vec![3, 6, 9], 0.2, 4, 47),
+        served("aloi:0", vec![3, 6], 0.1, 3, 48),
+    ];
+    let mut conn = Connection::connect(server.local_addr()).expect("v2 handshake");
+    assert_eq!(conn.version(), 2);
+    // Each request is sent twice on the one server: the second is served
+    // from what the first left in the engine's cache.
+    for send in ["first", "second"] {
+        let mut computed = Vec::new();
+        for request in &requests {
+            conn.send(request).expect("send request");
+            let selection = loop {
+                match conn.next_event().expect("read event") {
+                    Response::Result { id, selection, .. } if id == request.id => break selection,
+                    Response::Progress { .. } => {}
+                    other => panic!("unexpected response to the {send} send: {other:?}"),
+                }
+            };
+            let SideInfoSpec::LabelFraction(labels) = request.side_info else {
+                unreachable!("every served case draws labels")
+            };
+            let params: Vec<String> = request.params.iter().map(usize::to_string).collect();
+            computed.push((
+                format!(
+                    "served {} fosc params={} labels={labels} folds={} seed={}",
+                    request.dataset,
+                    params.join(","),
+                    request.n_folds,
+                    request.seed
+                ),
+                ranked_digest(&selection),
+            ));
+        }
+        check_section("served ", computed);
+    }
     drop(conn);
     server.shutdown();
-    check_section(
-        "served ",
-        vec![(
-            "served iris_like fosc params=3,6,9 labels=0.2 folds=4 seed=47".to_string(),
-            ranked_digest(&selection),
-        )],
-    );
 }

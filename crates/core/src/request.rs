@@ -6,8 +6,19 @@
 //! through `cvcp_data::replicas::replica_by_name`), names the algorithm
 //! family and its candidate parameter grid, describes how the side
 //! information is drawn ([`SideInfoSpec`]) and pins every random choice to
-//! a `seed`.  Two lowerings share one realization path and are therefore
-//! **bit-identical**:
+//! a `seed`.
+//!
+//! A request is realized in one of two ways, which differ only in where
+//! the replica comes from:
+//!
+//! * [`SelectionRequest::realize`] — the cache-free reference: it
+//!   generates the replica;
+//! * [`SelectionRequest::realize_on`] — the serving path: it takes the
+//!   replica from the engine's artifact cache, keyed by the replica name
+//!   and seed that determine it, so a hot request neither regenerates nor
+//!   rehashes its data matrix.
+//!
+//! Two lowerings of a realized request are **bit-identical**:
 //!
 //! * [`RealizedSelection::select`] — the in-process reference, running
 //!   [`select_model_with`];
@@ -25,7 +36,8 @@ use cvcp_constraints::SideInformation;
 use cvcp_data::replicas::{replica_by_name, replica_name_is_known};
 use cvcp_data::rng::SeededRng;
 use cvcp_data::Dataset;
-use cvcp_engine::{CancelToken, Engine, GraphTrace, Priority};
+use cvcp_engine::{ArtifactKey, CancelToken, Engine, FingerprintBuilder, GraphTrace, Priority};
+use std::sync::Arc;
 
 /// The algorithm families a request can select over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,11 +213,43 @@ impl SelectionRequest {
 
     /// Lowers the request: resolves the replica, draws the side
     /// information and freezes the RNG state the selection continues from.
-    /// Deterministic in the request alone.
+    /// Deterministic in the request alone.  This is the cache-free
+    /// reference that [`Self::realize_on`] must match.
     pub fn realize(&self) -> Result<RealizedSelection, RequestError> {
         self.validate()?;
         let dataset = replica_by_name(&self.dataset, self.seed)
             .ok_or_else(|| RequestError::UnknownDataset(self.dataset.clone()))?;
+        Ok(self.lower(dataset))
+    }
+
+    /// [`Self::realize`] with the replica taken from `engine`'s artifact
+    /// cache, under [`ArtifactKey::Replica`] (a fingerprint of the name and
+    /// the seed).  A miss generates the replica and hashes its matrix
+    /// before the entry is committed, so every clone handed out carries the
+    /// memoised fingerprint and its cache keys cost no hashing.  The result
+    /// equals [`Self::realize`]'s field for field.
+    pub fn realize_on(&self, engine: &Engine) -> Result<RealizedSelection, RequestError> {
+        self.validate()?;
+        let mut name = FingerprintBuilder::new();
+        for byte in self.dataset.bytes() {
+            name.write_u64(u64::from(byte));
+        }
+        let key = ArtifactKey::Replica {
+            name: name.finish(),
+            seed: self.seed,
+        };
+        let replica: Arc<Dataset> = engine.cache().get_or_compute(key, || {
+            let dataset = replica_by_name(&self.dataset, self.seed)
+                .expect("a name that passed validation resolves");
+            dataset.matrix().fingerprint();
+            dataset
+        });
+        Ok(self.lower(Dataset::clone(&replica)))
+    }
+
+    /// Draws the side information from `dataset` and fixes the grid and
+    /// the RNG state the selection continues from.
+    fn lower(&self, dataset: Dataset) -> RealizedSelection {
         let mut rng = SeededRng::new(self.seed);
         let side = self.side_info.generate(&dataset, &mut rng);
         let method = self.algorithm.method();
@@ -214,7 +258,7 @@ impl SelectionRequest {
         } else {
             self.params.clone()
         };
-        Ok(RealizedSelection {
+        RealizedSelection {
             dataset,
             side,
             config: CvcpConfig {
@@ -225,7 +269,7 @@ impl SelectionRequest {
             method,
             rng,
             priority: self.priority.unwrap_or_default(),
-        })
+        }
     }
 }
 
@@ -294,8 +338,9 @@ impl std::fmt::Display for RunRequestError {
 
 impl std::error::Error for RunRequestError {}
 
-/// Validates, lowers and executes a request on `engine`, streaming
-/// per-parameter progress and honouring `cancel`.
+/// Validates, lowers ([`SelectionRequest::realize_on`]) and executes a
+/// request on `engine`, streaming per-parameter progress and honouring
+/// `cancel`.
 ///
 /// The returned selection is bit-identical to
 /// `request.realize()?.select(engine)` — the contract the serving smoke
@@ -309,7 +354,9 @@ pub fn run_selection_request<F>(
 where
     F: FnMut(SelectionProgress) + Send + 'static,
 {
-    let realized = request.realize().map_err(RunRequestError::Invalid)?;
+    let realized = request
+        .realize_on(engine)
+        .map_err(RunRequestError::Invalid)?;
     realized
         .select_streaming(engine, cancel, None, on_progress)
         .map(|(selection, _)| selection)
@@ -331,7 +378,9 @@ pub fn run_selection_request_traced<F>(
 where
     F: FnMut(SelectionProgress) + Send + 'static,
 {
-    let realized = request.realize().map_err(RunRequestError::Invalid)?;
+    let realized = request
+        .realize_on(engine)
+        .map_err(RunRequestError::Invalid)?;
     realized
         .select_streaming(engine, cancel, Some(request.id.clone()), on_progress)
         .map_err(|SelectionCancelled| RunRequestError::Cancelled)
@@ -340,6 +389,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cvcp_data::replicas::REPLICA_NAMES;
+    use cvcp_engine::CacheConfig;
     use std::sync::mpsc;
 
     fn request(algorithm: Algorithm, params: Vec<usize>) -> SelectionRequest {
@@ -458,6 +509,77 @@ mod tests {
                     trace.spans.iter().any(|s| s.label.contains(&label)),
                     "at least one evaluation span per candidate parameter {p}"
                 );
+            }
+        }
+    }
+
+    /// Asserts that two realizations agree field for field, comparing the
+    /// replica's matrix by bit pattern and the RNG by its next draws.
+    fn assert_same_realization(reference: &RealizedSelection, other: &RealizedSelection) {
+        let (a, b) = (&reference.dataset, &other.dataset);
+        assert_eq!(a.name(), b.name());
+        assert_eq!(a.labels(), b.labels(), "{}", a.name());
+        assert_eq!((a.len(), a.dims()), (b.len(), b.dims()), "{}", a.name());
+        let bits = |ds: &Dataset| -> Vec<u64> {
+            ds.matrix().as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(a), bits(b), "{}: matrix bits", a.name());
+        assert_eq!(a.matrix().fingerprint(), b.matrix().fingerprint());
+        assert_eq!(reference.side, other.side, "{}: side information", a.name());
+        assert_eq!(reference.config, other.config);
+        assert_eq!(reference.params, other.params);
+        assert_eq!(reference.method.name(), other.method.name());
+        assert_eq!(reference.priority, other.priority);
+        let draws = |rng: &SeededRng| -> Vec<u64> {
+            let mut rng = rng.clone();
+            (0..4).map(|_| rng.next_u64()).collect()
+        };
+        assert_eq!(
+            draws(&reference.rng),
+            draws(&other.rng),
+            "{}: RNG",
+            a.name()
+        );
+    }
+
+    #[test]
+    fn realize_on_matches_the_cache_free_reference() {
+        let unbounded = Engine::new(2);
+        let keeps_nothing =
+            Engine::with_cache_config(2, CacheConfig::unbounded().with_max_entries(0));
+        let names = REPLICA_NAMES.into_iter().chain(["aloi:1"]);
+        for name in names {
+            for seed in [5, 6] {
+                let mut req = request(Algorithm::Fosc, vec![3, 6]);
+                req.dataset = name.to_string();
+                req.seed = seed;
+                req.side_info = SideInfoSpec::LabelFraction(0.1);
+                req.n_folds = 3;
+                for engine in [&unbounded, &keeps_nothing] {
+                    // The (misses, hits) one `realize_on` adds.
+                    let lookup = || {
+                        let before = engine.cache().stats();
+                        let realized = req.realize_on(engine).unwrap();
+                        let after = engine.cache().stats();
+                        let counts = (after.misses - before.misses, after.hits - before.hits);
+                        (realized, counts)
+                    };
+                    let (first, first_counts) = lookup();
+                    let (repeat, repeat_counts) = lookup();
+                    if std::ptr::eq(engine, &unbounded) {
+                        // One miss per (name, seed), then a hit.
+                        assert_eq!(first_counts, (1, 0), "{name} seed {seed}: first lookup");
+                        assert_eq!(repeat_counts, (0, 1), "{name} seed {seed}: repeat");
+                    }
+                    let reference = req.realize().unwrap();
+                    assert_same_realization(&reference, &first);
+                    assert_same_realization(&reference, &repeat);
+                    assert_eq!(
+                        repeat.select(engine),
+                        reference.select(engine),
+                        "{name} seed {seed}: selection"
+                    );
+                }
             }
         }
     }

@@ -60,7 +60,12 @@ pub fn generate(
     dims: usize,
 ) -> Dataset {
     assert!(n_classes >= 1 && per_class >= 1 && dims >= 1);
-    let mut rng = SeededRng::new(seed ^ (0xA101 + index as u64 * 0x9E37_79B9));
+    // Wrapping, so that every `usize` index names a data set (an index
+    // from 6,949,403,067 on overflows the product).
+    let mix = (index as u64)
+        .wrapping_mul(0x9E37_79B9)
+        .wrapping_add(0xA101);
+    let mut rng = SeededRng::new(seed ^ mix);
 
     // Per-data-set difficulty knobs: how far apart the class prototypes are,
     // how anisotropic each class is, and how many classes are "hard"

@@ -351,6 +351,17 @@ mod tests {
     }
 
     #[test]
+    fn aloi_indices_past_the_seed_multiplier_resolve() {
+        // From index 6,949,403,067 on, the index times the generator's
+        // seed multiplier exceeds u64: the mix must wrap, not panic.
+        for name in ["aloi:6949403067", "aloi:18446744073709551615"] {
+            assert!(replica_name_is_known(name));
+            let ds = replica_by_name(name, 1).expect("any usize index resolves");
+            assert_eq!((ds.len(), ds.dims()), (125, 144), "{name}");
+        }
+    }
+
+    #[test]
     fn wine_like_feature_scales_vary() {
         let ds = wine_like(0);
         let vars = ds.matrix().column_variances();

@@ -6,7 +6,9 @@
 //! neighbourhoods — are *identical* across large parts of that grid.  The
 //! [`ArtifactCache`] stores those intermediates behind content-derived keys
 //! so that every artifact is computed exactly once per engine, no matter how
-//! many folds, trials or concurrent requests ask for it.
+//! many folds, trials or concurrent requests ask for it.  The data-set
+//! replicas that served requests name are stored the same way, under their
+//! name and seed ([`ArtifactKey::Replica`]).
 //!
 //! Long-lived serving engines cannot let the cache grow monotonically, so
 //! the store is *size-bounded*: a [`CacheConfig`] caps the resident bytes
@@ -44,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use cvcp_data::DataMatrix;
+use cvcp_data::{DataMatrix, Dataset};
 use cvcp_obs::lock_rank::CACHE;
 use cvcp_obs::{HistogramSnapshot, LogHistogram, RankedCondvar, RankedMutex};
 
@@ -124,7 +126,9 @@ pub fn fingerprint_matrix(matrix: &DataMatrix) -> Fingerprint {
 /// parameters of the computation, so equal inputs share work across folds,
 /// trials and concurrent requests while different inputs can never collide
 /// semantically (fingerprints are 64-bit content hashes; collisions are
-/// astronomically unlikely at this workload's cardinalities).
+/// astronomically unlikely at this workload's cardinalities).  The one
+/// exception is [`ArtifactKey::Replica`]: a generated data set is keyed by
+/// what determines its content, its replica name and seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKey {
     /// Full pairwise distance matrix of a data set under the default metric.
@@ -183,12 +187,23 @@ pub enum ArtifactKey {
         /// Caller-computed content fingerprint.
         key: Fingerprint,
     },
+    /// A data-set replica generated from its registry name and seed
+    /// (`cvcp_data::replicas::replica_by_name`), which determine its
+    /// content.  The name comes from the request, so unlike the content
+    /// keys it is chosen by the caller; two names whose fingerprints
+    /// collide would share one replica.
+    Replica {
+        /// Fingerprint of the replica name's bytes.
+        name: Fingerprint,
+        /// The generation seed.
+        seed: u64,
+    },
 }
 
 impl ArtifactKey {
     /// The artifact-kind names, in canonical order — one row each of the
     /// cache's per-kind latency histograms.
-    pub const KIND_NAMES: [&'static str; 7] = [
+    pub const KIND_NAMES: [&'static str; 8] = [
         "pairwise_distances",
         "core_distances",
         "mutual_reachability_mst",
@@ -196,6 +211,7 @@ impl ArtifactKey {
         "fold_closure",
         "mpck_seeding",
         "custom",
+        "replica",
     ];
 
     /// Index of the key's kind into [`ArtifactKey::KIND_NAMES`] — also the
@@ -209,6 +225,7 @@ impl ArtifactKey {
             ArtifactKey::FoldClosure { .. } => 4,
             ArtifactKey::MpckSeeding { .. } => 5,
             ArtifactKey::Custom { .. } => 6,
+            ArtifactKey::Replica { .. } => 7,
         }
     }
 }
@@ -256,6 +273,16 @@ impl ArtifactSize for String {
 impl ArtifactSize for DataMatrix {
     fn artifact_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + std::mem::size_of_val(self.as_slice())
+    }
+}
+
+/// A data set's name, matrix values and labels, and its stack size.
+impl ArtifactSize for Dataset {
+    fn artifact_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.name().len()
+            + std::mem::size_of_val(self.matrix().as_slice())
+            + std::mem::size_of_val(self.labels())
     }
 }
 
@@ -1393,6 +1420,7 @@ mod tests {
                 use_closure: true,
             },
             custom(1),
+            ArtifactKey::Replica { name: 1, seed: 2 },
         ];
         // One latency row per variant, in `KIND_NAMES` order.
         let indices: Vec<usize> = keys.iter().map(ArtifactKey::kind_index).collect();

@@ -423,25 +423,31 @@ fn served_selection_matches_the_frozen_digest() {
         Arc::new(Engine::new(2)),
     )
     .expect("bind loopback");
-    let served = |dataset: &str, params: Vec<usize>, labels: f64, n_folds: usize, seed: u64| {
-        SelectionRequest {
+    // (case, request); aloi:0 is the 125 x 144 replica, the largest
+    // matrix a served request hashes for its cache keys.
+    let served = |dataset: &str, params: &[usize], labels: f64, n_folds: usize, seed: u64| {
+        let list: Vec<String> = params.iter().map(usize::to_string).collect();
+        let case = format!(
+            "served {dataset} fosc params={} labels={labels} folds={n_folds} seed={seed}",
+            list.join(",")
+        );
+        let request = SelectionRequest {
             id: "golden".to_string(),
             dataset: dataset.to_string(),
             algorithm: Algorithm::Fosc,
-            params,
+            params: params.to_vec(),
             side_info: SideInfoSpec::LabelFraction(labels),
             n_folds,
             stratified: true,
             seed,
             priority: None,
             trace: false,
-        }
+        };
+        (case, request)
     };
-    // aloi:0 is the 125 x 144 replica, the largest matrix a served
-    // request hashes for its cache keys.
     let requests = [
-        served("iris_like", vec![3, 6, 9], 0.2, 4, 47),
-        served("aloi:0", vec![3, 6], 0.1, 3, 48),
+        served("iris_like", &[3, 6, 9], 0.2, 4, 47),
+        served("aloi:0", &[3, 6], 0.1, 3, 48),
     ];
     let mut conn = Connection::connect(server.local_addr()).expect("v2 handshake");
     assert_eq!(conn.version(), 2);
@@ -449,7 +455,7 @@ fn served_selection_matches_the_frozen_digest() {
     // from what the first left in the engine's cache.
     for send in ["first", "second"] {
         let mut computed = Vec::new();
-        for request in &requests {
+        for (case, request) in &requests {
             conn.send(request).expect("send request");
             let selection = loop {
                 match conn.next_event().expect("read event") {
@@ -458,20 +464,7 @@ fn served_selection_matches_the_frozen_digest() {
                     other => panic!("unexpected response to the {send} send: {other:?}"),
                 }
             };
-            let SideInfoSpec::LabelFraction(labels) = request.side_info else {
-                unreachable!("every served case draws labels")
-            };
-            let params: Vec<String> = request.params.iter().map(usize::to_string).collect();
-            computed.push((
-                format!(
-                    "served {} fosc params={} labels={labels} folds={} seed={}",
-                    request.dataset,
-                    params.join(","),
-                    request.n_folds,
-                    request.seed
-                ),
-                ranked_digest(&selection),
-            ));
+            computed.push((case.clone(), ranked_digest(&selection)));
         }
         check_section("served ", computed);
     }

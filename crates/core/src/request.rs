@@ -14,9 +14,9 @@
 //! * [`SelectionRequest::realize`] — the cache-free reference: it
 //!   generates the replica;
 //! * [`SelectionRequest::realize_on`] — the serving path: it takes the
-//!   replica from the engine's artifact cache, keyed by the replica name
-//!   and seed that determine it, so a hot request neither regenerates nor
-//!   rehashes its data matrix.
+//!   replica from the engine's artifact cache, keyed by the data set its
+//!   name resolves to and the seed, which determine it, so a hot request
+//!   neither regenerates nor rehashes its data matrix.
 //!
 //! Two lowerings of a realized request are **bit-identical**:
 //!
@@ -33,10 +33,10 @@ use crate::selection::{
     select_model_streaming, select_model_with, CvcpSelection, SelectionCancelled, SelectionProgress,
 };
 use cvcp_constraints::SideInformation;
-use cvcp_data::replicas::{replica_by_name, replica_name_is_known};
+use cvcp_data::replicas::{replica_by_name, replica_name_is_known, ReplicaId};
 use cvcp_data::rng::SeededRng;
 use cvcp_data::Dataset;
-use cvcp_engine::{ArtifactKey, CancelToken, Engine, FingerprintBuilder, GraphTrace, Priority};
+use cvcp_engine::{ArtifactKey, CancelToken, Engine, GraphTrace, Priority};
 use std::sync::Arc;
 
 /// The algorithm families a request can select over.
@@ -223,24 +223,21 @@ impl SelectionRequest {
     }
 
     /// [`Self::realize`] with the replica taken from `engine`'s artifact
-    /// cache, under [`ArtifactKey::Replica`] (a fingerprint of the name and
-    /// the seed).  A miss generates the replica and hashes its matrix
-    /// before the entry is committed, so every clone handed out carries the
-    /// memoised fingerprint and its cache keys cost no hashing.  The result
-    /// equals [`Self::realize`]'s field for field.
+    /// cache, under [`ArtifactKey::Replica`] (the [`ReplicaId`] the name
+    /// parses to, and the seed).  A miss generates the replica and hashes
+    /// its matrix before the entry is committed, so every clone handed out
+    /// carries the memoised fingerprint and its cache keys cost no hashing.
+    /// The result equals [`Self::realize`]'s field for field.
     pub fn realize_on(&self, engine: &Engine) -> Result<RealizedSelection, RequestError> {
         self.validate()?;
-        let mut name = FingerprintBuilder::new();
-        for byte in self.dataset.bytes() {
-            name.write_u64(u64::from(byte));
-        }
+        let id = ReplicaId::parse(&self.dataset)
+            .ok_or_else(|| RequestError::UnknownDataset(self.dataset.clone()))?;
         let key = ArtifactKey::Replica {
-            name: name.finish(),
+            id,
             seed: self.seed,
         };
         let replica: Arc<Dataset> = engine.cache().get_or_compute(key, || {
-            let dataset = replica_by_name(&self.dataset, self.seed)
-                .expect("a name that passed validation resolves");
+            let dataset = id.generate(self.seed);
             dataset.matrix().fingerprint();
             dataset
         });
@@ -547,9 +544,15 @@ mod tests {
         let unbounded = Engine::new(2);
         let keeps_nothing =
             Engine::with_cache_config(2, CacheConfig::unbounded().with_max_entries(0));
-        let names = REPLICA_NAMES.into_iter().chain(["aloi:1"]);
+        // `aloi:00` and `aloi:+0` spell `aloi`'s data set and share its
+        // entry; every other name is a data set of its own.
+        let names = REPLICA_NAMES
+            .into_iter()
+            .chain(["aloi:1", "aloi:00", "aloi:+0"]);
+        let mut stored = std::collections::HashSet::new();
         for name in names {
             for seed in [5, 6] {
+                let fresh = stored.insert((ReplicaId::parse(name), seed));
                 let mut req = request(Algorithm::Fosc, vec![3, 6]);
                 req.dataset = name.to_string();
                 req.seed = seed;
@@ -567,8 +570,12 @@ mod tests {
                     let (first, first_counts) = lookup();
                     let (repeat, repeat_counts) = lookup();
                     if std::ptr::eq(engine, &unbounded) {
-                        // One miss per (name, seed), then a hit.
-                        assert_eq!(first_counts, (1, 0), "{name} seed {seed}: first lookup");
+                        // One miss per (data set, seed), then hits.
+                        let first_expected = if fresh { (1, 0) } else { (0, 1) };
+                        assert_eq!(
+                            first_counts, first_expected,
+                            "{name} seed {seed}: first lookup"
+                        );
                         assert_eq!(repeat_counts, (0, 1), "{name} seed {seed}: repeat");
                     }
                     let reference = req.realize().unwrap();

@@ -197,14 +197,60 @@ pub const REPLICA_NAMES: [&str; 6] = [
     "aloi",
 ];
 
+/// The data set a replica name resolves to: one of the five UCI-style
+/// replicas or a member of the ALOI k5 collection.  With a seed it
+/// determines the replica's content, and every spelling of one data set
+/// (`aloi`, `aloi:0`, `aloi:00`, `aloi:+0`) parses to the same id, so it
+/// can key a stored replica.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum ReplicaId {
+    /// [`iris_like`].
+    IrisLike,
+    /// [`wine_like`].
+    WineLike,
+    /// [`ionosphere_like`].
+    IonosphereLike,
+    /// [`ecoli_like`].
+    EcoliLike,
+    /// [`zyeast_like`].
+    ZyeastLike,
+    /// The ALOI k5 data set at this index ([`crate::aloi::aloi_k5_dataset`]).
+    Aloi(usize),
+}
+
+impl ReplicaId {
+    /// Parses a replica name without generating anything; `None` for an
+    /// unknown name or a malformed `aloi:` index.
+    pub fn parse(name: &str) -> Option<ReplicaId> {
+        Some(match name {
+            "iris_like" => ReplicaId::IrisLike,
+            "wine_like" => ReplicaId::WineLike,
+            "ionosphere_like" => ReplicaId::IonosphereLike,
+            "ecoli_like" => ReplicaId::EcoliLike,
+            "zyeast_like" => ReplicaId::ZyeastLike,
+            "aloi" => ReplicaId::Aloi(0),
+            _ => ReplicaId::Aloi(name.strip_prefix("aloi:")?.parse().ok()?),
+        })
+    }
+
+    /// Generates the replica; deterministic in `(self, seed)`.
+    pub fn generate(self, seed: u64) -> Dataset {
+        match self {
+            ReplicaId::IrisLike => iris_like(seed),
+            ReplicaId::WineLike => wine_like(seed),
+            ReplicaId::IonosphereLike => ionosphere_like(seed),
+            ReplicaId::EcoliLike => ecoli_like(seed),
+            ReplicaId::ZyeastLike => zyeast_like(seed),
+            ReplicaId::Aloi(index) => crate::aloi::aloi_k5_dataset(seed, index),
+        }
+    }
+}
+
 /// `true` when [`replica_by_name`] would resolve `name` — a cheap,
 /// generation-free admission check (validating a network request must not
 /// cost a full replica generation).
 pub fn replica_name_is_known(name: &str) -> bool {
-    REPLICA_NAMES.contains(&name)
-        || name
-            .strip_prefix("aloi:")
-            .is_some_and(|idx| idx.parse::<usize>().is_ok())
+    ReplicaId::parse(name).is_some()
 }
 
 /// Resolves a data-set replica by name — the registry behind network
@@ -216,18 +262,7 @@ pub fn replica_name_is_known(name: &str) -> bool {
 /// (and malformed `aloi:` indices) return `None`.  Resolution is
 /// deterministic in `(name, seed)`.
 pub fn replica_by_name(name: &str, seed: u64) -> Option<Dataset> {
-    match name {
-        "iris_like" => Some(iris_like(seed)),
-        "wine_like" => Some(wine_like(seed)),
-        "ionosphere_like" => Some(ionosphere_like(seed)),
-        "ecoli_like" => Some(ecoli_like(seed)),
-        "zyeast_like" => Some(zyeast_like(seed)),
-        "aloi" => Some(crate::aloi::aloi_k5_dataset(seed, 0)),
-        _ => {
-            let index: usize = name.strip_prefix("aloi:")?.parse().ok()?;
-            Some(crate::aloi::aloi_k5_dataset(seed, index))
-        }
-    }
+    ReplicaId::parse(name).map(|id| id.generate(seed))
 }
 
 #[cfg(test)]
@@ -344,20 +379,34 @@ mod tests {
 
     #[test]
     fn name_check_agrees_with_resolution() {
-        for name in REPLICA_NAMES.into_iter().chain(["aloi:42"]) {
+        // From index 6,949,403,067 on, the index times the ALOI generator's
+        // seed multiplier exceeds u64: the mix must wrap, not panic.
+        let names = ["aloi:42", "aloi:6949403067", "aloi:18446744073709551615"];
+        for name in REPLICA_NAMES.into_iter().chain(names) {
             assert!(replica_name_is_known(name));
             assert!(replica_by_name(name, 1).is_some());
         }
     }
 
     #[test]
-    fn aloi_indices_past_the_seed_multiplier_resolve() {
-        // From index 6,949,403,067 on, the index times the generator's
-        // seed multiplier exceeds u64: the mix must wrap, not panic.
-        for name in ["aloi:6949403067", "aloi:18446744073709551615"] {
-            assert!(replica_name_is_known(name));
-            let ds = replica_by_name(name, 1).expect("any usize index resolves");
-            assert_eq!((ds.len(), ds.dims()), (125, 144), "{name}");
+    fn names_share_an_id_exactly_when_they_name_one_data_set() {
+        let aliases = ["aloi:0", "aloi:00", "aloi:+0", "aloi:1", "aloi:01"];
+        let names: Vec<&str> = REPLICA_NAMES
+            .into_iter()
+            .chain(aliases)
+            .chain(["aloi:18446744073709551615"])
+            .collect();
+        let resolved: Vec<(ReplicaId, Dataset)> = names
+            .iter()
+            .map(|name| {
+                let id = ReplicaId::parse(name).expect("known name");
+                (id, replica_by_name(name, 3).expect("known name"))
+            })
+            .collect();
+        for (a, (id_a, data_a)) in names.iter().zip(&resolved) {
+            for (b, (id_b, data_b)) in names.iter().zip(&resolved) {
+                assert_eq!(id_a == id_b, data_a == data_b, "{a} vs {b}");
+            }
         }
     }
 

@@ -7,8 +7,8 @@
 //! [`ArtifactCache`] stores those intermediates behind content-derived keys
 //! so that every artifact is computed exactly once per engine, no matter how
 //! many folds, trials or concurrent requests ask for it.  The data-set
-//! replicas that served requests name are stored the same way, under their
-//! name and seed ([`ArtifactKey::Replica`]).
+//! replicas that served requests name are stored the same way, under the
+//! data set and seed that generate them ([`ArtifactKey::Replica`]).
 //!
 //! Long-lived serving engines cannot let the cache grow monotonically, so
 //! the store is *size-bounded*: a [`CacheConfig`] caps the resident bytes
@@ -46,6 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
+use cvcp_data::replicas::ReplicaId;
 use cvcp_data::{DataMatrix, Dataset};
 use cvcp_obs::lock_rank::CACHE;
 use cvcp_obs::{HistogramSnapshot, LogHistogram, RankedCondvar, RankedMutex};
@@ -128,7 +129,8 @@ pub fn fingerprint_matrix(matrix: &DataMatrix) -> Fingerprint {
 /// semantically (fingerprints are 64-bit content hashes; collisions are
 /// astronomically unlikely at this workload's cardinalities).  The one
 /// exception is [`ArtifactKey::Replica`]: a generated data set is keyed by
-/// what determines its content, its replica name and seed.
+/// exactly what determines its content, the data set its name resolves to
+/// and the seed, so it cannot collide at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArtifactKey {
     /// Full pairwise distance matrix of a data set under the default metric.
@@ -187,14 +189,13 @@ pub enum ArtifactKey {
         /// Caller-computed content fingerprint.
         key: Fingerprint,
     },
-    /// A data-set replica generated from its registry name and seed
-    /// (`cvcp_data::replicas::replica_by_name`), which determine its
-    /// content.  The name comes from the request, so unlike the content
-    /// keys it is chosen by the caller; two names whose fingerprints
-    /// collide would share one replica.
+    /// A data-set replica, [`ReplicaId::generate`] of `id` and `seed`.
+    /// The key is the parsed data set, not the name's text, so a name a
+    /// client chooses cannot reach another data set's entry, and the
+    /// spellings of one data set (`aloi`, `aloi:0`, `aloi:00`) share one.
     Replica {
-        /// Fingerprint of the replica name's bytes.
-        name: Fingerprint,
+        /// The data set the request's name resolves to.
+        id: ReplicaId,
         /// The generation seed.
         seed: u64,
     },
@@ -1420,7 +1421,10 @@ mod tests {
                 use_closure: true,
             },
             custom(1),
-            ArtifactKey::Replica { name: 1, seed: 2 },
+            ArtifactKey::Replica {
+                id: ReplicaId::IrisLike,
+                seed: 2,
+            },
         ];
         // One latency row per variant, in `KIND_NAMES` order.
         let indices: Vec<usize> = keys.iter().map(ArtifactKey::kind_index).collect();

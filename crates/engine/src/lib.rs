@@ -26,8 +26,8 @@
 //! * [`ArtifactCache`] — a content-keyed, concurrency-deduplicated store so
 //!   each artifact is computed once and shared (`Arc`) across folds,
 //!   trials and concurrent requests.  It also holds the data-set replicas
-//!   that served requests name, keyed by replica name and seed
-//!   ([`ArtifactKey::Replica`]).  One lock guards an O(1) slab LRU,
+//!   that served requests name, keyed by the data set a name resolves to
+//!   and the seed ([`ArtifactKey::Replica`]).  One lock guards an O(1) slab LRU,
 //!   and a [`CacheConfig`] bounds the resident bytes/entries, so long-lived
 //!   serving engines run within a fixed memory budget without ever
 //!   changing results.
